@@ -6,6 +6,27 @@ string of length ``in_len + out_len - 1`` drawn from a 64-bit seed.  The
 family is universal_2: any two distinct inputs collide with probability at
 most ``2^-out_len`` over the choice of ``d``, and hashing is GF(2)-linear.
 
+The product ``y[i] = sum_j d[i - j + in_len - 1] x[j] mod 2`` is computed
+as an integer convolution with FFTs of bounded size, blocked along the
+input (overlap-add; compare Hayashi and Tsurumaru, IEEE TIT 2016).  The
+FFT size ``L`` is the next power of two at or above
+``out_len + min(in_len, max(out_len, 4096)) - 1`` and the block length is
+``B = L - out_len + 1``, so both follow from the input sizes alone.  The
+input is cut into ``ceil(in_len / B)`` blocks of ``B`` bits (the last one
+zero-padded); block ``b`` meets the length-``L`` window of the diagonals
+(zero-padded on the left) that starts ``B (blocks - 1 - b)`` entries in.
+One batched ``rfft`` per operand, a sum of the products over blocks and one
+``irfft`` of size ``L`` give the circular convolution summed over blocks.
+
+Exactness.  A window of length ``L`` convolved with a block of length ``B``
+has linear length ``L + B - 1``; wrapping it into ``L`` points folds only
+the indices ``>= L`` back onto ``[0, B - 1)``, so the output window
+``[B - 1, L)``, which holds the ``out_len`` wanted entries, is free of
+aliasing.  Every entry there is a count of at most ``in_len < 2^53`` ones,
+so it is an integer that the FFT reproduces to within its rounding error;
+that error is checked against 1/4 before rounding, so a rounding failure
+raises instead of yielding a wrong hash.
+
 Bit strings are numpy uint8 arrays of 0/1; the serialized byte form packs
 bits little-endian within each byte.  Hash objects are immutable after
 sampling and hashing is pure.
@@ -18,22 +39,35 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
-    """Toeplitz matrix-vector product over GF(2) via integer convolution.
+def _blocking(in_len: int, out_len: int) -> tuple[int, int]:
+    """Block length ``B`` and FFT size ``L = out_len + B - 1`` (a power of two)."""
+    size = 1 << (out_len + min(in_len, max(out_len, 4096)) - 2).bit_length()
+    return size - out_len + 1, size
 
-    ``y[i] = sum_j d[i - j + n - 1] x[j] mod 2`` is a window of the full
-    convolution of ``d`` and ``x``.  Computed with an FFT for speed; the
-    integer counts are bounded by ``len(x)``, far inside the exactly
-    representable range, so rounding back to integers is exact.
+
+def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
+    """Toeplitz matrix-vector product over GF(2) by blocked FFT convolution.
+
+    See the module docstring for the blocking and the exactness argument.
     """
     n = len(x)
-    full = len(diagonals) + n - 1
-    size = 1 << (full - 1).bit_length()
-    fd = np.fft.rfft(diagonals.astype(np.float64), size)
-    fx = np.fft.rfft(x.astype(np.float64), size)
-    conv = np.fft.irfft(fd * fx, size)[: full]
-    counts = np.rint(conv[n - 1 : n - 1 + out_len]).astype(np.int64)
-    return (counts & 1).astype(np.uint8)
+    block, size = _blocking(n, out_len)
+    blocks = -(-n // block)
+    pad = blocks * block - n
+    padded_d = np.concatenate([np.zeros(pad, dtype=np.uint8), diagonals])
+    # Row w is padded_d[w * block : w * block + size], a view; the last row ends
+    # at the array's end (numpy checks that the rows fit in the buffer).
+    windows = np.ndarray((blocks, size), np.uint8, padded_d, strides=(block, 1))
+    padded_x = np.zeros(blocks * block, dtype=np.uint8)
+    padded_x[:n] = x
+    spectra = np.fft.rfft(windows, size)
+    spectra *= np.fft.rfft(padded_x.reshape(blocks, block)[::-1], size)
+    conv = np.fft.irfft(spectra.sum(axis=0), size)[block - 1 :]
+    counts = np.rint(conv)
+    error = float(abs(conv - counts).max())
+    if not error < 0.25:
+        raise ArithmeticError(f"FFT rounding error {error:.3g} too large for an exact hash")
+    return np.fmod(counts, 2).astype(np.uint8)
 
 
 @dataclass

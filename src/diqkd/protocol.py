@@ -176,16 +176,23 @@ def joint_outcome_pmf(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> np
     return np.clip(pmf, 0.0, 1.0)
 
 
-def outcomes_from_uniforms(pmfs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def outcomes_from_uniforms(
+    pmfs: np.ndarray, uniforms: np.ndarray, *, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Map per-pulse uniforms through per-pulse outcome distributions.
 
-    Pure kernel of the measurement step: row ``i`` of ``pmfs`` fully
-    determines outcome ``i`` given ``uniforms[i]``, so permuting rows and
-    uniforms together permutes the outcomes identically.  This is the
-    memorylessness of the detectors, by construction.
+    Pulse ``i`` uses the distribution ``pmfs[rows[i]]`` (``pmfs[i]`` when
+    ``rows`` is None) and gets the int8 outcome code of its uniform draw.
+    Pure kernel of the measurement step: the row alone fully determines
+    outcome ``i`` given ``uniforms[i]``, so permuting rows and uniforms
+    together permutes the outcomes identically.  This is the memorylessness
+    of the detectors, by construction.
     """
     cum = np.cumsum(pmfs, axis=1)
-    return (uniforms[:, None] >= cum[:, :3]).sum(axis=1)
+    codes = np.zeros(len(uniforms), dtype=np.int8)
+    for k in range(3):
+        codes += uniforms >= (cum[:, k] if rows is None else cum[rows, k])
+    return codes
 
 
 @dataclass
@@ -203,8 +210,8 @@ class Transcript:
     seed: int
     labels_a: np.ndarray  # True = sample candidate
     labels_b: np.ndarray
-    bases_a: np.ndarray  # indices into ALICE_BASES
-    bases_b: np.ndarray  # indices into BOB_BASES
+    bases_a: np.ndarray  # int8 indices into ALICE_BASES
+    bases_b: np.ndarray  # int8 indices into BOB_BASES
     outcomes_a: np.ndarray  # +-1
     outcomes_b: np.ndarray
     i_smp: np.ndarray
@@ -305,23 +312,27 @@ def estimate_chsh(transcript: Transcript) -> float:
     return float(np.mean(ra * rb * signs))
 
 
-def _pmf_table(strategy, bases_a, bases_b, pulse_count) -> np.ndarray:
-    """Per-pulse outcome distributions, via a 6-entry table for iid strategies."""
+def _pmf_table(strategy, bases_a, bases_b, pulse_count) -> tuple[np.ndarray, np.ndarray | None]:
+    """Outcome distributions and the per-pulse row index into them.
+
+    I.i.d. strategies get one row per pair of bases, indexed by
+    ``bases_a * len(BOB_BASES) + bases_b``; other strategies get one row per
+    pulse and no index.
+    """
     if strategy.is_iid:
         ops_a, ops_b = strategy.pulse_ops(0)
         rho = strategy.pulse_state(0)
-        table = np.empty((len(ALICE_BASES), len(BOB_BASES), 4))
-        for ia, ca in enumerate(ALICE_BASES):
-            for ib, cb in enumerate(BOB_BASES):
-                table[ia, ib] = joint_outcome_pmf(rho, ops_a[ca], ops_b[cb])
-        return table[bases_a, bases_b]
+        table = np.array(
+            [joint_outcome_pmf(rho, ops_a[ca], ops_b[cb]) for ca in ALICE_BASES for cb in BOB_BASES]
+        )
+        return table, bases_a * len(BOB_BASES) + bases_b
     pmfs = np.empty((pulse_count, 4))
     for i in range(pulse_count):
         ops_a, ops_b = strategy.pulse_ops(i)
         pmfs[i] = joint_outcome_pmf(
             strategy.pulse_state(i), ops_a[ALICE_BASES[bases_a[i]]], ops_b[BOB_BASES[bases_b[i]]]
         )
-    return pmfs
+    return pmfs, None
 
 
 def run_protocol(
@@ -342,15 +353,14 @@ def run_protocol(
     labels_a = rng.random(big_n) < params.q
     labels_b = rng.random(big_n) < params.q
     # One basis draw per pulse regardless of label keeps the stream aligned.
-    bases_a = np.where(labels_a, (rng.random(big_n) < 0.5).astype(np.int64), 0)
-    draw_b = (rng.random(big_n) < 0.5).astype(np.int64)
-    bases_b = np.where(labels_b, 1 + draw_b, 0)
+    bases_a = (labels_a & (rng.random(big_n) < 0.5)).view(np.int8)
+    bases_b = labels_b.view(np.int8) + (labels_b & (rng.random(big_n) < 0.5)).view(np.int8)
     uniforms = rng.random(big_n)
 
-    pmfs = _pmf_table(strategy, bases_a, bases_b, big_n)
-    outcome4 = outcomes_from_uniforms(pmfs, uniforms)
-    outcomes_a = np.where(outcome4 < 2, 1, -1).astype(np.int8)
-    outcomes_b = np.where(outcome4 % 2 == 0, 1, -1).astype(np.int8)
+    table, rows = _pmf_table(strategy, bases_a, bases_b, big_n)
+    codes = outcomes_from_uniforms(table, uniforms, rows=rows)
+    outcomes_a = np.where(codes < 2, np.int8(1), np.int8(-1))
+    outcomes_b = np.where(codes & 1, np.int8(-1), np.int8(1))
 
     common = dict(
         schema_version=1,

@@ -1,16 +1,35 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from diqkd.hashing import ToeplitzHash, pack_bits, unpack_bits
+from diqkd.hashing import ToeplitzHash, _blocking, pack_bits, unpack_bits
 
 
 def toeplitz_matrix(h: ToeplitzHash) -> np.ndarray:
-    """Dense reference construction: T[i, j] = d[i - j + in_len - 1]."""
-    t = np.empty((h.out_len, h.in_len), dtype=np.uint8)
-    for i in range(h.out_len):
-        for j in range(h.in_len):
-            t[i, j] = h.diagonals[i - j + h.in_len - 1]
-    return t
+    """Dense reference T[i, j] = d[i - j + in_len - 1], as a read-only view.
+
+    Row ``i`` is ``d[i + in_len - 1], ..., d[i]``: window ``out_len - 1 - i``
+    of the reversed diagonals.
+    """
+    return sliding_window_view(h.diagonals[::-1], h.in_len)[::-1]
+
+
+def block_len(out_len: int) -> int:
+    """Block length the kernel uses for inputs longer than one block."""
+    return _blocking(1 << 40, out_len)[0]
+
+
+def straddling(block: int) -> tuple[int, ...]:
+    return (1, block - 1, block, block + 1, 3 * block + 7)
+
+
+# Input lengths on both sides of the block boundaries, a square hash of each
+# of those lengths (always one block), and one output longer than 4096 bits.
+EDGE_SHAPES = sorted(
+    {(3 * block_len(5000) + 7, 5000)}
+    | {(n, out) for out in (1, 30) for n in straddling(block_len(out)) if n >= out}
+    | {(n, n) for n in straddling(block_len(1))}
+)
 
 
 def test_deterministic_given_seed():
@@ -50,13 +69,48 @@ def test_zero_maps_to_zero():
     assert np.array_equal(h(np.zeros(64, dtype=np.uint8)), np.zeros(16, dtype=np.uint8))
 
 
-def test_matches_dense_reference():
+def test_dense_reference_matches_definition():
+    h = ToeplitzHash.sample(9, 4, seed=7)
+    t = toeplitz_matrix(h)
+    for i in range(4):
+        for j in range(9):
+            assert t[i, j] == h.diagonals[i - j + 8]
+
+
+def assert_matches_dense_reference(in_len: int, out_len: int) -> None:
     rng = np.random.default_rng(3)
     for seed in range(20):
-        h = ToeplitzHash.sample(37, 11, seed=seed)
+        h = ToeplitzHash.sample(in_len, out_len, seed=seed)
         t = toeplitz_matrix(h)
-        x = rng.integers(0, 2, 37, dtype=np.uint8)
+        x = rng.integers(0, 2, in_len, dtype=np.uint8)
+        # uint8 sums wrap modulo 256, which keeps their parity
         assert np.array_equal(h(x), (t @ x) % 2)
+
+
+def test_matches_dense_reference():
+    assert_matches_dense_reference(37, 11)
+
+
+@pytest.mark.parametrize("in_len, out_len", EDGE_SHAPES)
+def test_matches_dense_reference_at_block_edges(in_len, out_len):
+    assert_matches_dense_reference(in_len, out_len)
+
+
+def test_rounding_failure_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.5)
+    h = ToeplitzHash.sample(64, 16, seed=2)
+    with pytest.raises(ArithmeticError):
+        h(np.ones(64, dtype=np.uint8))
+
+
+def test_rounding_error_below_guard_is_exact(monkeypatch):
+    x = np.random.default_rng(6).integers(0, 2, 64, dtype=np.uint8)
+    h = ToeplitzHash.sample(64, 16, seed=2)
+    expected = h(x)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.2)
+    assert np.array_equal(h(x), expected)
 
 
 def test_linearity_exact_bulk():

@@ -271,6 +271,15 @@ class TestMemorylessness:
         perm = rng.permutation(500)
         assert np.array_equal(outcomes_from_uniforms(pmfs[perm], uniforms[perm]), base[perm])
 
+    def test_row_index_matches_gathered_table(self):
+        rng = np.random.default_rng(12)
+        table = rng.dirichlet(np.ones(4), size=6)
+        r = rng.integers(0, 6, 500)
+        u = rng.random(500)
+        assert np.array_equal(
+            outcomes_from_uniforms(table, u, rows=r), outcomes_from_uniforms(table[r], u)
+        )
+
     def test_shuffled_custom_source_same_statistics(self):
         rng = np.random.default_rng(11)
         params = ProtocolParams(
