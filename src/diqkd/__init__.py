@@ -18,13 +18,10 @@ from .chsh import (
 )
 from .hashing import ToeplitzHash, pack_bits, unpack_bits
 from .linalg import (
-    EigenSystem,
     QuantumChannel,
     adjoint_apply,
     apply_channel,
-    born_sample,
     generalized_x,
-    hermitian_eig,
     identity,
     min_eigenvalue,
     pauli,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SQRT2,
     generalized_x,
     identity,
     min_eigenvalue,
@@ -34,8 +35,6 @@ from .linalg import (
     require_unit_modulus,
     tensor,
 )
-
-SQRT2 = float(np.sqrt(2.0))
 
 BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
@@ -201,7 +200,6 @@ __all__ = [
     "BELL_LABELS",
     "CHSHMeasurement",
     "MixtureAgreement",
-    "SQRT2",
     "chsh_measurement",
     "chsh_povm",
     "max_chsh_eigenvalue_magnitude",

@@ -124,19 +124,7 @@ def cmd_keylength(args) -> int:
     params = _params_from_args(args)
     report = finite_key_length(params)
     doc = {
-        "config": {
-            "subcommand": "keylength",
-            "n": params.n,
-            "q": params.q,
-            "delta": params.delta,
-            "s0": params.s0,
-            "eps": params.eps,
-            "eps_cor": params.eps_cor,
-            "f_ec": params.f_ec,
-            "l_syn": params.l_syn,
-            "pulse_pairs": params.pulse_pairs,
-            "l_smp": params.l_smp,
-        },
+        "config": {"subcommand": "keylength", **params.as_dict()},
         "l": report.l,
         "mu_prime": report.mu_prime,
         "delta_s": report.delta_s,
@@ -253,16 +241,7 @@ def cmd_simulate(args) -> int:
         "strategy": json.dumps(strategy.describe()),
         "runs": args.runs,
         "seed": args.seed,
-        "n": params.n,
-        "q": params.q,
-        "delta": params.delta,
-        "s0": params.s0,
-        "eps": params.eps,
-        "eps_cor": params.eps_cor,
-        "f_ec": params.f_ec,
-        "l_syn": params.l_syn,
-        "pulse_pairs": params.pulse_pairs,
-        "l_smp": params.l_smp,
+        **params.as_dict(),
         "aborts": json.dumps(aborts),
     }
     if rows:
@@ -354,47 +333,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="CHSH-certified QKD analysis toolkit: rates, squash channels, simulation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.subcommand_parsers = {}
+    parser.subcommand_parsers = sub.choices
 
-    original_add_parser = sub.add_parser
-
-    def add_parser(name, **kwargs):
-        p = original_add_parser(name, **kwargs)
+    def add_parser(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "--config",
             default=None,
             help="JSON file with flag defaults (same keys as flags); explicit flags override",
         )
-        parser.subcommand_parsers[name] = p
+        p.set_defaults(func=func)
         return p
 
-    sub.add_parser = add_parser
-
-    p = sub.add_parser("rate-curve", help="asymptotic key rate curve as CSV")
+    p = add_parser("rate-curve", cmd_rate_curve, "asymptotic key rate curve as CSV")
     p.add_argument("--p-min", type=float, default=0.0)
     p.add_argument("--p-max", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--f-ec", type=float, default=1.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rate_curve)
 
-    p = sub.add_parser("keylength", help="finite-size key length report as JSON")
+    p = add_parser("keylength", cmd_keylength, "finite-size key length report as JSON")
     _add_params_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_keylength)
 
-    p = sub.add_parser("verify-squash", help="verify the squash conditions on a parameter grid")
+    p = add_parser(
+        "verify-squash", cmd_verify_squash, "verify the squash conditions on a parameter grid"
+    )
     p.add_argument("--grid", type=int, default=64, help="points per unit-circle axis")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify_squash)
 
-    p = sub.add_parser("nogo", help="one-party squash feasibility over an alpha grid")
+    p = add_parser("nogo", cmd_nogo, "one-party squash feasibility over an alpha grid")
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_nogo)
 
-    p = sub.add_parser("simulate", help="Monte Carlo protocol runs")
+    p = add_parser("simulate", cmd_simulate, "Monte Carlo protocol runs")
     _add_params_flags(p)
     p.add_argument("--strategy", choices=["depolarizing", "misaligned"], default="depolarizing")
     p.add_argument("--p", type=float, default=0.0, help="depolarizing error rate")
@@ -404,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bounds-check", help="Monte Carlo tails versus concentration bounds")
+    p = add_parser(
+        "bounds-check", cmd_bounds_check, "Monte Carlo tails versus concentration bounds"
+    )
     _add_params_flags(p)
     p.add_argument("--p", type=float, default=0.0)
     p.add_argument("--runs", type=int, default=200)
@@ -415,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deviation", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bounds_check)
 
     return parser
 
@@ -427,12 +400,12 @@ def main(argv=None) -> int:
         if args.config is not None:
             with open(args.config) as fh:
                 overrides = json.load(fh)
-            sub = parser.subcommand_parsers[args.subcommand]
-            valid = {a.dest for a in sub._actions}
-            unknown = sorted(set(overrides) - valid)
+            # the parsed namespace holds every destination of the subcommand,
+            # plus the top-level "subcommand" and the "func" default
+            unknown = sorted(set(overrides) - (set(vars(args)) - {"subcommand", "func"}))
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-            sub.set_defaults(**overrides)
+            parser.subcommand_parsers[args.subcommand].set_defaults(**overrides)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the bad-config code

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small observables, channels, and sampling.
+"""Dense complex linear algebra for small observables and channels.
 
 Operators are plain ``numpy`` arrays of complex dtype.  All matrices in this
 package are stored in the y eigenbasis, in which the single-qubit
@@ -13,8 +13,7 @@ interpolates between the two: ``X_{-i} = X`` and ``X_1 = Z``.
 Tolerances follow a two-level scheme: ``ATOL_INPUT`` validates caller
 supplied matrices, ``ATOL_POST`` checks quantities produced by floating
 point computation (eigensolves, channel actions).  Everything here is pure
-and safe to share across threads; random sampling takes a caller-owned
-``numpy.random.Generator``.
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ import numpy as np
 
 ATOL_INPUT = 1e-12
 ATOL_POST = 1e-10
+
+SQRT2 = float(np.sqrt(2.0))
 
 _PAULI = {
     "x": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
@@ -84,32 +85,10 @@ def require_hermitian(m: np.ndarray, atol: float = ATOL_INPUT) -> np.ndarray:
     return m
 
 
-@dataclass
-class EigenSystem:
-    """Eigenvalues in descending order with matching orthonormal column vectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def hermitian_eig(m: np.ndarray, atol: float = ATOL_INPUT) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    m = require_hermitian(m, atol)
-    w, v = np.linalg.eigh(m)
-    return EigenSystem(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
-
-
 def min_eigenvalue(m: np.ndarray, atol: float = ATOL_INPUT) -> float:
     """Smallest eigenvalue of a Hermitian matrix; PSD check is ``>= -tol``."""
     m = require_hermitian(m, atol)
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def is_psd(m: np.ndarray, atol: float = ATOL_POST) -> bool:
-    return min_eigenvalue(m) >= -atol
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -148,10 +127,6 @@ class QuantumChannel:
         return apply_channel(self, rho)
 
 
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel(dim, dim, [identity(dim)])
-
-
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Schroedinger action ``sum_k K_k rho K_k^dag``."""
     rho = np.asarray(rho, dtype=complex)
@@ -176,53 +151,3 @@ def adjoint_apply(ch: QuantumChannel, obs: np.ndarray) -> np.ndarray:
     for k in ch.kraus:
         out += k.conj().T @ obs @ k
     return out
-
-
-def born_sample(rho: np.ndarray, projectors: list, rng: np.random.Generator) -> int:
-    """Sample an outcome index from a POVM by the Born rule.
-
-    ``projectors`` must be PSD operators summing to the identity within
-    ``ATOL_POST``.  Probabilities with tiny negative parts (>= -1e-10) are
-    clipped to zero and the distribution renormalized; anything worse is an
-    error in the inputs.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    elems = [require_hermitian(p, ATOL_INPUT) for p in projectors]
-    total = sum(elems)
-    if np.max(np.abs(total - identity(rho.shape[0]))) > ATOL_POST:
-        raise ValueError("POVM elements do not sum to the identity")
-    for p in elems:
-        if min_eigenvalue(p) < -ATOL_POST:
-            raise ValueError("POVM element is not positive semidefinite")
-    probs = np.array([np.trace(p @ rho).real for p in elems])
-    if probs.min() < -ATOL_POST:
-        raise ValueError("Born probabilities are negative beyond tolerance")
-    probs = np.clip(probs, 0.0, 1.0)
-    s = probs.sum()
-    if abs(s - 1.0) > ATOL_POST:
-        raise ValueError("Born probabilities do not sum to one within tolerance")
-    probs /= s
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_channel(
-    in_dim: int, out_dim: int, n_kraus: int, rng: np.random.Generator
-) -> QuantumChannel:
-    """Random channel from a Haar-ish isometry split into ``n_kraus`` blocks."""
-    g = rng.normal(size=(n_kraus * out_dim, in_dim)) + 1j * rng.normal(
-        size=(n_kraus * out_dim, in_dim)
-    )
-    q, _ = np.linalg.qr(g)
-    kraus = [q[i * out_dim : (i + 1) * out_dim, :] for i in range(n_kraus)]
-    return QuantumChannel(in_dim, out_dim, kraus)

@@ -25,18 +25,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chsh import CHSHMeasurement, SQRT2, chsh_measurement, t_sign
+from .chsh import CHSHMeasurement, chsh_measurement, t_sign
 from .hashing import ToeplitzHash
-from .linalg import generalized_x, identity, pauli, tensor, validate_density
+from .linalg import SQRT2, generalized_x, identity, pauli, tensor, validate_density
 from .rates import ProtocolParams, azuma_tail, finite_key_length, syndrome_budget
 
 # Basis codes used in transcript arrays.
 ALICE_BASES = ("z", "x")  # sifting uses z
 BOB_BASES = ("zp", "z", "x")  # sifting uses zp
+# Object arrays: indexing them by basis codes yields the label strings
+# themselves, not one new string per pulse.
+_BASIS_LABELS = {
+    "bases_a": np.array(ALICE_BASES, dtype=object),
+    "bases_b": np.array(BOB_BASES, dtype=object),
+}
 
 ABORT_INSUFFICIENT = "insufficient_pulses"
 ABORT_CHSH = "chsh_failed"
@@ -232,49 +238,20 @@ class Transcript:
     key_report: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def bits(a):
-            return None if a is None else a.astype(int).tolist()
+        """JSON object with one key per field, in field order.
 
-        p = self.params
-        doc = {
-            "schema_version": self.schema_version,
-            "params": {
-                "n": p.n,
-                "q": p.q,
-                "delta": p.delta,
-                "s0": p.s0,
-                "eps": p.eps,
-                "eps_cor": p.eps_cor,
-                "f_ec": p.f_ec,
-                "l_syn": p.l_syn,
-                "pulse_pairs": p.pulse_pairs,
-                "l_smp": p.l_smp,
-            },
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "labels_a": self.labels_a.astype(int).tolist(),
-            "labels_b": self.labels_b.astype(int).tolist(),
-            "bases_a": [ALICE_BASES[i] for i in self.bases_a],
-            "bases_b": [BOB_BASES[i] for i in self.bases_b],
-            "outcomes_a": self.outcomes_a.astype(int).tolist(),
-            "outcomes_b": self.outcomes_b.astype(int).tolist(),
-            "i_smp": self.i_smp.astype(int).tolist(),
-            "i_sif": self.i_sif.astype(int).tolist(),
-            "s_est": self.s_est,
-            "abort": self.abort,
-            "p_est": self.p_est,
-            "sifted_key": bits(self.sifted_key),
-            "bob_raw": bits(self.bob_raw),
-            "corrected_key": bits(self.corrected_key),
-            "syndrome_bits_used": self.syndrome_bits_used,
-            "syndrome_within_budget": self.syndrome_within_budget,
-            "fcor": self.fcor,
-            "fcor_match": self.fcor_match,
-            "fpa": self.fpa,
-            "secret_key_a": bits(self.secret_key_a),
-            "secret_key_b": bits(self.secret_key_b),
-            "key_report": self.key_report,
-        }
+        Arrays become lists (bools as 0/1) and basis codes become their labels.
+        """
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _BASIS_LABELS:
+                value = _BASIS_LABELS[f.name][value]
+            elif isinstance(value, ProtocolParams):
+                value = value.as_dict()
+            if isinstance(value, np.ndarray):
+                value = (value.view(np.int8) if value.dtype == bool else value).tolist()
+            doc[f.name] = value
         return json.dumps(doc)
 
 

@@ -28,9 +28,9 @@ All functions are pure scalar maps and trivially thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-SQRT2 = math.sqrt(2.0)
+from .linalg import SQRT2
 
 # Zero of the device-independent rate moves past this only for f_ec < 1,
 # which is outside the contract; used as the bisection bracket end.
@@ -171,6 +171,10 @@ class ProtocolParams:
         if self.l_syn < 0:
             raise ValueError("l_syn must be nonnegative")
 
+    def as_dict(self) -> dict:
+        """The eight fields, then ``pulse_pairs`` and ``l_smp``: the order of every output record."""
+        return {**asdict(self), "pulse_pairs": self.pulse_pairs, "l_smp": self.l_smp}
+
     @property
     def pulse_pairs(self) -> int:
         """Number of pulse pairs N the source must emit."""
@@ -195,6 +199,14 @@ class KeyLengthReport:
     reason: str | None = None
 
 
+def _entropy_term(n: int, s0: float, mu: float) -> float | None:
+    """``n (1 - h((1 + sqrt2)(1/sqrt2 - s0) + mu))``, or None when the argument leaves [0, 1/2]."""
+    arg = (1.0 + SQRT2) * (1.0 / SQRT2 - s0) + mu
+    if arg < 0.0 or arg > 0.5:
+        return None
+    return n * (1.0 - binary_entropy(arg))
+
+
 def smooth_min_entropy_bound(params: ProtocolParams, eps_prime: float) -> float:
     """Lower bound on the smooth min-entropy of the sifted key.
 
@@ -204,15 +216,10 @@ def smooth_min_entropy_bound(params: ProtocolParams, eps_prime: float) -> float:
     """
     ds = chsh_test_deviation(params.l_smp, eps_prime)
     mu = sampling_deviation(params.n, params.l_smp, eps_prime)
-    arg = (1.0 + SQRT2) * (1.0 / SQRT2 - (params.s0 - ds)) + mu
-    if arg < 0.0 or arg > 0.5:
+    entropy_term = _entropy_term(params.n, params.s0 - ds, mu)
+    if entropy_term is None:
         return 0.0
-    return (
-        params.n * (1.0 - binary_entropy(arg))
-        - 2.0 * params.l_smp
-        - params.l_syn
-        - math.log2(1.0 / params.eps_cor)
-    )
+    return entropy_term - 2.0 * params.l_smp - params.l_syn - math.log2(1.0 / params.eps_cor)
 
 
 def finite_key_length(params: ProtocolParams) -> KeyLengthReport:
@@ -227,47 +234,30 @@ def finite_key_length(params: ProtocolParams) -> KeyLengthReport:
     mu = sampling_deviation(n, l_smp, params.eps / 3.0)
     hmin = smooth_min_entropy_bound(params, params.eps / 3.0)
 
-    arg = (1.0 + SQRT2) * (1.0 / SQRT2 - params.s0) + mu_p
     components = {
         "sampling_cost": 2.0 * l_smp,
         "syndrome_cost": float(params.l_syn),
         "correctness_cost": math.log2(1.0 / params.eps_cor),
         "hashing_cost": 2.0 * math.log2(3.0 / params.eps),
     }
-    if arg < 0.0 or arg > 0.5:
-        components["entropy_term"] = 0.0
-        return KeyLengthReport(
-            l=0,
-            mu_prime=mu_p,
-            delta_s=ds,
-            mu=mu,
-            hmin_bound=hmin,
-            components=components,
-            reason="phase-error argument outside [0, 1/2]; bound is vacuous",
-        )
-    entropy_term = n * (1.0 - binary_entropy(arg))
-    components["entropy_term"] = entropy_term
-    raw = entropy_term - sum(
-        components[k]
-        for k in ("sampling_cost", "syndrome_cost", "correctness_cost", "hashing_cost")
-    )
-    if raw <= 0.0:
-        return KeyLengthReport(
-            l=0,
-            mu_prime=mu_p,
-            delta_s=ds,
-            mu=mu,
-            hmin_bound=hmin,
-            components=components,
-            reason="finite-size costs exceed the entropy term",
-        )
+    costs = sum(components.values())
+    entropy_term = _entropy_term(n, params.s0, mu_p)
+    components["entropy_term"] = 0.0 if entropy_term is None else entropy_term
+    l, reason = 0, None
+    if entropy_term is None:
+        reason = "phase-error argument outside [0, 1/2]; bound is vacuous"
+    elif entropy_term - costs <= 0.0:
+        reason = "finite-size costs exceed the entropy term"
+    else:
+        l = int(math.floor(entropy_term - costs))
     return KeyLengthReport(
-        l=int(math.floor(raw)),
+        l=l,
         mu_prime=mu_p,
         delta_s=ds,
         mu=mu,
         hmin_bound=hmin,
         components=components,
+        reason=reason,
     )
 
 
@@ -327,7 +317,6 @@ __all__ = [
     "AbortBoundReport",
     "KeyLengthReport",
     "ProtocolParams",
-    "SQRT2",
     "asymptotic_rate",
     "azuma_tail",
     "binary_entropy",

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import SQRT2, chsh_measurement, positive_lift
+from .chsh import chsh_measurement, positive_lift
 from .linalg import (
     ATOL_INPUT,
+    SQRT2,
     QuantumChannel,
     adjoint_apply,
     identity,

@@ -9,7 +9,8 @@ from diqkd.chsh import (
     povm_equals_local_mixture,
     t_sign,
 )
-from diqkd.linalg import identity, min_eigenvalue, pauli, random_density, tensor
+from diqkd.linalg import identity, min_eigenvalue, pauli, tensor
+from helpers import random_density
 
 SQRT2 = np.sqrt(2.0)
 

@@ -3,7 +3,10 @@
 The digests were taken from the implementation before the blocked hash
 kernel and the table-indexed outcome sampler replaced the single-FFT hash
 and the per-pulse pmf array, so any refactor that changes a transcript or
-a hash output fails here.
+a hash output fails here.  The CLI digests pin one small run of every
+subcommand, output header included; they were taken before the config
+headers and the transcript serializer were rebuilt on
+``ProtocolParams.as_dict``.
 """
 
 import hashlib
@@ -11,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from diqkd.cli import main
 from diqkd.hashing import ToeplitzHash, pack_bits
 from diqkd.protocol import (
     CustomSource,
@@ -80,3 +84,57 @@ def test_multi_block_hash_digest():
     assert sha256(pack_bits(h(x))) == (
         "3845cc0de9fde018aa0f7addfcba031b38790b5ad8db9689bfe12b1bb3f90233"
     )
+
+
+SIMULATE_ARGS = (
+    "simulate", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0",
+    "--p", "0.05", "--runs", "3", "--seed", "1",
+)
+
+CLI_RUNS = {
+    "rate-curve": (
+        ("rate-curve", "--p-min", "0", "--p-max", "0.08", "--steps", "17"),
+        "75dd547fd22c7186c28dcae01d2184e33c008b08263a201489d4267292055e70",
+    ),
+    "keylength": (
+        (
+            "keylength", "--n", "100000000", "--q", "0.0909", "--delta", "0.01", "--s0", "0.69",
+            "--eps", "1e-9", "--eps-cor", "1e-9", "--p-est", "0.01",
+        ),
+        "e891dbf07ab9034161ec5ef3253d45ffe2b6ed61d03f22b010968be44a59968d",
+    ),
+    "verify-squash": (
+        ("verify-squash", "--grid", "4"),
+        "1904c8e76ae313311836a03138401bcfd785bc040993ed40c9d9bd829a9a4070",
+    ),
+    "nogo": (
+        ("nogo", "--grid", "4"),
+        "70834d8376c33ba53810a5b6727a7b67d0567f9286fb143c56614829dd1e78c1",
+    ),
+    "simulate-csv": (
+        SIMULATE_ARGS,
+        "467d93706e7ba96e23a057f3e43dd2760013d7a13da92f28eb288735ec012db6",
+    ),
+    "simulate-json": (
+        SIMULATE_ARGS + (
+            "--strategy", "misaligned", "--alpha-angle", "0.3", "--beta-angle", "-1.2",
+            "--p", "0.02", "--format", "json",
+        ),
+        "3f047ad2d13d2153a0c74269caee74fd649ee2aea74d50b3e8f50766402996dc",
+    ),
+    "bounds-check": (
+        (
+            "bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0",
+            "--runs", "20", "--trials", "50", "--batch", "480",
+        ),
+        "c05a4368e8be6429e5d6c2be2dd63fdca9f69b8f9a4230003c35d9bed12e95f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_output_digest(name, tmp_path):
+    argv, digest = CLI_RUNS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest

@@ -2,22 +2,16 @@ import numpy as np
 import pytest
 
 from diqkd.linalg import (
-    EigenSystem,
     QuantumChannel,
     adjoint_apply,
     apply_channel,
-    born_sample,
     generalized_x,
-    hermitian_eig,
     identity,
-    identity_channel,
     min_eigenvalue,
     pauli,
-    random_channel,
-    random_density,
-    random_hermitian,
     tensor,
 )
+from helpers import identity_channel, random_channel, random_density, random_hermitian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,43 +64,17 @@ def test_tensor_mixed_product():
     assert np.allclose(lhs, tensor(z, z), atol=1e-14)
 
 
-def test_hermitian_eig_simple_spectra():
-    es = hermitian_eig(pauli("z"))
-    assert np.allclose(es.values, [1.0, -1.0], atol=1e-14)
-    es = hermitian_eig(tensor(pauli("z"), pauli("z")))
-    assert np.allclose(es.values, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
+def test_min_eigenvalue_basics():
+    assert min_eigenvalue(identity(4)) == pytest.approx(1.0, abs=1e-14)
+    assert min_eigenvalue(tensor(pauli("x"), pauli("x"))) == pytest.approx(-1.0, abs=1e-13)
 
 
 def test_hermitian_eig_chsh_aligned_spectrum():
     # spectrum of the CHSH observable at alpha = beta = -i is {1/sqrt2, 0, 0, -1/sqrt2}
     from diqkd.chsh import chsh_measurement
 
-    es = hermitian_eig(chsh_measurement(-1j, -1j).operator)
-    assert np.allclose(es.values, [1 / SQRT2, 0.0, 0.0, -1 / SQRT2], atol=1e-12)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_eigendecomposition_roundtrip_bulk():
-    rng = np.random.default_rng(11)
-    worst_rec = 0.0
-    worst_orth = 0.0
-    for _ in range(10_000):
-        m = random_hermitian(4, rng)
-        es = hermitian_eig(m)
-        worst_rec = max(worst_rec, np.max(np.abs(es.reconstruct() - m)))
-        gram = es.vectors.conj().T @ es.vectors
-        worst_orth = max(worst_orth, np.max(np.abs(gram - identity(4))))
-    assert worst_rec <= 1e-10
-    assert worst_orth <= 1e-10
-
-
-def test_min_eigenvalue_basics():
-    assert min_eigenvalue(identity(4)) == pytest.approx(1.0, abs=1e-14)
-    assert min_eigenvalue(tensor(pauli("x"), pauli("x"))) == pytest.approx(-1.0, abs=1e-13)
+    values = np.linalg.eigvalsh(chsh_measurement(-1j, -1j).operator)
+    assert np.allclose(values, [-1 / SQRT2, 0.0, 0.0, 1 / SQRT2], atol=1e-12)
 
 
 def test_min_eigenvalue_squash_condition_at_alignment():
@@ -169,56 +137,3 @@ def test_channel_duality_bulk():
         rhs = np.trace(adjoint_apply(ch, obs) @ rho)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-10
-
-
-def test_born_sample_deterministic_state():
-    rng = np.random.default_rng(7)
-    e00 = np.zeros((2, 2), dtype=complex)
-    e00[0, 0] = 1.0
-    proj = [e00, identity(2) - e00]
-    assert all(born_sample(e00, proj, rng) == 0 for _ in range(20))
-
-
-def test_born_sample_uniform_frequency():
-    rng = np.random.default_rng(8)
-    e00 = np.diag([1.0, 0.0]).astype(complex)
-    proj = [e00, identity(2) - e00]
-    rho = identity(2) / 2.0
-    n = 100_000
-    hits = sum(born_sample(rho, proj, rng) for _ in range(n))
-    sigma = np.sqrt(0.25 / n)
-    assert abs(hits / n - 0.5) <= 3 * sigma
-
-
-def test_born_sample_bell_projector_probability():
-    # overlap of the ideal source state with the psi+ Bell vector of the
-    # aligned CHSH observable: |<psi+|source>|^2 = (1 + 1/sqrt2)/2
-    from diqkd.chsh import chsh_measurement
-    from diqkd.protocol import ideal_pair_state
-
-    m = chsh_measurement(-1j, -1j)
-    rho = ideal_pair_state()
-    projs = [m.projector(lbl) for lbl in ("psi_plus", "psi_minus", "phi_plus", "phi_minus")]
-    expected = 0.8535533905932737
-    assert np.trace(projs[0] @ rho).real == pytest.approx(expected, abs=1e-12)
-    rng = np.random.default_rng(9)
-    n = 20_000
-    hits = sum(born_sample(rho, projs, rng) == 0 for _ in range(n))
-    sigma = np.sqrt(expected * (1 - expected) / n)
-    assert abs(hits / n - expected) <= 4 * sigma
-
-
-def test_born_sample_rejects_non_povm():
-    rng = np.random.default_rng(10)
-    e00 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        born_sample(identity(2) / 2, [e00, e00], rng)
-    with pytest.raises(ValueError):
-        born_sample(identity(2) / 2, [2 * e00, identity(2) - 2 * e00], rng)
-
-
-def test_eigensystem_reconstruct_api():
-    m = random_hermitian(2, np.random.default_rng(12))
-    es = hermitian_eig(m)
-    assert isinstance(es, EigenSystem)
-    assert es.values[0] >= es.values[-1]

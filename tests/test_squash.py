@@ -3,6 +3,7 @@ import pytest
 
 from diqkd.linalg import (
     adjoint_apply,
+    apply_channel,
     identity,
     min_eigenvalue,
     pauli,
@@ -18,6 +19,7 @@ from diqkd.squash import (
     squash_channel,
     verify_squash_conditions,
 )
+from helpers import identity_channel, random_channel, random_density
 
 SQRT2 = np.sqrt(2.0)
 
@@ -133,8 +135,6 @@ class TestVerifyConditions:
 
 class TestChoi:
     def test_identity_channel_choi(self):
-        from diqkd.linalg import identity_channel
-
         choi = choi_of_channel(identity_channel(2))
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0
@@ -142,8 +142,6 @@ class TestChoi:
         assert np.allclose(partial_trace_out(choi.matrix, 2, 2), identity(2), atol=1e-14)
 
     def test_choi_roundtrip_random_channel(self):
-        from diqkd.linalg import apply_channel, random_channel, random_density
-
         rng = np.random.default_rng(3)
         for _ in range(20):
             ch = random_channel(2, 2, 2, rng)
