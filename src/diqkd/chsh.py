@@ -17,7 +17,11 @@ conjugated phase, and likewise for ``nu``.  When a coefficient vanishes the
 phase is fixed to 1, which keeps the basis total and deterministic (the
 corresponding eigenvalue is zero, so any orthonormal completion is valid).
 
-All objects here are immutable by convention and thread-safe.
+``chsh_measurement`` broadcasts ``alpha`` against ``beta``: every field of
+the result carries their broadcast shape as leading axes, and a single
+pair is the 0-d case of the same code, with numpy scalars for ``abs_mu``,
+``abs_nu`` and ``phi``.  All objects here are immutable by convention and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def t_sign(basis_a: str, basis_b: str) -> int:
 
 @dataclass
 class CHSHMeasurement:
-    """CHSH observable bundle for one detector-parameter pair.
+    """CHSH observable bundle for one detector-parameter pair or a stack of them.
 
     Attributes
     ----------
@@ -82,14 +86,19 @@ class CHSHMeasurement:
     @property
     def bell_values(self) -> np.ndarray:
         """Eigenvalues matching the ``bell_basis`` columns."""
-        return np.array([self.abs_mu, -self.abs_mu, self.abs_nu, -self.abs_nu])
+        return np.stack([self.abs_mu, -self.abs_mu, self.abs_nu, -self.abs_nu], axis=-1)
 
     def projector(self, label: str) -> np.ndarray:
-        v = self.bell_basis[:, BELL_LABELS.index(label)]
-        return np.outer(v, v.conj())
+        v = self.bell_basis[..., BELL_LABELS.index(label)]
+        return v[..., :, None] * v.conj()[..., None, :]
 
 
-def chsh_measurement(alpha: complex, beta: complex) -> CHSHMeasurement:
+def _product(a, b):
+    # rounded like Python's complex product; numpy's complex multiply may use FMA
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def chsh_measurement(alpha, beta) -> CHSHMeasurement:
     """Build the CHSH observable and its full eigensystem for ``(alpha, beta)``."""
     alpha = require_unit_modulus(alpha, "alpha")
     beta = require_unit_modulus(beta, "beta")
@@ -98,22 +107,16 @@ def chsh_measurement(alpha: complex, beta: complex) -> CHSHMeasurement:
     xb = generalized_x(beta)
     op = 0.25 * (tensor(z, z) + tensor(z, xb) + tensor(xa, z) - tensor(xa, xb))
 
-    mu = (1.0 + alpha + beta - alpha * beta) / 4.0
-    nu = (1.0 + alpha + np.conj(beta) - alpha * np.conj(beta)) / 4.0
-    abs_mu, abs_nu = abs(mu), abs(nu)
+    mu, nu = ((1.0 + alpha + b - _product(alpha, b)) / 4.0 for b in (beta, np.conj(beta)))
+    abs_mu, abs_nu = np.hypot(mu.real, mu.imag), np.hypot(nu.real, nu.imag)
 
-    mu_phase = np.conj(mu) / abs_mu if abs_mu > 1e-14 else 1.0
-    nu_phase = np.conj(nu) / abs_nu if abs_nu > 1e-14 else 1.0
+    mu_phase = np.divide(np.conj(mu), abs_mu, out=np.ones_like(mu), where=abs_mu > 1e-14)
+    nu_phase = np.divide(np.conj(nu), abs_nu, out=np.ones_like(nu), where=abs_nu > 1e-14)
     e = identity(4)
-    basis = np.column_stack(
-        [
-            (e[:, 0] + mu_phase * e[:, 3]) / SQRT2,
-            (e[:, 0] - mu_phase * e[:, 3]) / SQRT2,
-            (e[:, 1] + nu_phase * e[:, 2]) / SQRT2,
-            (e[:, 1] - nu_phase * e[:, 2]) / SQRT2,
-        ]
-    )
-    phi = float(np.arctan2(abs_mu - abs_nu, abs_mu + abs_nu))
+    mu_col, nu_col = mu_phase[..., None] * e[:, 3], nu_phase[..., None] * e[:, 2]
+    columns = [e[:, 0] + mu_col, e[:, 0] - mu_col, e[:, 1] + nu_col, e[:, 1] - nu_col]
+    basis = np.stack(columns, axis=-1) / SQRT2
+    phi = np.arctan2(abs_mu - abs_nu, abs_mu + abs_nu)
     return CHSHMeasurement(
         alpha=alpha,
         beta=beta,
@@ -185,8 +188,8 @@ def positive_lift(m: CHSHMeasurement) -> tuple[np.ndarray, float]:
     """
     lifted = (
         m.operator
-        + 2.0 * m.abs_mu * m.projector("psi_minus")
-        + 2.0 * m.abs_nu * m.projector("phi_minus")
+        + (2.0 * m.abs_mu)[..., None, None] * m.projector("psi_minus")
+        + (2.0 * m.abs_nu)[..., None, None] * m.projector("phi_minus")
     )
     return lifted, m.phi
 

@@ -142,34 +142,24 @@ def cmd_verify_squash(args) -> int:
     if args.grid < 2:
         raise ValueError("grid must be at least 2")
     angles = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    cells = []
-    worst = {"cond1_residual": 0.0, "cond2_min_eig": np.inf, "n_min_eig": np.inf, "lift_gap_min_eig": np.inf}
-    all_pass = True
-    for ta in angles:
-        alpha = complex(np.exp(1j * ta))
-        for tb in angles:
-            beta = complex(np.exp(1j * tb))
-            rep = verify_squash_conditions(squash_channel(alpha, beta), tol=args.tol)
-            ok = rep.passed and rep.n_min_eig >= -args.tol and rep.lift_gap_min_eig >= -args.tol
-            all_pass &= ok
-            worst["cond1_residual"] = max(worst["cond1_residual"], rep.cond1_residual)
-            worst["cond2_min_eig"] = min(worst["cond2_min_eig"], rep.cond2_min_eig)
-            worst["n_min_eig"] = min(worst["n_min_eig"], rep.n_min_eig)
-            worst["lift_gap_min_eig"] = min(worst["lift_gap_min_eig"], rep.lift_gap_min_eig)
-            cells.append(
-                {
-                    "alpha_angle": float(ta),
-                    "beta_angle": float(tb),
-                    "cond1_residual": rep.cond1_residual,
-                    "cond2_min_eig": rep.cond2_min_eig,
-                    "n_min_eig": rep.n_min_eig,
-                    "lift_gap_min_eig": rep.lift_gap_min_eig,
-                    "pass": bool(ok),
-                }
-            )
+    betas = np.exp(1j * angles)
+    # one stacked call per alpha row; each report field becomes a (grid, grid) array
+    reps = [verify_squash_conditions(squash_channel(np.exp(1j * t), betas), args.tol) for t in angles]
+    fields = ("cond1_residual", "cond2_min_eig", "n_min_eig", "lift_gap_min_eig")
+    table = {f: np.stack([getattr(rep, f) for rep in reps]) for f in fields + ("passed",)}
+    all_pass = bool(table["passed"].all())
+    worst = {f: float(table[f].max() if f == "cond1_residual" else table[f].min()) for f in fields}
+    table = {f: v.tolist() for f, v in table.items()}
+    cells = [
+        {"alpha_angle": ta, "beta_angle": tb}
+        | {f: table[f][i][j] for f in fields}
+        | {"pass": table["passed"][i][j]}
+        for i, ta in enumerate(angles.tolist())
+        for j, tb in enumerate(angles.tolist())
+    ]
     doc = {
         "config": {"subcommand": "verify-squash", "grid": args.grid, "tol": args.tol},
-        "all_pass": bool(all_pass),
+        "all_pass": all_pass,
         "worst": worst,
         "cells": cells,
     }
@@ -274,6 +264,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds_check(args) -> int:
+    if args.runs < 1:
+        raise ValueError("runs must be at least 1")
     params = _params_from_args(args)
     strategy = DepolarizingSource(args.p)
 
@@ -400,6 +392,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             with open(args.config) as fh:
                 overrides = json.load(fh)
+            if not isinstance(overrides, dict):
+                raise ValueError("config file must hold a JSON object")
             # the parsed namespace holds every destination of the subcommand,
             # plus the top-level "subcommand" and the "func" default
             unknown = sorted(set(overrides) - (set(vars(args)) - {"subcommand", "func"}))

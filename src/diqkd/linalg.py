@@ -14,6 +14,12 @@ Tolerances follow a two-level scheme: ``ATOL_INPUT`` validates caller
 supplied matrices, ``ATOL_POST`` checks quantities produced by floating
 point computation (eigensolves, channel actions).  Everything here is pure
 and safe to share across threads.
+
+Functions broadcast over leading axes: a stack of matrices (or of Kraus
+operators) has shape ``(..., d, d)`` and a stack of detector parameters
+shape ``(...)``.  A single matrix or parameter is the 0-d case of the
+same code, and its scalar results (a modulus-checked parameter, a minimum
+eigenvalue) come back as numpy scalars.
 """
 
 from __future__ import annotations
@@ -46,49 +52,53 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def require_unit_modulus(value: complex, name: str = "value") -> complex:
-    """Validate that ``value`` is a finite complex number on the unit circle."""
-    value = complex(value)
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+def require_unit_modulus(value, name: str = "value"):
+    """Validate that every entry of ``value`` is a finite complex number on the unit circle."""
+    value = np.asarray(value, dtype=complex)
+    if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if abs(abs(value) - 1.0) > ATOL_INPUT:
-        raise ValueError(f"{name} must have unit modulus, got |{name}| = {abs(value)!r}")
-    return value
+    if np.any(np.abs(np.abs(value) - 1.0) > ATOL_INPUT):
+        raise ValueError(f"{name} must have unit modulus, got |{name}| = {np.abs(value)!r}")
+    return value[()]
 
 
-def generalized_x(alpha: complex) -> np.ndarray:
+def generalized_x(alpha) -> np.ndarray:
     """Generalized x observable ``[[0, alpha], [conj(alpha), 0]]``, |alpha| = 1."""
     alpha = require_unit_modulus(alpha, "alpha")
-    return np.array([[0.0, alpha], [np.conj(alpha), 0.0]])
+    x = np.zeros(np.shape(alpha) + (2, 2), dtype=complex)
+    x[..., 0, 1], x[..., 1, 0] = alpha, np.conj(alpha)
+    return x
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square operators."""
+    """Kronecker product of two square operators (the broadcasting of ``np.kron``)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ValueError("tensor expects square matrices")
-    return np.kron(a, b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_INPUT) -> bool:
+def is_hermitian(m: np.ndarray, atol: float = ATOL_INPUT):
+    """Whether ``m`` is Hermitian within ``atol``, one answer per matrix."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.max(np.abs(m - m.conj().T)) <= atol
+    return m.ndim >= 2 and m.shape[-1] == m.shape[-2] and np.all(
+        np.abs(m - m.conj().swapaxes(-1, -2)) <= atol, axis=(-2, -1)
     )
 
 
 def require_hermitian(m: np.ndarray, atol: float = ATOL_INPUT) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, atol):
+    if not np.all(is_hermitian(m, atol)):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
 
-def min_eigenvalue(m: np.ndarray, atol: float = ATOL_INPUT) -> float:
+def min_eigenvalue(m: np.ndarray, atol: float = ATOL_INPUT):
     """Smallest eigenvalue of a Hermitian matrix; PSD check is ``>= -tol``."""
     m = require_hermitian(m, atol)
-    return float(np.linalg.eigvalsh(m)[0])
+    return np.linalg.eigvalsh(m)[..., 0][()]
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -117,37 +127,28 @@ class QuantumChannel:
     def __post_init__(self) -> None:
         self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
         for k in self.kraus:
-            if k.shape != (self.out_dim, self.in_dim):
+            if k.shape[-2:] != (self.out_dim, self.in_dim):
                 raise ValueError("Kraus operator has wrong shape")
-        comp = sum(k.conj().T @ k for k in self.kraus)
+        comp = sum(k.conj().swapaxes(-1, -2) @ k for k in self.kraus)
         if np.max(np.abs(comp - identity(self.in_dim))) > ATOL_POST:
             raise ValueError("Kraus set is not trace preserving")
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Schroedinger action ``sum_k K_k rho K_k^dag``."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.in_dim, ch.in_dim):
+    if rho.shape[-2:] != (ch.in_dim, ch.in_dim):
         raise ValueError("state dimension does not match channel input")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    return sum(k @ rho @ k.conj().swapaxes(-1, -2) for k in ch.kraus)
 
 
 def adjoint_apply(ch: QuantumChannel, obs: np.ndarray) -> np.ndarray:
     """Heisenberg action ``sum_k K_k^dag obs K_k`` on an observable.
 
-    Satisfies the duality ``tr[obs . ch(rho)] = tr[adjoint_apply(ch, obs) . rho]``
+    Satisfies the duality ``tr[obs . apply_channel(ch, rho)] = tr[adjoint_apply(ch, obs) . rho]``
     for every state ``rho``; for a trace-preserving channel it is unital.
     """
     obs = np.asarray(obs, dtype=complex)
-    if obs.shape != (ch.out_dim, ch.out_dim):
+    if obs.shape[-2:] != (ch.out_dim, ch.out_dim):
         raise ValueError("observable dimension does not match channel output")
-    out = np.zeros((ch.in_dim, ch.in_dim), dtype=complex)
-    for k in ch.kraus:
-        out += k.conj().T @ obs @ k
-    return out
+    return sum(k.conj().swapaxes(-1, -2) @ obs @ k for k in ch.kraus)

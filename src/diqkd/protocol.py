@@ -508,8 +508,8 @@ def povm_noise_experiment(
     deviation: float = 0.1,
 ) -> NoiseGapReport:
     """Simulate both CHSH test channels on ``rho`` and bound their disagreement."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if trials < 1 or batch_size < 1:
+        raise ValueError("trials and batch_size must be at least 1")
     rho = np.asarray(rho, dtype=complex)
     basis = m.bell_basis
     probs = np.clip(np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real, 0.0, 1.0)

@@ -23,6 +23,11 @@ maps X, Z to two prescribed observables?) is decided numerically as a Choi
 matrix feasibility problem, by Dykstra alternating projections between the
 PSD cone and the affine set encoding trace preservation and the two adjoint
 constraints.
+
+``flip_amplitude``, ``squash_channel`` and ``verify_squash_conditions``
+broadcast over leading axes like ``chsh.chsh_measurement``: a row of
+detector pairs gives a stacked channel and a report of arrays, and a single
+pair is the 0-d case of the same code, with numpy scalars in the report.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .linalg import (
     min_eigenvalue,
     pauli,
     require_hermitian,
-    require_unit_modulus,
     tensor,
 )
 
@@ -51,22 +55,22 @@ ROT90 = (identity(2) + 1.0j * pauli("z")) / SQRT2
 ROT180 = pauli("z")
 
 
-def flip_amplitude(phi: float) -> float:
+def flip_amplitude(phi):
     """Mixing amplitude of the squash channel as a function of ``phi``.
 
     ``a = sign(sin phi) * min(1, (1 + sqrt(2)) |sin phi|)``, always in
     [-1, 1] and with the same sign as ``sin phi``.
     """
-    phi = float(phi)
-    if abs(phi) > np.pi / 4 + ATOL_INPUT:
+    phi = np.asarray(phi, dtype=float)
+    if np.any(np.abs(phi) > np.pi / 4 + ATOL_INPUT):
         raise ValueError("phi must satisfy |phi| <= pi/4")
     s = np.sin(phi)
-    return float(np.sign(s) * min(1.0, (1.0 + SQRT2) * abs(s)))
+    return np.sign(s) * np.minimum(1.0, (1.0 + SQRT2) * np.abs(s))
 
 
 @dataclass
 class SquashChannel:
-    """Squash channel for one detector-parameter pair.
+    """Squash channel for one detector-parameter pair or a stack of them.
 
     ``channel`` is trace preserving and completely positive by construction;
     its adjoint maps ``X (x) X`` to ``flip * Y (x) Y`` and fixes ``Z (x) I``.
@@ -79,16 +83,14 @@ class SquashChannel:
     channel: QuantumChannel
 
 
-def squash_channel(alpha: complex, beta: complex) -> SquashChannel:
+def squash_channel(alpha, beta) -> SquashChannel:
     """Construct the two-party squash channel for ``(alpha, beta)``."""
-    alpha = require_unit_modulus(alpha, "alpha")
-    beta = require_unit_modulus(beta, "beta")
-    phi = chsh_measurement(alpha, beta).phi
-    a = flip_amplitude(phi)
-    k_keep = np.sqrt((1.0 + a) / 2.0) * tensor(ROT90, ROT90)
-    k_flip = np.sqrt((1.0 - a) / 2.0) * tensor(ROT90, ROT180 @ ROT90)
+    m = chsh_measurement(alpha, beta)
+    a = flip_amplitude(m.phi)
+    k_keep = np.sqrt((1.0 + a) / 2.0)[..., None, None] * tensor(ROT90, ROT90)
+    k_flip = np.sqrt((1.0 - a) / 2.0)[..., None, None] * tensor(ROT90, ROT180 @ ROT90)
     ch = QuantumChannel(4, 4, [k_keep, k_flip])
-    return SquashChannel(alpha=alpha, beta=beta, phi=phi, flip=a, channel=ch)
+    return SquashChannel(alpha=m.alpha, beta=m.beta, phi=m.phi, flip=a, channel=ch)
 
 
 @dataclass
@@ -100,7 +102,7 @@ class SquashConditionReport:
     ``F_adj(I + (sqrt(2)-1) X (x) X) - 2 M``; nonnegative up to tolerance.
     ``n_min_eig``: smallest eigenvalue of the slack operator built from the
     lifted observable; ``lift_gap_min_eig``: smallest eigenvalue of
-    ``M_lift - M``.
+    ``M_lift - M``.  ``passed``: all four are within ``tol``.
     """
 
     cond1_residual: float
@@ -117,7 +119,7 @@ def verify_squash_conditions(sq: SquashChannel, tol: float = 1e-9) -> SquashCond
     zi = tensor(pauli("z"), identity(2))
     xx = tensor(pauli("x"), pauli("x"))
 
-    cond1_residual = float(np.max(np.abs(adjoint_apply(sq.channel, zi) - zi)))
+    cond1_residual = np.max(np.abs(adjoint_apply(sq.channel, zi) - zi), axis=(-2, -1))
 
     adj_xx = adjoint_apply(sq.channel, xx)
     cond2_op = identity(4) + (SQRT2 - 1.0) * adj_xx - 2.0 * m.operator
@@ -134,7 +136,7 @@ def verify_squash_conditions(sq: SquashChannel, tol: float = 1e-9) -> SquashCond
         n_min_eig=n_min,
         lift_gap_min_eig=lift_gap_min,
         tol=tol,
-        passed=cond1_residual <= tol and cond2_min >= -tol,
+        passed=(cond1_residual <= tol) & (np.min([cond2_min, n_min, lift_gap_min], axis=0) >= -tol),
     )
 
 

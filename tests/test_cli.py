@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from diqkd.cli import main
 
@@ -188,6 +189,13 @@ class TestBoundsCheck:
         assert doc["azuma"]["within_bound"]
         assert doc["chernoff"]["nominal_bound"] > 1.0
 
+    @pytest.mark.parametrize("flag", ["--runs", "--batch"])
+    def test_zero_runs_or_batch_rejected(self, tmp_path, flag):
+        argv = ["bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0"]
+        argv += ["--runs", "2", "--trials", "5", "--batch", "100", flag, "0"]
+        assert run_cli(*argv, "--out", str(tmp_path / "bounds.json")) == 2
+        assert not (tmp_path / "bounds.json").exists()
+
 
 class TestConfigFile:
     def test_config_provides_defaults(self, tmp_path):
@@ -211,6 +219,14 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"frobnicate": 1}))
         out = tmp_path / "rates.csv"
         assert run_cli("rate-curve", "--config", str(cfg), "--out", str(out)) == 2
+
+    @pytest.mark.parametrize("text", ["[1]", '["steps"]', "null"])
+    def test_non_object_config_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "rates.csv"
+        assert run_cli("rate-curve", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_config_file_rejected(self, tmp_path):
         out = tmp_path / "rates.csv"

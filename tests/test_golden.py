@@ -6,7 +6,8 @@ and the per-pulse pmf array, so any refactor that changes a transcript or
 a hash output fails here.  The CLI digests pin one small run of every
 subcommand, output header included; they were taken before the config
 headers and the transcript serializer were rebuilt on
-``ProtocolParams.as_dict``.
+``ProtocolParams.as_dict``, and the two ``verify-squash --tol 1e-9`` digests
+before the CHSH and squash functions were made to broadcast over stacks.
 """
 
 import hashlib
@@ -106,6 +107,15 @@ CLI_RUNS = {
     "verify-squash": (
         ("verify-squash", "--grid", "4"),
         "1904c8e76ae313311836a03138401bcfd785bc040993ed40c9d9bd829a9a4070",
+    ),
+    "verify-squash-16": (
+        ("verify-squash", "--grid", "16", "--tol", "1e-9"),
+        "294de35a280eb4b0d8a4ea2b0b7f44daab1688ea374aa0b8c4e767cbc8954685",
+    ),
+    # the README configuration
+    "verify-squash-64": (
+        ("verify-squash", "--grid", "64", "--tol", "1e-9"),
+        "b79246623707fab440ef1edcfbf3f2394de974895ff2f634d62b4b1c9412531e",
     ),
     "nogo": (
         ("nogo", "--grid", "4"),

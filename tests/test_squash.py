@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diqkd.chsh import chsh_measurement
 from diqkd.linalg import (
     adjoint_apply,
     apply_channel,
@@ -131,6 +132,30 @@ class TestVerifyConditions:
         rep = verify_squash_conditions(bad, tol=1e-9)
         assert not rep.passed
         assert rep.cond2_min_eig < -0.5
+
+
+GRID16 = 2 * np.pi * np.arange(16) / 16
+# mu = 0 (alpha = i, beta = -i), X_alpha = Z (alpha = beta = 1), aligned (alpha = beta = -i)
+DEGENERATE = np.array([[1j, -1j], [1.0, 1.0], [-1j, -1j]])
+ROWS = [(np.exp(1j * ta), np.exp(1j * GRID16)) for ta in GRID16] + [tuple(DEGENERATE.T)]
+
+
+@pytest.mark.parametrize("alpha, betas", ROWS, ids=[f"row{i}" for i in range(16)] + ["degenerate"])
+def test_row_call_equals_per_cell_calls(alpha, betas):
+    # one stacked call runs the same code as its 0-d cells, so every float agrees exactly
+    m = chsh_measurement(alpha, betas)
+    sq = squash_channel(alpha, betas)
+    rep = verify_squash_conditions(sq)
+    for j, (a, b) in enumerate(zip(np.broadcast_to(alpha, betas.shape), betas)):
+        cell = chsh_measurement(a, b)
+        for field in ("operator", "abs_mu", "abs_nu", "phi", "bell_basis"):
+            assert np.array_equal(getattr(m, field)[j], getattr(cell, field)), field
+        assert np.ndim(cell.phi) == 0 and isinstance(cell.phi, np.floating)
+        sq_cell = squash_channel(a, b)
+        assert np.array_equal(sq.flip[j], sq_cell.flip)
+        rep_cell = verify_squash_conditions(sq_cell)
+        for field in ("cond1_residual", "cond2_min_eig", "n_min_eig", "lift_gap_min_eig", "passed"):
+            assert np.array_equal(getattr(rep, field)[j], getattr(rep_cell, field)), field
 
 
 class TestChoi:
