@@ -16,7 +16,7 @@ from .chsh import (
     povm_equals_local_mixture,
     t_sign,
 )
-from .hashing import ToeplitzHash, pack_bits, unpack_bits
+from .hashing import ToeplitzHash, pack_bits
 from .linalg import (
     QuantumChannel,
     adjoint_apply,
@@ -59,7 +59,6 @@ from .squash import (
     FeasibilityReport,
     SquashChannel,
     channel_from_choi,
-    choi_of_channel,
     flip_amplitude,
     single_party_squash_feasibility,
     squash_channel,

@@ -103,21 +103,10 @@ class ToeplitzHash:
         """Serializable description; the diagonals regrow from the seed."""
         return {"seed": self.seed, "in_len": self.in_len, "out_len": self.out_len}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ToeplitzHash":
-        return cls.sample(data["in_len"], data["out_len"], data["seed"])
-
 
 def pack_bits(bits: np.ndarray) -> bytes:
     """Pack a 0/1 vector into bytes, little-endian bit order within each byte."""
     return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
 
 
-def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if n_bits > len(bits):
-        raise ValueError("byte string too short for requested bit count")
-    return bits[:n_bits].copy()
-
-
-__all__ = ["ToeplitzHash", "pack_bits", "unpack_bits"]
+__all__ = ["ToeplitzHash", "pack_bits"]

@@ -102,11 +102,12 @@ def min_eigenvalue(m: np.ndarray, atol: float = ATOL_INPUT):
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity of a density matrix."""
+    """Check Hermiticity, unit trace and positivity of a density matrix, or of each in a stack."""
     rho = require_hermitian(rho, ATOL_INPUT)
-    if abs(np.trace(rho).real - 1.0) > ATOL_POST or abs(np.trace(rho).imag) > ATOL_POST:
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(tr.real - 1.0) > ATOL_POST) or np.any(np.abs(tr.imag) > ATOL_POST):
         raise ValueError(f"{name} must have unit trace")
-    if min_eigenvalue(rho) < -ATOL_POST:
+    if np.any(min_eigenvalue(rho) < -ATOL_POST):
         raise ValueError(f"{name} must be positive semidefinite")
     return rho
 

@@ -7,10 +7,16 @@ from the Born rule, select the sample and sifted index sets, estimate the
 CHSH parameter, abort or continue, then error-correct, verify with a short
 universal hash, and compress with privacy amplification.
 
-The adversary model is observational: strategies fix the per-pulse two-qubit
-state and the detector operators, detectors are memoryless by construction
-(every pulse's outcome depends only on that pulse's state, operators, and
-its own uniform draw), and no quantum side information is tracked.  Error
+The adversary model is observational: a strategy (source) fixes the
+two-qubit state and the detector operators, and no quantum side information
+is tracked.  Every source holds ``rho``, a ``(4, 4)`` density matrix, and
+``alice_ops``/``bob_ops``, dicts from each label of ``ALICE_BASES`` and
+``BOB_BASES`` to a ``(2, 2)`` +-1-valued observable; a source that changes
+from pulse to pulse (``CustomSource``) gives any of them a leading pulse
+axis of length N.  The Born-rule table of a run is one broadcasting
+``joint_outcome_pmf`` call over the six pairs of bases (and the pulse
+axis).  A pulse's outcome depends only on its row of that table and its own
+uniform draw, so the detectors are memoryless by construction.  Error
 correction is an accounting model: Bob's corrected key is Alice's key by
 construction while the syndrome cost is charged against the budget, since
 only the syndrome length enters the security formulas.
@@ -89,13 +95,9 @@ class DepolarizingSource:
     def describe(self) -> dict:
         return {"kind": "depolarizing", "p": self.p}
 
-    is_iid = True
-
     def pulse_state(self, i: int) -> np.ndarray:
+        """The state of pulse ``i``: ``rho``, since the source is i.i.d."""
         return self.rho
-
-    def pulse_ops(self, i: int) -> tuple[dict, dict]:
-        return self.alice_ops, self.bob_ops
 
 
 class MisalignedSource:
@@ -128,56 +130,45 @@ class MisalignedSource:
             "p": self.p,
         }
 
-    is_iid = True
-
-    def pulse_state(self, i: int) -> np.ndarray:
-        return self.rho
-
-    def pulse_ops(self, i: int) -> tuple[dict, dict]:
-        return self.alice_ops, self.bob_ops
-
 
 class CustomSource:
-    """Fully general per-pulse states and detector parameters."""
+    """Fully general per-pulse states and detector parameters.
 
-    is_iid = False
+    ``rho`` and the x operators carry the pulse axis; the z operators are
+    shared by every pulse.
+    """
 
     def __init__(self, states: list, alphas: list, betas: list):
         if not len(states) == len(alphas) == len(betas):
             raise ValueError("states, alphas, betas must have equal length")
-        self.states = [validate_density(np.asarray(s, dtype=complex)) for s in states]
-        self.alphas = [complex(a) for a in alphas]
-        self.betas = [complex(b) for b in betas]
+        self.rho = validate_density(np.asarray(states, dtype=complex).reshape(len(states), 4, 4))
         z = pauli("z")
-        self._alice = [{"z": z, "x": generalized_x(a)} for a in self.alphas]
-        self._bob = [{"zp": z, "z": z, "x": generalized_x(b)} for b in self.betas]
+        self.alice_ops = {"z": z, "x": generalized_x(alphas)}
+        self.bob_ops = {"zp": z, "z": z, "x": generalized_x(betas)}
 
     def describe(self) -> dict:
-        return {"kind": "custom", "pulses": len(self.states)}
-
-    def pulse_state(self, i: int) -> np.ndarray:
-        return self.states[i]
-
-    def pulse_ops(self, i: int) -> tuple[dict, dict]:
-        return self._alice[i], self._bob[i]
+        return {"kind": "custom", "pulses": len(self.rho)}
 
 
 def joint_outcome_pmf(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
     """Born probabilities of the four (+-1, +-1) outcome pairs.
 
-    Outcome order: (+,+), (+,-), (-,+), (-,-).  Uses the identity
+    Outcome order: (+,+), (+,-), (-,+), (-,-), on the last axis; the leading
+    axes of the three arguments broadcast.  Uses the identity
     ``P(ra, rb) = (1 + ra <A> + rb <B> + ra rb <AB>) / 4``.
     """
-    ea = float(np.trace(tensor(op_a, identity(2)) @ rho).real)
-    eb = float(np.trace(tensor(identity(2), op_b) @ rho).real)
-    eab = float(np.trace(tensor(op_a, op_b) @ rho).real)
-    pmf = np.array(
+    ea, eb, eab = (
+        np.trace(op @ rho, axis1=-2, axis2=-1).real
+        for op in (tensor(op_a, identity(2)), tensor(identity(2), op_b), tensor(op_a, op_b))
+    )
+    pmf = np.stack(
         [
             (1.0 + ea + eb + eab),
             (1.0 + ea - eb - eab),
             (1.0 - ea + eb - eab),
             (1.0 - ea - eb + eab),
-        ]
+        ],
+        axis=-1,
     ) / 4.0
     return np.clip(pmf, 0.0, 1.0)
 
@@ -273,43 +264,31 @@ _SIGN_TABLE = np.array(
 )
 
 
-def _chsh_signs(bases_a: np.ndarray, bases_b: np.ndarray) -> np.ndarray:
-    """Per-round sign (-1)^t: -1 when both parties measured x."""
-    return _SIGN_TABLE[bases_a, bases_b]
-
-
 def estimate_chsh(transcript: Transcript) -> float:
-    """Recompute the CHSH average of a transcript's sample rounds."""
+    """CHSH average ``mean(r_A r_B (-1)^t)`` of a transcript's sample rounds."""
     idx = transcript.i_smp
     if len(idx) == 0:
         raise ValueError("transcript has no sample rounds")
     ra = transcript.outcomes_a[idx]
     rb = transcript.outcomes_b[idx]
-    signs = _chsh_signs(transcript.bases_a[idx], transcript.bases_b[idx])
+    signs = _SIGN_TABLE[transcript.bases_a[idx], transcript.bases_b[idx]]
     return float(np.mean(ra * rb * signs))
 
 
-def _pmf_table(strategy, bases_a, bases_b, pulse_count) -> tuple[np.ndarray, np.ndarray | None]:
-    """Outcome distributions and the per-pulse row index into them.
+def _pmf_table(source, bases_a, bases_b) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome distributions of every pair of bases, and each pulse's row.
 
-    I.i.d. strategies get one row per pair of bases, indexed by
-    ``bases_a * len(BOB_BASES) + bases_b``; other strategies get one row per
-    pulse and no index.
+    One stacked Born-rule call: the row of a pulse is
+    ``bases_a * len(BOB_BASES) + bases_b``, and a source with a pulse axis
+    gets that block of six rows once per pulse.
     """
-    if strategy.is_iid:
-        ops_a, ops_b = strategy.pulse_ops(0)
-        rho = strategy.pulse_state(0)
-        table = np.array(
-            [joint_outcome_pmf(rho, ops_a[ca], ops_b[cb]) for ca in ALICE_BASES for cb in BOB_BASES]
-        )
-        return table, bases_a * len(BOB_BASES) + bases_b
-    pmfs = np.empty((pulse_count, 4))
-    for i in range(pulse_count):
-        ops_a, ops_b = strategy.pulse_ops(i)
-        pmfs[i] = joint_outcome_pmf(
-            strategy.pulse_state(i), ops_a[ALICE_BASES[bases_a[i]]], ops_b[BOB_BASES[bases_b[i]]]
-        )
-    return pmfs, None
+    ops_a = np.stack(np.broadcast_arrays(*(source.alice_ops[c] for c in ALICE_BASES)))
+    ops_b = np.stack(np.broadcast_arrays(*(source.bob_ops[c] for c in BOB_BASES)))
+    table = joint_outcome_pmf(source.rho, ops_a[:, None], ops_b[None, :])
+    rows = bases_a * len(BOB_BASES) + bases_b
+    if source.rho.ndim == 3:
+        rows = rows * np.int64(len(rows)) + np.arange(len(rows))
+    return table.reshape(-1, 4), rows
 
 
 def run_protocol(
@@ -320,11 +299,12 @@ def run_protocol(
     ``p_est`` is the error-rate estimate used to size the syndrome; by
     default it is derived from the measured CHSH average by inverting
     ``S = (1 - 2p)/sqrt(2)`` and clipping to [0, 1/2].  Aborts are recorded
-    outcomes, not errors.
+    outcomes, not errors: the transcript is filled in stage by stage and
+    every exit returns it with its abort code.
     """
     rng = np.random.default_rng(seed)
     big_n = params.pulse_pairs
-    if not strategy.is_iid and len(strategy.states) != big_n:
+    if strategy.rho.shape[:-2] not in ((), (big_n,)):
         raise ValueError(f"custom strategy must supply exactly {big_n} pulses")
 
     labels_a = rng.random(big_n) < params.q
@@ -334,12 +314,10 @@ def run_protocol(
     bases_b = labels_b.view(np.int8) + (labels_b & (rng.random(big_n) < 0.5)).view(np.int8)
     uniforms = rng.random(big_n)
 
-    table, rows = _pmf_table(strategy, bases_a, bases_b, big_n)
+    table, rows = _pmf_table(strategy, bases_a, bases_b)
     codes = outcomes_from_uniforms(table, uniforms, rows=rows)
-    outcomes_a = np.where(codes < 2, np.int8(1), np.int8(-1))
-    outcomes_b = np.where(codes & 1, np.int8(-1), np.int8(1))
 
-    common = dict(
+    t = Transcript(
         schema_version=1,
         params=params,
         strategy=strategy.describe(),
@@ -348,91 +326,59 @@ def run_protocol(
         labels_b=labels_b,
         bases_a=bases_a,
         bases_b=bases_b,
-        outcomes_a=outcomes_a,
-        outcomes_b=outcomes_b,
+        outcomes_a=np.where(codes < 2, np.int8(1), np.int8(-1)),
+        outcomes_b=np.where(codes & 1, np.int8(-1), np.int8(1)),
+        i_smp=np.empty(0, dtype=np.int64),
+        i_sif=np.empty(0, dtype=np.int64),
+        s_est=None,
+        abort=None,
     )
 
     both_smp = np.flatnonzero(labels_a & labels_b)
     both_sif = np.flatnonzero(~labels_a & ~labels_b)
     if len(both_smp) < params.l_smp or len(both_sif) < params.n:
-        return Transcript(
-            **common,
-            i_smp=np.empty(0, dtype=np.int64),
-            i_sif=np.empty(0, dtype=np.int64),
-            s_est=None,
-            abort=ABORT_INSUFFICIENT,
-        )
+        t.abort = ABORT_INSUFFICIENT
+        return t
 
-    i_smp = np.sort(rng.choice(both_smp, size=params.l_smp, replace=False))
-    i_sif = np.sort(rng.choice(both_sif, size=params.n, replace=False))
+    t.i_smp = np.sort(rng.choice(both_smp, size=params.l_smp, replace=False))
+    t.i_sif = np.sort(rng.choice(both_sif, size=params.n, replace=False))
+    t.s_est = estimate_chsh(t)
+    if t.s_est < params.s0:
+        t.abort = ABORT_CHSH
+        return t
 
-    signs = _chsh_signs(bases_a[i_smp], bases_b[i_smp])
-    s_est = float(np.mean(outcomes_a[i_smp] * outcomes_b[i_smp] * signs))
-
-    if s_est < params.s0:
-        return Transcript(**common, i_smp=i_smp, i_sif=i_sif, s_est=s_est, abort=ABORT_CHSH)
-
-    sifted = ((1 - outcomes_a[i_sif]) // 2).astype(np.uint8)
-    bob_raw = ((1 - outcomes_b[i_sif]) // 2).astype(np.uint8)
+    sifted = t.sifted_key = ((1 - t.outcomes_a[t.i_sif]) // 2).astype(np.uint8)
+    t.bob_raw = ((1 - t.outcomes_b[t.i_sif]) // 2).astype(np.uint8)
 
     if p_est is None:
-        p_est = float(np.clip((1.0 - SQRT2 * s_est) / 2.0, 0.0, 0.5))
-    syndrome_bits = syndrome_budget(params.n, p_est, params.f_ec)
+        p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
+    t.p_est = p_est
+    t.syndrome_bits_used = syndrome_budget(params.n, p_est, params.f_ec)
+    t.syndrome_within_budget = t.syndrome_bits_used <= params.l_syn
 
     # Oracle error correction: Bob adopts Alice's string, the syndrome cost
     # is charged; the budget is what the security formulas consume.
-    corrected = sifted.copy()
+    corrected = t.corrected_key = sifted.copy()
 
     fcor_len = min(params.n, max(1, math.ceil(math.log2(1.0 / params.eps_cor))))
     fcor = ToeplitzHash.sample(params.n, fcor_len, seed=int(rng.integers(2**63)))
-    fcor_match = bool(np.array_equal(fcor(sifted), fcor(corrected)))
-    if not fcor_match:
-        return Transcript(
-            **common,
-            i_smp=i_smp,
-            i_sif=i_sif,
-            s_est=s_est,
-            abort=ABORT_VERIFY,
-            p_est=p_est,
-            sifted_key=sifted,
-            bob_raw=bob_raw,
-            corrected_key=corrected,
-            syndrome_bits_used=syndrome_bits,
-            syndrome_within_budget=syndrome_bits <= params.l_syn,
-            fcor=fcor.to_json(),
-            fcor_match=fcor_match,
-        )
+    t.fcor = fcor.to_json()
+    t.fcor_match = bool(np.array_equal(fcor(sifted), fcor(corrected)))
+    if not t.fcor_match:
+        t.abort = ABORT_VERIFY
+        return t
 
     report = finite_key_length(params)
+    t.key_report = {"l": report.l, "reason": report.reason}
     if report.l > 0:
         fpa = ToeplitzHash.sample(params.n, report.l, seed=int(rng.integers(2**63)))
-        key_a = fpa(sifted)
-        key_b = fpa(corrected)
-        fpa_doc = fpa.to_json()
+        t.secret_key_a = fpa(sifted)
+        t.secret_key_b = fpa(corrected)
+        t.fpa = fpa.to_json()
     else:
-        key_a = np.empty(0, dtype=np.uint8)
-        key_b = np.empty(0, dtype=np.uint8)
-        fpa_doc = None
-
-    return Transcript(
-        **common,
-        i_smp=i_smp,
-        i_sif=i_sif,
-        s_est=s_est,
-        abort=None,
-        p_est=p_est,
-        sifted_key=sifted,
-        bob_raw=bob_raw,
-        corrected_key=corrected,
-        syndrome_bits_used=syndrome_bits,
-        syndrome_within_budget=syndrome_bits <= params.l_syn,
-        fcor=fcor.to_json(),
-        fcor_match=fcor_match,
-        fpa=fpa_doc,
-        secret_key_a=key_a,
-        secret_key_b=key_b,
-        key_report={"l": report.l, "reason": report.reason},
-    )
+        t.secret_key_a = np.empty(0, dtype=np.uint8)
+        t.secret_key_b = np.empty(0, dtype=np.uint8)
+    return t
 
 
 @dataclass
@@ -510,6 +456,8 @@ def povm_noise_experiment(
     """Simulate both CHSH test channels on ``rho`` and bound their disagreement."""
     if trials < 1 or batch_size < 1:
         raise ValueError("trials and batch_size must be at least 1")
+    if not math.isfinite(deviation):
+        raise ValueError(f"deviation must be finite, got {deviation!r}")
     rho = np.asarray(rho, dtype=complex)
     basis = m.bell_basis
     probs = np.clip(np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real, 0.0, 1.0)

@@ -40,18 +40,22 @@ _RATE_BRACKET_MAX = 0.15
 def binary_entropy(p: float) -> float:
     """Binary entropy ``h(p) = -p log2 p - (1-p) log2(1-p)``, with h(0) = h(1) = 0."""
     p = float(p)
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary entropy argument must be in [0, 1], got {p!r}")
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def _require_f_ec(f_ec: float) -> None:
+    if not 1.0 <= f_ec < math.inf:
+        raise ValueError(f"f_ec must be finite and at least 1, got {f_ec!r}")
+
+
 def asymptotic_rate(p: float, f_ec: float) -> float:
     """Asymptotic key rate ``1 - h((2 + sqrt2) p) - f_ec h(p)``; may be negative."""
     p = float(p)
-    if f_ec < 1.0:
-        raise ValueError("f_ec must be at least 1")
+    _require_f_ec(f_ec)
     if p < 0.0 or (2.0 + SQRT2) * p > 1.0:
         raise ValueError("p must be in [0, 1/(2 + sqrt2)]")
     return 1.0 - binary_entropy((2.0 + SQRT2) * p) - f_ec * binary_entropy(p)
@@ -75,6 +79,7 @@ def qber_threshold(f_ec: float) -> float:
 def device_dependent_rate(p: float, f_ec: float) -> float:
     """Reference curve ``1 - h(p) - f_ec h(p)`` for trusted Pauli detectors."""
     p = float(p)
+    _require_f_ec(f_ec)
     if p < 0.0 or p > 0.5:
         raise ValueError("p must be in [0, 1/2]")
     return 1.0 - (1.0 + f_ec) * binary_entropy(p)
@@ -128,6 +133,7 @@ def _ceil_tol(x: float, tol: float = 1e-9) -> int:
 
 def syndrome_budget(n: int, p_est: float, f_ec: float) -> int:
     """Conventional syndrome length ``ceil(f_ec n h(p_est))``."""
+    _require_f_ec(f_ec)
     return _ceil_tol(f_ec * n * binary_entropy(p_est))
 
 
@@ -154,22 +160,21 @@ class ProtocolParams:
     l_syn: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not 1 <= self.n < math.inf:
+            raise ValueError(f"n must be positive and finite, got {self.n!r}")
         if not 0.0 < self.q <= 0.5:
             raise ValueError("q must be in (0, 1/2]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.s0 > 1.0 / SQRT2 + 1e-12:
-            raise ValueError("s0 cannot exceed 1/sqrt(2)")
+        if not -math.inf < self.s0 <= 1.0 / SQRT2 + 1e-12:
+            raise ValueError(f"s0 must be finite and at most 1/sqrt(2), got {self.s0!r}")
         for name in ("eps", "eps_cor"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be at least 1")
-        if self.l_syn < 0:
-            raise ValueError("l_syn must be nonnegative")
+        _require_f_ec(self.f_ec)
+        if not 0 <= self.l_syn < math.inf:
+            raise ValueError(f"l_syn must be nonnegative and finite, got {self.l_syn!r}")
 
     def as_dict(self) -> dict:
         """The eight fields, then ``pulse_pairs`` and ``l_smp``: the order of every output record."""

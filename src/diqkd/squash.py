@@ -28,6 +28,9 @@ constraints.
 broadcast over leading axes like ``chsh.chsh_measurement``: a row of
 detector pairs gives a stacked channel and a report of arrays, and a single
 pair is the 0-d case of the same code, with numpy scalars in the report.
+A channel keeps the ``chsh_measurement`` it was built from as
+``SquashChannel.measurement``, which ``verify_squash_conditions`` reads
+instead of building it again.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import chsh_measurement, positive_lift
+from .chsh import CHSHMeasurement, chsh_measurement, positive_lift
 from .linalg import (
     ATOL_INPUT,
     SQRT2,
@@ -72,13 +75,13 @@ def flip_amplitude(phi):
 class SquashChannel:
     """Squash channel for one detector-parameter pair or a stack of them.
 
-    ``channel`` is trace preserving and completely positive by construction;
-    its adjoint maps ``X (x) X`` to ``flip * Y (x) Y`` and fixes ``Z (x) I``.
+    ``measurement`` is the CHSH measurement the channel was built from (its
+    ``alpha``, ``beta`` and ``phi``); ``channel`` is trace preserving and
+    completely positive by construction; its adjoint maps ``X (x) X`` to
+    ``flip * Y (x) Y`` and fixes ``Z (x) I``.
     """
 
-    alpha: complex
-    beta: complex
-    phi: float
+    measurement: CHSHMeasurement
     flip: float
     channel: QuantumChannel
 
@@ -90,7 +93,7 @@ def squash_channel(alpha, beta) -> SquashChannel:
     k_keep = np.sqrt((1.0 + a) / 2.0)[..., None, None] * tensor(ROT90, ROT90)
     k_flip = np.sqrt((1.0 - a) / 2.0)[..., None, None] * tensor(ROT90, ROT180 @ ROT90)
     ch = QuantumChannel(4, 4, [k_keep, k_flip])
-    return SquashChannel(alpha=m.alpha, beta=m.beta, phi=m.phi, flip=a, channel=ch)
+    return SquashChannel(measurement=m, flip=a, channel=ch)
 
 
 @dataclass
@@ -115,7 +118,7 @@ class SquashConditionReport:
 
 def verify_squash_conditions(sq: SquashChannel, tol: float = 1e-9) -> SquashConditionReport:
     """Numerically verify both squash conditions for a constructed channel."""
-    m = chsh_measurement(sq.alpha, sq.beta)
+    m = sq.measurement
     zi = tensor(pauli("z"), identity(2))
     xx = tensor(pauli("x"), pauli("x"))
 
@@ -153,21 +156,6 @@ class ChoiMatrix:
     in_dim: int
     out_dim: int
     matrix: np.ndarray
-
-
-def choi_of_channel(ch: QuantumChannel) -> ChoiMatrix:
-    d = ch.in_dim * ch.out_dim
-    j = np.zeros((d, d), dtype=complex)
-    for k in ch.kraus:
-        w = k.T.reshape(-1)
-        j += np.outer(w, w.conj())
-    return ChoiMatrix(in_dim=ch.in_dim, out_dim=ch.out_dim, matrix=j)
-
-
-def partial_trace_out(matrix: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    """Trace out the output factor of a Choi matrix."""
-    t = matrix.reshape(in_dim, out_dim, in_dim, out_dim)
-    return np.trace(t, axis1=1, axis2=3)
 
 
 def channel_from_choi(choi: ChoiMatrix, atol: float = 1e-9) -> QuantumChannel:
@@ -327,9 +315,7 @@ __all__ = [
     "SquashChannel",
     "SquashConditionReport",
     "channel_from_choi",
-    "choi_of_channel",
     "flip_amplitude",
-    "partial_trace_out",
     "single_party_squash_feasibility",
     "squash_channel",
     "verify_squash_conditions",

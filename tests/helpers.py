@@ -1,8 +1,15 @@
-"""Random and trivial quantum objects that the tests feed to the library."""
+"""Objects and maps that only the tests use.
+
+Random and trivial quantum objects to feed the library, and the inverse
+maps that check its outputs: Choi matrix, partial trace, hash regrowth from
+its JSON description, bit unpacking.
+"""
 
 import numpy as np
 
+from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import QuantumChannel, identity
+from diqkd.squash import ChoiMatrix
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -30,3 +37,31 @@ def random_channel(
     q, _ = np.linalg.qr(g)
     kraus = [q[i * out_dim : (i + 1) * out_dim, :] for i in range(n_kraus)]
     return QuantumChannel(in_dim, out_dim, kraus)
+
+
+def choi_of_channel(ch: QuantumChannel) -> ChoiMatrix:
+    d = ch.in_dim * ch.out_dim
+    j = np.zeros((d, d), dtype=complex)
+    for k in ch.kraus:
+        w = k.T.reshape(-1)
+        j += np.outer(w, w.conj())
+    return ChoiMatrix(in_dim=ch.in_dim, out_dim=ch.out_dim, matrix=j)
+
+
+def partial_trace_out(matrix: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
+    """Trace out the output factor of a Choi matrix."""
+    t = matrix.reshape(in_dim, out_dim, in_dim, out_dim)
+    return np.trace(t, axis1=1, axis2=3)
+
+
+def toeplitz_from_json(data: dict) -> ToeplitzHash:
+    """Regrow a hash from its ``ToeplitzHash.to_json`` description."""
+    return ToeplitzHash.sample(data["in_len"], data["out_len"], data["seed"])
+
+
+def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
+    """Inverse of ``diqkd.hashing.pack_bits``."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    if n_bits > len(bits):
+        raise ValueError("byte string too short for requested bit count")
+    return bits[:n_bits].copy()

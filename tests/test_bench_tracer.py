@@ -2,7 +2,9 @@
 
 ``bench/tracing.py::traced`` reads ``owner.__dict__[attr]`` for every entry of
 ``layer_targets()``, so removing or renaming one of those imports breaks
-``bench/run.py --trace 1`` without failing any other test.
+``bench/run.py --trace 1`` without failing any other test.  Its hooks also
+unpack the arguments of the calls they wrap, so a small traced pass checks
+that the call shapes still fit and that the per-layer counts are exact.
 """
 
 import importlib.util
@@ -27,3 +29,61 @@ def test_every_traced_entry_point_resolves_on_its_owner():
         f"{owner.__name__}.{attr}" for owner, attr, _, _ in targets if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_traced_pass_counts(tmp_path):
+    # every wrapper and hook runs on real calls: the outcome hook unpacks the
+    # positional (pmfs, uniforms) of outcomes_from_uniforms, and the counts are exact
+    import numpy as np
+
+    from diqkd import cli, protocol
+    from diqkd.rates import ProtocolParams
+
+    tracing = load_tracing()
+    params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
+    pulses = params.pulse_pairs
+    rng = np.random.default_rng(3)
+    custom = protocol.CustomSource(
+        [protocol.depolarized_pair_state(p) for p in rng.uniform(0, 0.2, pulses)],
+        np.exp(1j * rng.uniform(0, 2 * np.pi, pulses)),
+        np.exp(1j * rng.uniform(0, 2 * np.pi, pulses)),
+    )
+    with tracing.traced(tracing.Tracer()) as tracer:
+        for source in (protocol.DepolarizingSource(0.05), custom):
+            assert protocol.run_protocol(params, source, seed=1).abort is None
+        assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
+        cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
+    metrics = tracing.layer_metrics(tracer)
+    # one stacked Born-rule call per run, one CHSH measurement per verify-squash row
+    assert {name: metrics[name] for name in EXACT} == {
+        "protocol.joint_outcome_pmf.calls": 2,
+        "protocol.pulses": 2 * pulses,
+        "protocol.completed_frac": 1.0,
+        "hashing.apply.calls": 4,
+        "hashing.apply.in_bits": 4 * params.n,
+        "rates.finite_key_length.calls": 2,
+        "chsh.chsh_measurement.calls": 4,
+        "squash.verify_squash_conditions.calls": 4,
+        "linalg.min_eigenvalue.calls": 12,
+        "linalg.adjoint_apply.calls": 8,
+    }
+    assert metrics["protocol.array_bytes"] > 0
+    assert sum(metrics[f"squash.nogo_{status}"] for status in NOGO_STATUSES) == 2
+    assert metrics["cli.out_bytes"] == sum(
+        (tmp_path / name).stat().st_size for name in ("sq.json", "nogo.json")
+    )
+
+
+EXACT = (
+    "protocol.joint_outcome_pmf.calls",
+    "protocol.pulses",
+    "protocol.completed_frac",
+    "hashing.apply.calls",
+    "hashing.apply.in_bits",
+    "rates.finite_key_length.calls",
+    "chsh.chsh_measurement.calls",
+    "squash.verify_squash_conditions.calls",
+    "linalg.min_eigenvalue.calls",
+    "linalg.adjoint_apply.calls",
+)
+NOGO_STATUSES = ("feasible", "infeasible", "inconclusive")

@@ -252,3 +252,48 @@ class TestParser:
 
     def test_missing_required_flag_exit_two(self):
         assert run_cli("rate-curve") == 2
+
+
+KEYLENGTH = ("keylength", "--n", "100000000", "--q", "0.0909", "--delta", "0.01", "--s0", "0.69")
+BOUNDS = (
+    "bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0",
+    "--runs", "2", "--trials", "5", "--batch", "100",
+)
+NON_FINITE = {
+    "rate-curve-f-ec-nan": (("rate-curve", "--f-ec", "nan"), "f_ec"),
+    "rate-curve-f-ec-inf": (("rate-curve", "--f-ec", "inf"), "f_ec"),
+    "keylength-f-ec-nan": (KEYLENGTH + ("--f-ec", "nan", "--l-syn", "0"), "f_ec"),
+    "keylength-f-ec-inf": (KEYLENGTH + ("--f-ec", "inf", "--l-syn", "0"), "f_ec"),
+    "keylength-f-ec-nan-syndrome": (KEYLENGTH + ("--f-ec", "nan"), "f_ec"),
+    "keylength-s0-nan": (KEYLENGTH + ("--s0", "nan"), "s0"),
+    "bounds-check-deviation-nan": (BOUNDS + ("--deviation", "nan"), "deviation"),
+    "bounds-check-deviation-inf": (BOUNDS + ("--deviation", "inf"), "deviation"),
+}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_flag_rejected(self, tmp_path, capsys, case):
+        argv, name = NON_FINITE[case]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ")
+        assert not out.exists()
+
+    # the infinity on the other side of each range was already rejected
+    @pytest.mark.parametrize(
+        "key, token",
+        [(key, "NaN") for key in ("n", "s0", "f_ec", "l_syn")]
+        + [("n", "Infinity"), ("s0", "-Infinity"), ("f_ec", "Infinity"), ("l_syn", "Infinity")],
+    )
+    def test_config_value_rejected(self, tmp_path, capsys, key, token):
+        # json.load accepts these bare tokens, so the checks must sit in the library
+        doc = {"n": 100000000, "q": 0.0909, "delta": 0.01, "s0": 0.69, "l_syn": 0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc | {key: float(token)}))
+        out = tmp_path / "kl.json"
+        assert run_cli("keylength", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ")
+        assert not out.exists()

@@ -6,10 +6,13 @@ and the per-pulse pmf array, so any refactor that changes a transcript or
 a hash output fails here.  The CLI digests pin one small run of every
 subcommand, output header included; they were taken before the config
 headers and the transcript serializer were rebuilt on
-``ProtocolParams.as_dict``, and the two ``verify-squash --tol 1e-9`` digests
-before the CHSH and squash functions were made to broadcast over stacks.
+``ProtocolParams.as_dict``, the two ``verify-squash --tol 1e-9`` digests
+before the CHSH and squash functions were made to broadcast over stacks, and
+the two abort-exit digests before the Born-rule table became one stacked
+call and ``run_protocol`` one record filled in stage by stage.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -64,6 +67,31 @@ TRANSCRIPT_DIGESTS = {
 def test_transcript_digest(kind, seed):
     t = run_protocol(README_SIMULATE, STRATEGIES[kind](), seed=seed)
     assert sha256(t.to_json()) == TRANSCRIPT_DIGESTS[kind, seed]
+
+
+# One run for each early exit of ``run_protocol``: the label counts fall
+# short, and the CHSH estimate of a p = 0.05 source (mean 0.636) misses
+# s0 = 0.7.
+ABORT_RUNS = {
+    "insufficient_pulses": (
+        ProtocolParams(n=2000, q=0.3, delta=0.002, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=500),
+        1,
+        "eb0b714bfcb94acb25c8db6a9602e1d9418679ae7f0854f886bc956aa4fd7455",
+    ),
+    "chsh_failed": (
+        dataclasses.replace(README_SIMULATE, s0=0.7),
+        0,
+        "b01e3ad49966b14337d246e3644361b8866246b2fc682a1cc701afd731b1c7eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("abort", sorted(ABORT_RUNS))
+def test_abort_transcript_digest(abort):
+    params, seed, digest = ABORT_RUNS[abort]
+    t = run_protocol(params, DepolarizingSource(0.05), seed=seed)
+    assert t.abort == abort
+    assert sha256(t.to_json()) == digest
 
 
 def test_custom_source_transcript_digest():

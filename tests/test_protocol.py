@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from diqkd.chsh import chsh_measurement
-from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import identity
 from diqkd.protocol import (
     ABORT_CHSH,
     ABORT_INSUFFICIENT,
+    ALICE_BASES,
+    BOB_BASES,
     CustomSource,
     DepolarizingSource,
     MisalignedSource,
     Transcript,
+    _pmf_table,
     depolarized_pair_state,
     estimate_chsh,
     ideal_pair_state,
@@ -21,6 +23,7 @@ from diqkd.protocol import (
     run_protocol,
 )
 from diqkd.rates import ProtocolParams
+from helpers import random_density, toeplitz_from_json
 
 SQRT2 = np.sqrt(2.0)
 
@@ -121,7 +124,7 @@ class TestSources:
     def test_misaligned_source_best_state(self):
         src = MisalignedSource(1.0, 1.0, 0.0)
         m = chsh_measurement(1.0, 1.0)
-        expect = np.trace(m.operator @ src.pulse_state(0)).real
+        expect = np.trace(m.operator @ src.rho).real
         assert expect == pytest.approx(0.5, abs=1e-12)
 
     def test_custom_source_validation(self):
@@ -252,7 +255,7 @@ class TestCorrectness:
             assert t.abort is None
             assert t.fcor_match
             assert np.array_equal(t.secret_key_a, t.secret_key_b)
-            fcor = ToeplitzHash.from_json(t.fcor)
+            fcor = toeplitz_from_json(t.fcor)
             corrupted = t.corrected_key.copy()
             flips = rng.integers(0, params.n, size=3)
             corrupted[np.unique(flips)] ^= 1
@@ -307,6 +310,43 @@ class TestMemorylessness:
         # aggregate statistics are permutation invariant up to sampling noise
         sigma = np.sqrt(1.0 / params.l_smp / 30)
         assert abs(mean_a - mean_b) <= 5 * sigma
+
+
+IID_SOURCES = {
+    "depolarizing": lambda: DepolarizingSource(0.05),
+    "misaligned": lambda: MisalignedSource(np.exp(0.3j), np.exp(-1.2j), 0.02),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IID_SOURCES))
+def test_six_row_table_equals_per_pair_calls(kind):
+    # the stacked Born-rule call runs the same code as its 0-d calls, so every float agrees
+    src = IID_SOURCES[kind]()
+    bases_a = np.repeat(np.arange(2, dtype=np.int8), 3)
+    bases_b = np.tile(np.arange(3, dtype=np.int8), 2)
+    table, rows = _pmf_table(src, bases_a, bases_b)
+    assert table.shape == (6, 4) and rows.tolist() == list(range(6))
+    for r, (ca, cb) in enumerate((ca, cb) for ca in ALICE_BASES for cb in BOB_BASES):
+        pmf = joint_outcome_pmf(src.rho, src.alice_ops[ca], src.bob_ops[cb])
+        assert np.array_equal(table[r], pmf), (ca, cb)
+
+
+def test_custom_table_equals_per_pulse_calls():
+    rng = np.random.default_rng(15)
+    pulses = 50
+    states = [random_density(4, rng) for _ in range(pulses)]
+    alphas = np.exp(1j * rng.uniform(0, 2 * np.pi, pulses))
+    betas = np.exp(1j * rng.uniform(0, 2 * np.pi, pulses))
+    src = CustomSource(states, alphas, betas)
+    bases_a = rng.integers(0, 2, pulses).astype(np.int8)
+    bases_b = rng.integers(0, 3, pulses).astype(np.int8)
+    table, rows = _pmf_table(src, bases_a, bases_b)
+    assert table.shape == (6 * pulses, 4)
+    for i in range(pulses):
+        # the z operators are shared by every pulse, the x operators are per pulse
+        op_a = np.broadcast_to(src.alice_ops[ALICE_BASES[bases_a[i]]], (pulses, 2, 2))[i]
+        op_b = np.broadcast_to(src.bob_ops[BOB_BASES[bases_b[i]]], (pulses, 2, 2))[i]
+        assert np.array_equal(table[rows[i]], joint_outcome_pmf(states[i], op_a, op_b)), i
 
 
 class TestAbortFrequency:

@@ -13,14 +13,18 @@ from diqkd.linalg import (
 )
 from diqkd.squash import (
     channel_from_choi,
-    choi_of_channel,
     flip_amplitude,
-    partial_trace_out,
     single_party_squash_feasibility,
     squash_channel,
     verify_squash_conditions,
 )
-from helpers import identity_channel, random_channel, random_density
+from helpers import (
+    choi_of_channel,
+    identity_channel,
+    partial_trace_out,
+    random_channel,
+    random_density,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -126,9 +130,8 @@ class TestVerifyConditions:
         a = -1.0  # wrong sign at phi = pi/4
         k1 = np.sqrt((1 + a) / 2) * tensor(ROT90, ROT90)
         k2 = np.sqrt((1 - a) / 2) * tensor(ROT90, ROT180 @ ROT90)
-        bad = SquashChannel(
-            alpha=-1j, beta=-1j, phi=np.pi / 4, flip=a, channel=QuantumChannel(4, 4, [k1, k2])
-        )
+        channel = QuantumChannel(4, 4, [k1, k2])
+        bad = SquashChannel(measurement=chsh_measurement(-1j, -1j), flip=a, channel=channel)
         rep = verify_squash_conditions(bad, tol=1e-9)
         assert not rep.passed
         assert rep.cond2_min_eig < -0.5
