@@ -291,6 +291,12 @@ def _pmf_table(source, bases_a, bases_b) -> tuple[np.ndarray, np.ndarray]:
     return table.reshape(-1, 4), rows
 
 
+def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(h(a), h(b))``, hashing ``b`` only if it differs from ``a`` (hashing is pure)."""
+    tag_a = h(a)
+    return tag_a, tag_a.copy() if np.array_equal(a, b) else h(b)
+
+
 def run_protocol(
     params: ProtocolParams, strategy, seed: int, p_est: float | None = None
 ) -> Transcript:
@@ -363,7 +369,8 @@ def run_protocol(
     fcor_len = min(params.n, max(1, math.ceil(math.log2(1.0 / params.eps_cor))))
     fcor = ToeplitzHash.sample(params.n, fcor_len, seed=int(rng.integers(2**63)))
     t.fcor = fcor.to_json()
-    t.fcor_match = bool(np.array_equal(fcor(sifted), fcor(corrected)))
+    tag_a, tag_b = _hash_pair(fcor, sifted, corrected)
+    t.fcor_match = bool(np.array_equal(tag_a, tag_b))
     if not t.fcor_match:
         t.abort = ABORT_VERIFY
         return t
@@ -372,8 +379,7 @@ def run_protocol(
     t.key_report = {"l": report.l, "reason": report.reason}
     if report.l > 0:
         fpa = ToeplitzHash.sample(params.n, report.l, seed=int(rng.integers(2**63)))
-        t.secret_key_a = fpa(sifted)
-        t.secret_key_b = fpa(corrected)
+        t.secret_key_a, t.secret_key_b = _hash_pair(fpa, sifted, corrected)
         t.fpa = fpa.to_json()
     else:
         t.secret_key_a = np.empty(0, dtype=np.uint8)

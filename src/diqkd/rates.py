@@ -134,6 +134,8 @@ def _ceil_tol(x: float, tol: float = 1e-9) -> int:
 def syndrome_budget(n: int, p_est: float, f_ec: float) -> int:
     """Conventional syndrome length ``ceil(f_ec n h(p_est))``."""
     _require_f_ec(f_ec)
+    if not 0.0 <= float(p_est) <= 1.0:
+        raise ValueError(f"p_est must be in [0, 1], got {p_est!r}")
     return _ceil_tol(f_ec * n * binary_entropy(p_est))
 
 

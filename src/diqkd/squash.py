@@ -35,6 +35,7 @@ instead of building it again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,8 @@ class SquashConditionReport:
 
 def verify_squash_conditions(sq: SquashChannel, tol: float = 1e-9) -> SquashConditionReport:
     """Numerically verify both squash conditions for a constructed channel."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     m = sq.measurement
     zi = tensor(pauli("z"), identity(2))
     xx = tensor(pauli("x"), pauli("x"))

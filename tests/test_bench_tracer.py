@@ -54,13 +54,14 @@ def test_traced_pass_counts(tmp_path):
         assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
         cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
     metrics = tracing.layer_metrics(tracer)
-    # one stacked Born-rule call per run, one CHSH measurement per verify-squash row
+    # one stacked Born-rule call per run, one CHSH measurement per verify-squash row,
+    # one fcor hash per run (Bob's string equals Alice's, so it is hashed once; l = 0)
     assert {name: metrics[name] for name in EXACT} == {
         "protocol.joint_outcome_pmf.calls": 2,
         "protocol.pulses": 2 * pulses,
         "protocol.completed_frac": 1.0,
-        "hashing.apply.calls": 4,
-        "hashing.apply.in_bits": 4 * params.n,
+        "hashing.apply.calls": 2,
+        "hashing.apply.in_bits": 2 * params.n,
         "rates.finite_key_length.calls": 2,
         "chsh.chsh_measurement.calls": 4,
         "squash.verify_squash_conditions.calls": 4,

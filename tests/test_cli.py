@@ -268,6 +268,11 @@ NON_FINITE = {
     "keylength-s0-nan": (KEYLENGTH + ("--s0", "nan"), "s0"),
     "bounds-check-deviation-nan": (BOUNDS + ("--deviation", "nan"), "deviation"),
     "bounds-check-deviation-inf": (BOUNDS + ("--deviation", "inf"), "deviation"),
+    "keylength-p-est-nan": (KEYLENGTH + ("--p-est", "nan"), "p_est"),
+    "verify-squash-tol-nan": (("verify-squash", "--grid", "2", "--tol", "nan"), "tol"),
+    "verify-squash-tol-inf": (("verify-squash", "--grid", "2", "--tol", "inf"), "tol"),
+    # a negative tolerance is finite but would fail every cell for nothing
+    "verify-squash-tol-negative": (("verify-squash", "--grid", "2", "--tol=-1e-9"), "tol"),
 }
 
 
@@ -294,6 +299,23 @@ class TestNonFiniteInputs:
         cfg.write_text(json.dumps(doc | {key: float(token)}))
         out = tmp_path / "kl.json"
         assert run_cli("keylength", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ")
+        assert not out.exists()
+
+    # p_est only sizes the syndrome budget when l_syn is not given
+    @pytest.mark.parametrize(
+        "argv, doc, key",
+        [
+            (("keylength",), {"n": 100000000, "q": 0.0909, "delta": 0.01, "s0": 0.69}, "p_est"),
+            (("verify-squash", "--grid", "2"), {}, "tol"),
+        ],
+    )
+    def test_config_nan_rejected(self, tmp_path, capsys, argv, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc | {key: float("nan")}))
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ")
         assert not out.exists()

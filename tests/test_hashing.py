@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from diqkd.hashing import ToeplitzHash, _blocking, pack_bits
+from diqkd.hashing import _GROUP_POINTS, ToeplitzHash, _blocking, pack_bits
 from helpers import toeplitz_from_json, unpack_bits
 
 
@@ -31,6 +33,21 @@ EDGE_SHAPES = sorted(
     | {(n, out) for out in (1, 30) for n in straddling(block_len(out)) if n >= out}
     | {(n, n) for n in straddling(block_len(1))}
 )
+
+
+def group_len(out_len: int) -> int:
+    """Input bits in one group of ``_GROUP_POINTS // L`` blocks."""
+    block, size = _blocking(1 << 40, out_len)
+    return _GROUP_POINTS // size * block
+
+
+# Input lengths on both sides of the first group boundary, where the kernel
+# starts a second batch of blocks, and one that needs a third, partial group.
+GROUP_SHAPES = [
+    (n, out)
+    for out in (1, 30)
+    for n in (group_len(out) - 1, group_len(out), group_len(out) + 1, 2 * group_len(out) + 7)
+]
 
 
 def test_deterministic_given_seed():
@@ -78,9 +95,9 @@ def test_dense_reference_matches_definition():
             assert t[i, j] == h.diagonals[i - j + 8]
 
 
-def assert_matches_dense_reference(in_len: int, out_len: int) -> None:
+def assert_matches_dense_reference(in_len: int, out_len: int, seeds: int = 20) -> None:
     rng = np.random.default_rng(3)
-    for seed in range(20):
+    for seed in range(seeds):
         h = ToeplitzHash.sample(in_len, out_len, seed=seed)
         t = toeplitz_matrix(h)
         x = rng.integers(0, 2, in_len, dtype=np.uint8)
@@ -95,6 +112,27 @@ def test_matches_dense_reference():
 @pytest.mark.parametrize("in_len, out_len", EDGE_SHAPES)
 def test_matches_dense_reference_at_block_edges(in_len, out_len):
     assert_matches_dense_reference(in_len, out_len)
+
+
+@pytest.mark.parametrize("in_len, out_len", GROUP_SHAPES)
+def test_matches_dense_reference_at_group_edges(in_len, out_len):
+    # inputs of a million bits and more: fewer seeds keep the dense products quick
+    assert_matches_dense_reference(in_len, out_len, seeds=3)
+
+
+def test_apply_memory_is_bounded_by_the_group():
+    # the keygen-3e6 privacy amplification shape; transforming all 22 blocks
+    # at once peaked at 123 MB, and one group of 4 blocks measures 34 MB
+    in_len, out_len = 3_000_000, 124_288
+    h = ToeplitzHash.sample(in_len, out_len, seed=8)
+    x = np.random.default_rng(8).integers(0, 2, in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        h(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_rounding_failure_raises(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diqkd.chsh import chsh_measurement
+from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import identity
 from diqkd.protocol import (
     ABORT_CHSH,
@@ -12,6 +13,7 @@ from diqkd.protocol import (
     DepolarizingSource,
     MisalignedSource,
     Transcript,
+    _hash_pair,
     _pmf_table,
     depolarized_pair_state,
     estimate_chsh,
@@ -263,6 +265,38 @@ class TestCorrectness:
         p = 2.0**-8
         sigma = np.sqrt(p * (1 - p) / trials)
         assert missed / trials <= p + 3 * sigma
+
+
+class TestHashPair:
+    def hashed(self):
+        """A 40-bit hash and a wrapper that records each input it hashes."""
+        h = ToeplitzHash.sample(500, 40, seed=11)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return h(x)
+
+        return h, calls, counted
+
+    def test_equal_strings_hashed_once(self):
+        h, calls, counted = self.hashed()
+        a = np.random.default_rng(12).integers(0, 2, 500, dtype=np.uint8)
+        tag_a, tag_b = _hash_pair(counted, a, a.copy())
+        assert len(calls) == 1
+        assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, tag_a)
+        assert tag_b is not tag_a and not np.shares_memory(tag_a, tag_b)
+
+    def test_differing_string_hashed_on_its_own(self):
+        # Bob's tag comes from Bob's string, so a failed verification stays reachable
+        h, calls, counted = self.hashed()
+        a = np.random.default_rng(13).integers(0, 2, 500, dtype=np.uint8)
+        b = a.copy()
+        b[123] ^= 1
+        tag_a, tag_b = _hash_pair(counted, a, b)
+        assert len(calls) == 2
+        assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, h(b))
+        assert not np.array_equal(tag_a, tag_b)
 
 
 class TestMemorylessness:
