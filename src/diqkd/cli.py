@@ -385,6 +385,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Raise ValueError unless ``value`` is of the kind ``action`` takes from the command line.
+
+    ``set_defaults`` stores a config value as it is, past argparse's
+    ``type`` and ``choices`` checks, so they are made here.
+    """
+    if action.choices is not None:
+        ok = value in action.choices
+        kind = f"one of {', '.join(action.choices)}"
+    elif action.type is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        kind = "an integer"
+    elif action.type is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+    else:
+        ok = isinstance(value, str)
+        kind = "a string"
+    if not ok:
+        raise ValueError(f"{action.dest} must be {kind}, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -399,7 +421,11 @@ def main(argv=None) -> int:
             unknown = sorted(set(overrides) - (set(vars(args)) - {"subcommand", "func"}))
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-            parser.subcommand_parsers[args.subcommand].set_defaults(**overrides)
+            sub = parser.subcommand_parsers[args.subcommand]
+            actions = {action.dest: action for action in sub._actions}
+            for name, value in overrides.items():
+                _check_config_value(actions[name], value)
+            sub.set_defaults(**overrides)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the bad-config code

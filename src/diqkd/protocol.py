@@ -21,6 +21,19 @@ correction is an accounting model: Bob's corrected key is Alice's key by
 construction while the syndrome cost is charged against the budget, since
 only the syndrome length enters the security formulas.
 
+Random stream layout: a run's generator is ``default_rng(seed)`` (PCG64),
+and each uniform double takes one 64-bit output.  Outputs ``[s N, (s+1) N)``
+form per-pulse stream ``s``: Alice's labels, Bob's labels, Alice's basis
+coins, Bob's basis coins and the outcome uniforms, in that order, pulse
+``i`` taking output ``i`` of each stream whether or not its label uses it.
+The index selection and the two hash seeds read the outputs from ``5 N``
+on.  The pulse stage walks the pulses in chunks of ``_CHUNK``, drawing
+each stream from a copy of the generator advanced to the stream's start,
+and then advances the generator past all five.  Since a pulse's labels,
+bases and outcome depend only on its own five draws and its row of the
+Born-rule table, the chunked stage writes the same bits as whole-array
+draws would, while its temporaries stay O(``_CHUNK``).
+
 Outcomes are recorded as +-1; the per-round CHSH contribution is
 ``r_A r_B`` negated when both parties measured x.  Runs are deterministic
 given (params, strategy, seed) and independent runs are embarrassingly
@@ -49,6 +62,11 @@ _BASIS_LABELS = {
     "bases_a": np.array(ALICE_BASES, dtype=object),
     "bases_b": np.array(BOB_BASES, dtype=object),
 }
+
+# Pulses per step of the pulse stage: its temporaries stay small and in cache.
+_CHUNK = 1 << 16
+# Per-pulse uniform streams of a run: two labels, two basis coins, the outcome.
+_STREAMS = 5
 
 ABORT_INSUFFICIENT = "insufficient_pulses"
 ABORT_CHSH = "chsh_failed"
@@ -185,10 +203,11 @@ def outcomes_from_uniforms(
     together permutes the outcomes identically.  This is the memorylessness
     of the detectors, by construction.
     """
-    cum = np.cumsum(pmfs, axis=1)
+    # one contiguous row of thresholds per outcome, gathered by np.take
+    cum = np.cumsum(pmfs, axis=1).T.copy()
     codes = np.zeros(len(uniforms), dtype=np.int8)
-    for k in range(3):
-        codes += uniforms >= (cum[:, k] if rows is None else cum[rows, k])
+    for col in cum[:3]:
+        codes += uniforms >= (col if rows is None else col.take(rows))
     return codes
 
 
@@ -275,20 +294,48 @@ def estimate_chsh(transcript: Transcript) -> float:
     return float(np.mean(ra * rb * signs))
 
 
-def _pmf_table(source, bases_a, bases_b) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome distributions of every pair of bases, and each pulse's row.
+def _pmf_table(source) -> np.ndarray:
+    """Outcome distributions of every pair of bases, in one stacked Born-rule call.
 
-    One stacked Born-rule call: the row of a pulse is
-    ``bases_a * len(BOB_BASES) + bases_b``, and a source with a pulse axis
-    gets that block of six rows once per pulse.
+    Row ``bases_a * len(BOB_BASES) + bases_b`` of the ``(6, 4)`` table holds
+    a pair's distribution; a source with a pulse axis gives an ``(N, 6, 4)``
+    table, that block of six rows once per pulse.
     """
     ops_a = np.stack(np.broadcast_arrays(*(source.alice_ops[c] for c in ALICE_BASES)))
     ops_b = np.stack(np.broadcast_arrays(*(source.bob_ops[c] for c in BOB_BASES)))
     table = joint_outcome_pmf(source.rho, ops_a[:, None], ops_b[None, :])
-    rows = bases_a * len(BOB_BASES) + bases_b
+    pairs = len(ALICE_BASES) * len(BOB_BASES)
     if source.rho.ndim == 3:
-        rows = rows * np.int64(len(rows)) + np.arange(len(rows))
-    return table.reshape(-1, 4), rows
+        return np.ascontiguousarray(np.moveaxis(table.reshape(pairs, -1, 4), 1, 0))
+    return table.reshape(pairs, 4)
+
+
+def _chunk_rows(table, bases_a, bases_b, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows of the pulses from ``start`` on, and each pulse's row in them.
+
+    A pulse's pair row is ``bases_a * len(BOB_BASES) + bases_b``; with a
+    pulse axis it is offset by six rows per pulse into the chunk's slice.
+    """
+    rows = bases_a.astype(np.intp)
+    rows *= len(BOB_BASES)
+    rows += bases_b
+    if table.ndim == 2:
+        return table, rows
+    pmfs = table[start : start + len(rows)].reshape(-1, 4)
+    rows += np.arange(0, len(pmfs), table.shape[1])
+    return pmfs, rows
+
+
+def _sorted_sample(rng: np.random.Generator, pop: np.ndarray, k: int) -> np.ndarray:
+    """``np.sort(rng.choice(pop, k, replace=False))`` for a sorted ``pop``, by mask.
+
+    ``choice`` of an array draws the same indices as ``choice`` of its
+    length and then gathers them, so the draws and the chosen set are the
+    same; selecting by mask keeps ``pop``'s order, so no sort is needed.
+    """
+    mask = np.zeros(len(pop), dtype=bool)
+    mask[rng.choice(len(pop), size=k, replace=False)] = True
+    return pop[mask]
 
 
 def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,15 +360,41 @@ def run_protocol(
     if strategy.rho.shape[:-2] not in ((), (big_n,)):
         raise ValueError(f"custom strategy must supply exactly {big_n} pulses")
 
-    labels_a = rng.random(big_n) < params.q
-    labels_b = rng.random(big_n) < params.q
-    # One basis draw per pulse regardless of label keeps the stream aligned.
-    bases_a = (labels_a & (rng.random(big_n) < 0.5)).view(np.int8)
-    bases_b = labels_b.view(np.int8) + (labels_b & (rng.random(big_n) < 0.5)).view(np.int8)
-    uniforms = rng.random(big_n)
+    # Pulse stream s is rng's outputs [s N, (s+1) N): a copy of rng advanced
+    # by s N draws it, and rng itself moves on past all five.
+    state = rng.bit_generator.state
+    streams = []
+    for s in range(_STREAMS):
+        bit_gen = np.random.PCG64()
+        bit_gen.state = state
+        streams.append(np.random.Generator(bit_gen.advance(s * big_n)))
+    rng.bit_generator.advance(_STREAMS * big_n)
 
-    table, rows = _pmf_table(strategy, bases_a, bases_b)
-    codes = outcomes_from_uniforms(table, uniforms, rows=rows)
+    labels_a = np.empty(big_n, dtype=bool)
+    labels_b = np.empty(big_n, dtype=bool)
+    bases_a = np.empty(big_n, dtype=np.int8)
+    bases_b = np.empty(big_n, dtype=np.int8)
+    outcomes_a = np.empty(big_n, dtype=np.int8)
+    outcomes_b = np.empty(big_n, dtype=np.int8)
+    table = _pmf_table(strategy)
+    buf = np.empty(min(_CHUNK, big_n))
+    for start in range(0, big_n, _CHUNK):
+        stop = min(start + _CHUNK, big_n)
+        u = buf[: stop - start]
+        la, lb = labels_a[start:stop], labels_b[start:stop]
+        ba, bb = bases_a[start:stop], bases_b[start:stop]
+        np.less(streams[0].random(out=u), params.q, out=la)
+        np.less(streams[1].random(out=u), params.q, out=lb)
+        # One basis draw per pulse regardless of label: pulse i's draws are
+        # output i of each stream, whatever the chunk boundaries.
+        np.logical_and(la, streams[2].random(out=u) < 0.5, out=ba.view(bool))
+        np.add(lb, lb & (streams[3].random(out=u) < 0.5), out=bb, dtype=np.int8)
+        pmfs, rows = _chunk_rows(table, ba, bb, start)
+        codes = outcomes_from_uniforms(pmfs, streams[4].random(out=u), rows=rows)
+        # codes follow joint_outcome_pmf's order (+,+), (+,-), (-,+), (-,-):
+        # Alice's sign is the high bit, Bob's the low one
+        outcomes_a[start:stop] = 1 - 2 * (codes >> 1)
+        outcomes_b[start:stop] = 1 - 2 * (codes & 1)
 
     t = Transcript(
         schema_version=1,
@@ -332,8 +405,8 @@ def run_protocol(
         labels_b=labels_b,
         bases_a=bases_a,
         bases_b=bases_b,
-        outcomes_a=np.where(codes < 2, np.int8(1), np.int8(-1)),
-        outcomes_b=np.where(codes & 1, np.int8(-1), np.int8(1)),
+        outcomes_a=outcomes_a,
+        outcomes_b=outcomes_b,
         i_smp=np.empty(0, dtype=np.int64),
         i_sif=np.empty(0, dtype=np.int64),
         s_est=None,
@@ -346,8 +419,9 @@ def run_protocol(
         t.abort = ABORT_INSUFFICIENT
         return t
 
-    t.i_smp = np.sort(rng.choice(both_smp, size=params.l_smp, replace=False))
-    t.i_sif = np.sort(rng.choice(both_sif, size=params.n, replace=False))
+    t.i_smp = _sorted_sample(rng, both_smp, params.l_smp)
+    t.i_sif = _sorted_sample(rng, both_sif, params.n)
+    del both_smp, both_sif
     t.s_est = estimate_chsh(t)
     if t.s_est < params.s0:
         t.abort = ABORT_CHSH

@@ -28,6 +28,7 @@ All functions are pure scalar maps and trivially thread-safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 from .linalg import SQRT2
@@ -162,8 +163,12 @@ class ProtocolParams:
     l_syn: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n < math.inf:
-            raise ValueError(f"n must be positive and finite, got {self.n!r}")
+        for name in ("n", "l_syn"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n!r}")
         if not 0.0 < self.q <= 0.5:
             raise ValueError("q must be in (0, 1/2]")
         if not 0.0 < self.delta < 1.0:
@@ -175,8 +180,8 @@ class ProtocolParams:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
         _require_f_ec(self.f_ec)
-        if not 0 <= self.l_syn < math.inf:
-            raise ValueError(f"l_syn must be nonnegative and finite, got {self.l_syn!r}")
+        if self.l_syn < 0:
+            raise ValueError(f"l_syn must be nonnegative, got {self.l_syn!r}")
 
     def as_dict(self) -> dict:
         """The eight fields, then ``pulse_pairs`` and ``l_smp``: the order of every output record."""

@@ -2,13 +2,15 @@
 
 Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, hash regrowth from
-its JSON description, bit unpacking.
+its JSON description, bit unpacking; and the protocol's pulse stage drawn
+whole-array, as the reference of the chunked one.
 """
 
 import numpy as np
 
 from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import QuantumChannel, identity
+from diqkd.protocol import ALICE_BASES, BOB_BASES, joint_outcome_pmf, outcomes_from_uniforms
 from diqkd.squash import ChoiMatrix
 
 
@@ -65,3 +67,35 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
     if n_bits > len(bits):
         raise ValueError("byte string too short for requested bit count")
     return bits[:n_bits].copy()
+
+
+def unchunked_pulse_stage(params, source, seed: int) -> dict:
+    """Pulse arrays of ``run_protocol`` from five whole-array draws, and the generator after them.
+
+    The draws come in stream order (Alice's and Bob's labels, their basis
+    coins, the outcome uniforms), each ``rng.random(N)`` in one piece, and
+    one ``outcomes_from_uniforms`` call maps all N pulses.
+    """
+    rng = np.random.default_rng(seed)
+    big_n = params.pulse_pairs
+    labels_a = rng.random(big_n) < params.q
+    labels_b = rng.random(big_n) < params.q
+    bases_a = (labels_a & (rng.random(big_n) < 0.5)).view(np.int8)
+    bases_b = labels_b.view(np.int8) + (labels_b & (rng.random(big_n) < 0.5)).view(np.int8)
+    uniforms = rng.random(big_n)
+    ops_a = np.stack(np.broadcast_arrays(*(source.alice_ops[c] for c in ALICE_BASES)))
+    ops_b = np.stack(np.broadcast_arrays(*(source.bob_ops[c] for c in BOB_BASES)))
+    table = joint_outcome_pmf(source.rho, ops_a[:, None], ops_b[None, :]).reshape(-1, 4)
+    rows = bases_a * len(BOB_BASES) + bases_b
+    if source.rho.ndim == 3:
+        rows = rows * np.int64(big_n) + np.arange(big_n)
+    codes = outcomes_from_uniforms(table, uniforms, rows=rows)
+    return {
+        "labels_a": labels_a,
+        "labels_b": labels_b,
+        "bases_a": bases_a,
+        "bases_b": bases_b,
+        "outcomes_a": np.where(codes < 2, np.int8(1), np.int8(-1)),
+        "outcomes_b": np.where(codes & 1, np.int8(-1), np.int8(1)),
+        "rng": rng,
+    }

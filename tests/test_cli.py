@@ -246,6 +246,43 @@ class TestConfigFile:
         assert run_cli("keylength", "--out", str(out)) == 2
 
 
+SIM_CONFIG = {"n": 1000, "q": 0.3, "delta": 0.05, "s0": 0.0, "runs": 1}
+# set_defaults stores config values past argparse's type and choices checks
+BAD_CONFIG_VALUES = {
+    "simulate-n-fractional": ("simulate", {"n": 1000.5}, "n"),
+    "keylength-n-fractional": ("keylength", {"n": 1000.5}, "n"),
+    "simulate-n-bool": ("simulate", {"n": True}, "n"),
+    "simulate-runs-fractional": ("simulate", {"runs": 2.5}, "runs"),
+    "simulate-p-bool": ("simulate", {"p": False}, "p"),
+    "simulate-p-string": ("simulate", {"p": "0.05"}, "p"),
+    "simulate-format-unknown": ("simulate", {"format": "xml"}, "format"),
+    "simulate-strategy-unknown": ("simulate", {"strategy": "ideal"}, "strategy"),
+    "simulate-seed-null": ("simulate", {"seed": None}, "seed"),
+    "simulate-out-list": ("simulate", {"out": ["sim.csv"]}, "out"),
+}
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+    def test_bad_value_rejected(self, tmp_path, capsys, case):
+        sub, bad, name = BAD_CONFIG_VALUES[case]
+        cfg = tmp_path / "cfg.json"
+        doc = SIM_CONFIG if sub == "simulate" else {k: SIM_CONFIG[k] for k in ("q", "delta", "s0")}
+        cfg.write_text(json.dumps(doc | bad))
+        out = tmp_path / "out"
+        argv = [sub, "--config", str(cfg)]
+        assert run_cli(*(argv if "out" in bad else argv + ["--out", str(out)])) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+        assert not out.exists()
+
+    def test_int_accepted_for_float_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SIM_CONFIG | {"p": 0, "format": "json"}))
+        out = tmp_path / "sim.json"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["n"] == 1000
+
+
 class TestParser:
     def test_unknown_subcommand_exit_two(self):
         assert run_cli("frobnicate") == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from diqkd.protocol import (
     DepolarizingSource,
     MisalignedSource,
     Transcript,
+    _CHUNK,
+    _chunk_rows,
     _hash_pair,
     _pmf_table,
+    _sorted_sample,
     depolarized_pair_state,
     estimate_chsh,
     ideal_pair_state,
@@ -25,7 +30,7 @@ from diqkd.protocol import (
     run_protocol,
 )
 from diqkd.rates import ProtocolParams
-from helpers import random_density, toeplitz_from_json
+from helpers import random_density, toeplitz_from_json, unchunked_pulse_stage
 
 SQRT2 = np.sqrt(2.0)
 
@@ -358,8 +363,12 @@ def test_six_row_table_equals_per_pair_calls(kind):
     src = IID_SOURCES[kind]()
     bases_a = np.repeat(np.arange(2, dtype=np.int8), 3)
     bases_b = np.tile(np.arange(3, dtype=np.int8), 2)
-    table, rows = _pmf_table(src, bases_a, bases_b)
-    assert table.shape == (6, 4) and rows.tolist() == list(range(6))
+    table = _pmf_table(src)
+    assert table.shape == (6, 4)
+    # an i.i.d. table serves every chunk whole, wherever the chunk starts
+    for start in (0, 12345):
+        pmfs, rows = _chunk_rows(table, bases_a, bases_b, start)
+        assert pmfs is table and rows.dtype == np.intp and rows.tolist() == list(range(6))
     for r, (ca, cb) in enumerate((ca, cb) for ca in ALICE_BASES for cb in BOB_BASES):
         pmf = joint_outcome_pmf(src.rho, src.alice_ops[ca], src.bob_ops[cb])
         assert np.array_equal(table[r], pmf), (ca, cb)
@@ -374,13 +383,111 @@ def test_custom_table_equals_per_pulse_calls():
     src = CustomSource(states, alphas, betas)
     bases_a = rng.integers(0, 2, pulses).astype(np.int8)
     bases_b = rng.integers(0, 3, pulses).astype(np.int8)
-    table, rows = _pmf_table(src, bases_a, bases_b)
-    assert table.shape == (6 * pulses, 4)
-    for i in range(pulses):
-        # the z operators are shared by every pulse, the x operators are per pulse
-        op_a = np.broadcast_to(src.alice_ops[ALICE_BASES[bases_a[i]]], (pulses, 2, 2))[i]
-        op_b = np.broadcast_to(src.bob_ops[BOB_BASES[bases_b[i]]], (pulses, 2, 2))[i]
-        assert np.array_equal(table[rows[i]], joint_outcome_pmf(states[i], op_a, op_b)), i
+    table = _pmf_table(src)
+    assert table.shape == (pulses, 6, 4)
+    # the whole run as one chunk, and chunks that start inside it
+    for start, stop in ((0, pulses), (17, 37), (37, pulses)):
+        pmfs, rows = _chunk_rows(table, bases_a[start:stop], bases_b[start:stop], start)
+        assert pmfs.shape == (6 * (stop - start), 4) and rows.dtype == np.intp
+        for i in range(start, stop):
+            # the z operators are shared by every pulse, the x operators are per pulse
+            op_a = np.broadcast_to(src.alice_ops[ALICE_BASES[bases_a[i]]], (pulses, 2, 2))[i]
+            op_b = np.broadcast_to(src.bob_ops[BOB_BASES[bases_b[i]]], (pulses, 2, 2))[i]
+            pmf = joint_outcome_pmf(states[i], op_a, op_b)
+            assert np.array_equal(pmfs[rows[i - start]], pmf), (start, i)
+
+
+def pulse_params(big_n: int, q: float = 0.2) -> ProtocolParams:
+    """Parameters of exactly ``big_n`` pulses with wide label margins; the run completes."""
+    n = round(0.7 * big_n * (1 - q) ** 2)
+    delta = 1 - n / ((big_n - 0.5) * (1 - q) ** 2)
+    params = ProtocolParams(n=n, q=q, delta=delta, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=n)
+    assert params.pulse_pairs == big_n
+    return params
+
+
+def pulse_axis_source(big_n: int) -> CustomSource:
+    rng = np.random.default_rng(big_n)
+    lam = rng.uniform(0, 0.4, big_n)[:, None, None]
+    states = (1 - lam) * ideal_pair_state() + lam * identity(4) / 4
+    return CustomSource(
+        states,
+        np.exp(1j * rng.uniform(0, 2 * np.pi, big_n)),
+        np.exp(1j * rng.uniform(0, 2 * np.pi, big_n)),
+    )
+
+
+PULSE_SOURCES = {
+    "depolarizing": lambda big_n: DepolarizingSource(0.05),
+    "misaligned": lambda big_n: MisalignedSource(np.exp(0.3j), np.exp(-1.2j), 0.02),
+    "custom": pulse_axis_source,
+}
+
+
+@pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 7)], ids=["C-1", "C", "C+1", "2C+7"])
+@pytest.mark.parametrize("kind", sorted(PULSE_SOURCES))
+def test_chunked_pulse_stage_equals_whole_array_draws(kind, offset):
+    big_n = offset[0] * _CHUNK + offset[1]
+    params = pulse_params(big_n)
+    source = PULSE_SOURCES[kind](big_n)
+    t = run_protocol(params, source, seed=7)
+    ref = unchunked_pulse_stage(params, source, seed=7)
+    for name in ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b"):
+        got = getattr(t, name)
+        assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
+    # the run's generator continues past all five streams: the whole-array
+    # selection and the next draw, the correctness hash seed, agree with it
+    rng = ref["rng"]
+    both_smp = np.flatnonzero(ref["labels_a"] & ref["labels_b"])
+    both_sif = np.flatnonzero(~ref["labels_a"] & ~ref["labels_b"])
+    assert np.array_equal(t.i_smp, np.sort(rng.choice(both_smp, params.l_smp, replace=False)))
+    assert np.array_equal(t.i_sif, np.sort(rng.choice(both_sif, params.n, replace=False)))
+    assert t.fcor["seed"] == int(rng.integers(2**63))
+
+
+# numpy's choice without replacement runs Floyd's algorithm for pop <= 10,000
+# or k <= pop / 50, and a tail shuffle of arange(pop) otherwise
+SELECTIONS = {
+    "floyd-small-pop": (10_000, 6_000),
+    "floyd-small-k": (200_000, 4_000),
+    "floyd-all": (3_000, 3_000),
+    "tail-shuffle": (20_000, 5_000),
+    "tail-shuffle-most": (300_000, 290_000),
+    "tail-shuffle-all": (20_001, 20_001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTIONS))
+def test_masked_selection_equals_sorted_choice(case):
+    size, k = SELECTIONS[case]
+    pop = np.flatnonzero(np.random.default_rng(size).random(3 * size) < 0.5)[:size]
+    assert len(pop) == size
+    for seed in range(3):
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.sort(rng_ref.choice(pop, size=k, replace=False))
+        got = _sorted_sample(rng, pop, k)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_pulse_stage_memory_is_chunk_bounded():
+    # N = 2e6 pulses and l = 0 (s0 = 0 makes the entropy bound vacuous).  What
+    # stays is the six one-byte pulse arrays (12 MB), the selection's index
+    # arrays (about 30 MB at their peak) and the correctness hash's FFT
+    # groups, whose size does not grow with N; whole-array float64 draws and
+    # per-pulse thresholds (16 MB each) would not fit beside them.
+    params = ProtocolParams(
+        n=1_216_000, q=0.2, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=10**6
+    )
+    assert params.pulse_pairs == 2_000_000
+    tracemalloc.start()
+    try:
+        t = run_protocol(params, DepolarizingSource(0.02), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.abort is None and t.key_report["l"] == 0
+    assert peak < 70e6, peak
 
 
 class TestAbortFrequency:

@@ -164,6 +164,17 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             make_params(1000, 0.1, 0.0, eps=1.5)
 
+    @pytest.mark.parametrize(
+        "name, value", [("n", 1000.5), ("n", 1000.0), ("n", True), ("l_syn", 2.5), ("l_syn", False)]
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make_params(**{"n": 1000, "q": 0.1, "s0": 0.0} | {name: value})
+
+    def test_numpy_integers_accepted(self):
+        p = make_params(np.int64(1000), 0.1, 0.0, l_syn=np.int32(7))
+        assert (p.n, p.l_syn) == (1000, 7)
+
 
 class TestFiniteKeyLength:
     def test_spec_scale_parameters_give_no_key(self):
