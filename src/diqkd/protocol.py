@@ -13,13 +13,14 @@ is tracked.  Every source holds ``rho``, a ``(4, 4)`` density matrix, and
 ``alice_ops``/``bob_ops``, dicts from each label of ``ALICE_BASES`` and
 ``BOB_BASES`` to a ``(2, 2)`` +-1-valued observable; a source that changes
 from pulse to pulse (``CustomSource``) gives any of them a leading pulse
-axis of length N.  The Born-rule table of a run is one broadcasting
-``joint_outcome_pmf`` call over the six pairs of bases (and the pulse
-axis).  A pulse's outcome depends only on its row of that table and its own
-uniform draw, so the detectors are memoryless by construction.  Error
-correction is an accounting model: Bob's corrected key is Alice's key by
-construction while the syndrome cost is charged against the budget, since
-only the syndrome length enters the security formulas.
+axis of length N.  The Born-rule table is one broadcasting
+``joint_outcome_pmf`` call over the six pairs of bases: once per run for an
+i.i.d. source, once per chunk of pulses (below) over the chunk's slice of
+the pulse axis otherwise.  A pulse's outcome depends only on its row of
+that table and its own uniform draw, so the detectors are memoryless by
+construction.  Error correction is an accounting model: Bob's corrected key
+is Alice's key by construction while the syndrome cost is charged against
+the budget, since only the syndrome length enters the security formulas.
 
 Random stream layout: a run's generator is ``default_rng(seed)`` (PCG64),
 and each uniform double takes one 64-bit output.  Outputs ``[s N, (s+1) N)``
@@ -56,12 +57,17 @@ from .rates import ProtocolParams, azuma_tail, finite_key_length, syndrome_budge
 # Basis codes used in transcript arrays.
 ALICE_BASES = ("z", "x")  # sifting uses z
 BOB_BASES = ("zp", "z", "x")  # sifting uses zp
-# Object arrays: indexing them by basis codes yields the label strings
-# themselves, not one new string per pulse.
-_BASIS_LABELS = {
-    "bases_a": np.array(ALICE_BASES, dtype=object),
-    "bases_b": np.array(BOB_BASES, dtype=object),
-}
+
+
+def _json_tokens(values) -> np.ndarray:
+    """Fixed-width byte table of each value's JSON followed by the list separator, NUL-padded."""
+    return np.array([json.dumps(v) + ", " for v in values], dtype=bytes)
+
+
+# Token tables that spell basis codes as their labels in a transcript.
+_BASIS_TOKENS = {"bases_a": _json_tokens(ALICE_BASES), "bases_b": _json_tokens(BOB_BASES)}
+# Arrays whose max - min is below this are spelled from a token table (uint8 codes).
+_TABLE_SPAN = 256
 
 # Pulses per step of the pulse stage: its temporaries stay small and in cache.
 _CHUNK = 1 << 16
@@ -248,21 +254,80 @@ class Transcript:
     key_report: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        """JSON object with one key per field, in field order.
+        """``json.dumps`` of the field document, byte for byte.
 
-        Arrays become lists (bools as 0/1) and basis codes become their labels.
+        The document has one key per field, in field order: ``params`` as
+        its ``as_dict()``, arrays as lists (bools as 0/1) and basis codes as
+        their labels.  Arrays are spelled by numpy (``_json_list``) and every
+        other value by ``json.dumps``, joined with its ``", "`` and ``": "``
+        separators.
         """
-        doc = {}
+        parts = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _BASIS_LABELS:
-                value = _BASIS_LABELS[f.name][value]
-            elif isinstance(value, ProtocolParams):
-                value = value.as_dict()
             if isinstance(value, np.ndarray):
-                value = (value.view(np.int8) if value.dtype == bool else value).tolist()
-            doc[f.name] = value
-        return json.dumps(doc)
+                text = _json_list(value, _BASIS_TOKENS.get(f.name))
+            else:
+                text = json.dumps(value.as_dict() if isinstance(value, ProtocolParams) else value)
+            parts.append(f"{json.dumps(f.name)}: {text}")
+        return "{" + ", ".join(parts) + "}"
+
+
+def _json_list(a: np.ndarray, tokens: np.ndarray | None) -> str:
+    """``json.dumps(a.tolist())`` of a 1-d bool or integer array, spelled by numpy.
+
+    With ``tokens`` (a ``_json_tokens`` table), value ``c`` is spelled
+    ``tokens[c]``.  Otherwise a span below ``_TABLE_SPAN`` is looked up in
+    the table of ``min(a)..max(a)``, and a wider one is spelled digit by
+    digit (``_digit_rows``).  Each value becomes one NUL-padded row of
+    ``"<json>, "``, so dropping the NULs and the last separator of the rows'
+    bytes leaves the body of the list.
+    """
+    if a.ndim != 1 or a.dtype.kind not in "biu":
+        raise TypeError(f"expected a 1-d bool or integer array, got {a.dtype} {a.shape}")
+    if len(a) == 0:
+        return "[]"
+    if tokens is None:
+        lo, hi = int(a.min()), int(a.max())
+        if hi - lo >= _TABLE_SPAN:
+            return _join_rows(_digit_rows(a))
+        tokens = _json_tokens(range(lo, hi + 1))
+        # a - lo, computed mod 256 in uint8: exact since every code is below
+        # 256, and free of overflow whatever a's dtype
+        a = a.astype(np.uint8)
+        a -= np.uint8(lo % 256)
+    return _join_rows(tokens.take(a))
+
+
+def _join_rows(rows: np.ndarray) -> str:
+    return "[" + rows.tobytes().translate(None, b"\0")[:-2].decode("ascii") + "]"
+
+
+def _digit_rows(a: np.ndarray) -> np.ndarray:
+    """One NUL-padded row of ``"<decimal>, "`` bytes per value of an integer array.
+
+    The rows are built column by column, units digit first: ``q % 10 + 48``
+    while the rest ``q`` of the magnitude is positive, NUL once it is not;
+    a negative value then gets a ``-`` in the column before its first digit.
+    """
+    neg = a < 0
+    # two's complement negation in uint64 is exact, |INT64_MIN| = 2**63 included
+    q = a.astype(np.uint64)
+    np.negative(q, out=q, where=neg)
+    width = len(str(int(q.max())))
+    # column-major, so that each column is written in one contiguous pass
+    cols = np.zeros((width + 3, len(a)), dtype=np.uint8)
+    cols[-2:] = np.frombuffer(b", ", dtype=np.uint8)[:, None]
+    for col in range(width, 0, -1):
+        rest = q // 10  # floor division by a constant is fast, unlike np.remainder
+        np.subtract(q, 10 * rest, out=cols[col], casting="unsafe")
+        cols[col] += 48
+        if col < width:
+            cols[col] *= q > 0
+        q = rest
+    digits = np.count_nonzero(cols[1 : width + 1], axis=0)
+    cols[width - digits[neg], neg] = 45
+    return np.ascontiguousarray(cols.T)
 
 
 def qber(u: np.ndarray, u_ref: np.ndarray) -> float:
@@ -294,34 +359,40 @@ def estimate_chsh(transcript: Transcript) -> float:
     return float(np.mean(ra * rb * signs))
 
 
-def _pmf_table(source) -> np.ndarray:
+def _pmf_table(source, pulses: slice) -> np.ndarray:
     """Outcome distributions of every pair of bases, in one stacked Born-rule call.
 
     Row ``bases_a * len(BOB_BASES) + bases_b`` of the ``(6, 4)`` table holds
-    a pair's distribution; a source with a pulse axis gives an ``(N, 6, 4)``
-    table, that block of six rows once per pulse.
+    a pair's distribution.  A source with a pulse axis gives a ``(P, 6, 4)``
+    table for its ``pulses`` (P of them), that block of six rows once per
+    pulse; an i.i.d. source ignores ``pulses``.
     """
-    ops_a = np.stack(np.broadcast_arrays(*(source.alice_ops[c] for c in ALICE_BASES)))
-    ops_b = np.stack(np.broadcast_arrays(*(source.bob_ops[c] for c in BOB_BASES)))
-    table = joint_outcome_pmf(source.rho, ops_a[:, None], ops_b[None, :])
+
+    def cut(m: np.ndarray) -> np.ndarray:
+        return m[pulses] if m.ndim == 3 else m
+
+    ops_a = np.stack(np.broadcast_arrays(*(cut(source.alice_ops[c]) for c in ALICE_BASES)))
+    ops_b = np.stack(np.broadcast_arrays(*(cut(source.bob_ops[c]) for c in BOB_BASES)))
+    table = joint_outcome_pmf(cut(source.rho), ops_a[:, None], ops_b[None, :])
     pairs = len(ALICE_BASES) * len(BOB_BASES)
     if source.rho.ndim == 3:
         return np.ascontiguousarray(np.moveaxis(table.reshape(pairs, -1, 4), 1, 0))
     return table.reshape(pairs, 4)
 
 
-def _chunk_rows(table, bases_a, bases_b, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows of the pulses from ``start`` on, and each pulse's row in them.
+def _chunk_rows(table, bases_a, bases_b) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows of a chunk of pulses, and each pulse's row in them.
 
-    A pulse's pair row is ``bases_a * len(BOB_BASES) + bases_b``; with a
-    pulse axis it is offset by six rows per pulse into the chunk's slice.
+    A pulse's pair row is ``bases_a * len(BOB_BASES) + bases_b``; a table
+    with a pulse axis holds the chunk's pulses only, and the row is offset
+    by six rows per pulse.
     """
     rows = bases_a.astype(np.intp)
     rows *= len(BOB_BASES)
     rows += bases_b
     if table.ndim == 2:
         return table, rows
-    pmfs = table[start : start + len(rows)].reshape(-1, 4)
+    pmfs = table.reshape(-1, 4)
     rows += np.arange(0, len(pmfs), table.shape[1])
     return pmfs, rows
 
@@ -376,7 +447,8 @@ def run_protocol(
     bases_b = np.empty(big_n, dtype=np.int8)
     outcomes_a = np.empty(big_n, dtype=np.int8)
     outcomes_b = np.empty(big_n, dtype=np.int8)
-    table = _pmf_table(strategy)
+    # an i.i.d. table serves every chunk; a pulse-axis one is built per chunk
+    table = _pmf_table(strategy, slice(None)) if strategy.rho.ndim == 2 else None
     buf = np.empty(min(_CHUNK, big_n))
     for start in range(0, big_n, _CHUNK):
         stop = min(start + _CHUNK, big_n)
@@ -389,7 +461,8 @@ def run_protocol(
         # output i of each stream, whatever the chunk boundaries.
         np.logical_and(la, streams[2].random(out=u) < 0.5, out=ba.view(bool))
         np.add(lb, lb & (streams[3].random(out=u) < 0.5), out=bb, dtype=np.int8)
-        pmfs, rows = _chunk_rows(table, ba, bb, start)
+        chunk_table = _pmf_table(strategy, slice(start, stop)) if table is None else table
+        pmfs, rows = _chunk_rows(chunk_table, ba, bb)
         codes = outcomes_from_uniforms(pmfs, streams[4].random(out=u), rows=rows)
         # codes follow joint_outcome_pmf's order (+,+), (+,-), (-,+), (-,-):
         # Alice's sign is the high bit, Bob's the low one
@@ -492,6 +565,7 @@ def _noise_gap_core(
     rng: np.random.Generator,
 ) -> NoiseGapReport:
     cum = np.cumsum(probs)
+    thresholds = (1.0 + values) / 2.0
     exceed = 0
     abs_gap_total = 0.0
     s2_total = 0.0
@@ -501,12 +575,20 @@ def _noise_gap_core(
     while done < trials:
         t = min(chunk, trials - done)
         draws = rng.random((t, batch_size))
-        idx = np.searchsorted(cum, draws, side="right").clip(max=3)
-        s3 = values[idx]
-        coin = rng.random((t, batch_size))
-        s2 = np.where(coin < (1.0 + s3) / 2.0, 1.0, -1.0)
-        g2 = s2.mean(axis=1)
-        g3 = s3.mean(axis=1)
+        # Bell outcome of each pulse: the number of cum[:3] at or below its
+        # draw.  cum is non-decreasing, so this is searchsorted(cum, draws,
+        # side="right") capped at 3.
+        idx = (draws >= cum[0]).astype(np.intp)
+        idx += draws >= cum[1]
+        idx += draws >= cum[2]
+        del draws
+        g3 = values.take(idx).mean(axis=1)
+        # The randomized test outputs +1 with probability thresholds[idx],
+        # else -1.  Its batch mean is counted, not summed: every partial sum
+        # of +-1.0 is an exact integer, so the mean of the +-1 array is
+        # exactly (2 * plus - batch) / batch.
+        plus = np.count_nonzero(rng.random((t, batch_size)) < thresholds.take(idx), axis=1)
+        g2 = (2 * plus - batch_size) / batch_size
         gap = np.abs(g2 - g3)
         exceed += int(np.sum(gap >= deviation))
         abs_gap_total += float(gap.sum())

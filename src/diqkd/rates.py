@@ -167,6 +167,10 @@ class ProtocolParams:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in ("q", "delta", "s0", "eps", "eps_cor", "f_ec"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n!r}")
         if not 0.0 < self.q <= 0.5:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,12 @@ from diqkd.protocol import (
     DepolarizingSource,
     MisalignedSource,
     Transcript,
+    _BASIS_TOKENS,
     _CHUNK,
     _chunk_rows,
     _hash_pair,
+    _json_list,
+    _noise_gap_core,
     _pmf_table,
     _sorted_sample,
     depolarized_pair_state,
@@ -30,9 +34,21 @@ from diqkd.protocol import (
     run_protocol,
 )
 from diqkd.rates import ProtocolParams
-from helpers import random_density, toeplitz_from_json, unchunked_pulse_stage
+from helpers import (
+    random_density,
+    reference_noise_gap_core,
+    reference_to_json,
+    toeplitz_from_json,
+    unchunked_pulse_stage,
+)
 
 SQRT2 = np.sqrt(2.0)
+
+
+# Runs of this configuration leave a key of 4,474 bits.
+POSITIVE_KEY = ProtocolParams(
+    n=200_000, q=0.1827, delta=0.01, s0=0.70, eps=0.5, eps_cor=0.5, f_ec=1.0, l_syn=0
+)
 
 
 def small_params(**overrides):
@@ -214,10 +230,7 @@ class TestRunProtocol:
             assert np.array_equal(t.corrected_key, t.sifted_key)
 
     def test_positive_key_run(self):
-        params = ProtocolParams(
-            n=200_000, q=0.1827, delta=0.01, s0=0.70, eps=0.5, eps_cor=0.5, f_ec=1.0, l_syn=0
-        )
-        t = run_protocol(params, DepolarizingSource(0.0), seed=7)
+        t = run_protocol(POSITIVE_KEY, DepolarizingSource(0.0), seed=7)
         assert t.abort is None
         assert len(t.secret_key_a) == t.key_report["l"] > 0
         assert np.array_equal(t.secret_key_a, t.secret_key_b)
@@ -363,12 +376,12 @@ def test_six_row_table_equals_per_pair_calls(kind):
     src = IID_SOURCES[kind]()
     bases_a = np.repeat(np.arange(2, dtype=np.int8), 3)
     bases_b = np.tile(np.arange(3, dtype=np.int8), 2)
-    table = _pmf_table(src)
+    table = _pmf_table(src, slice(None))
     assert table.shape == (6, 4)
-    # an i.i.d. table serves every chunk whole, wherever the chunk starts
-    for start in (0, 12345):
-        pmfs, rows = _chunk_rows(table, bases_a, bases_b, start)
-        assert pmfs is table and rows.dtype == np.intp and rows.tolist() == list(range(6))
+    # an i.i.d. table ignores the pulse slice and serves every chunk whole
+    assert np.array_equal(_pmf_table(src, slice(12345, 20000)), table)
+    pmfs, rows = _chunk_rows(table, bases_a, bases_b)
+    assert pmfs is table and rows.dtype == np.intp and rows.tolist() == list(range(6))
     for r, (ca, cb) in enumerate((ca, cb) for ca in ALICE_BASES for cb in BOB_BASES):
         pmf = joint_outcome_pmf(src.rho, src.alice_ops[ca], src.bob_ops[cb])
         assert np.array_equal(table[r], pmf), (ca, cb)
@@ -383,11 +396,14 @@ def test_custom_table_equals_per_pulse_calls():
     src = CustomSource(states, alphas, betas)
     bases_a = rng.integers(0, 2, pulses).astype(np.int8)
     bases_b = rng.integers(0, 3, pulses).astype(np.int8)
-    table = _pmf_table(src)
-    assert table.shape == (pulses, 6, 4)
-    # the whole run as one chunk, and chunks that start inside it
+    whole = _pmf_table(src, slice(None))
+    assert whole.shape == (pulses, 6, 4)
+    # the whole run as one chunk, and chunks that start inside it: a chunk's
+    # table is its slice of the whole one, bit for bit
     for start, stop in ((0, pulses), (17, 37), (37, pulses)):
-        pmfs, rows = _chunk_rows(table, bases_a[start:stop], bases_b[start:stop], start)
+        table = _pmf_table(src, slice(start, stop))
+        assert np.array_equal(table, whole[start:stop])
+        pmfs, rows = _chunk_rows(table, bases_a[start:stop], bases_b[start:stop])
         assert pmfs.shape == (6 * (stop - start), 4) and rows.dtype == np.intp
         for i in range(start, stop):
             # the z operators are shared by every pulse, the x operators are per pulse
@@ -490,6 +506,137 @@ def test_pulse_stage_memory_is_chunk_bounded():
     assert peak < 70e6, peak
 
 
+def test_custom_source_memory_is_chunk_bounded():
+    # The Born-rule table of a pulse-axis source is built one chunk at a
+    # time, and building it costs about 4.8 KB per pulse (4x4 complex
+    # products over the six pairs of bases).  Over 2 C + 7 pulses the whole
+    # table at once peaks near 636 MB; one chunk at a time near 332 MB.
+    big_n = 2 * _CHUNK + 7
+    params = pulse_params(big_n)
+    source = pulse_axis_source(big_n)
+    tracemalloc.start()
+    try:
+        t = run_protocol(params, source, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.abort is None
+    assert peak < 420e6, peak
+
+
+def custom_run() -> Transcript:
+    rng = np.random.default_rng(21)
+    params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
+    pulses = params.pulse_pairs
+    source = CustomSource(
+        [depolarized_pair_state(p) for p in rng.uniform(0, 0.2, pulses)],
+        np.exp(1j * rng.uniform(0, 2 * np.pi, pulses)),
+        np.exp(1j * rng.uniform(0, 2 * np.pi, pulses)),
+    )
+    return run_protocol(params, source, seed=4)
+
+
+# Transcripts of every exit of run_protocol: (run, abort code, whether l > 0).
+ENCODER_RUNS = {
+    "completed-depolarizing": (
+        lambda: run_protocol(small_params(), DepolarizingSource(0.05), seed=21), None, False
+    ),
+    "completed-misaligned": (
+        lambda: run_protocol(
+            small_params(), MisalignedSource(np.exp(0.3j), np.exp(-1.2j), 0.02), seed=22
+        ),
+        None,
+        False,
+    ),
+    "positive-key": (
+        lambda: run_protocol(POSITIVE_KEY, DepolarizingSource(0.0), seed=7), None, True
+    ),
+    "insufficient-pulses": (
+        lambda: run_protocol(
+            ProtocolParams(n=2000, q=0.3, delta=0.002, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=500),
+            DepolarizingSource(0.05),
+            seed=1,
+        ),
+        ABORT_INSUFFICIENT,
+        False,
+    ),
+    "chsh-failed": (
+        lambda: run_protocol(small_params(s0=0.70), DepolarizingSource(0.3), seed=3),
+        ABORT_CHSH,
+        False,
+    ),
+    "custom": (custom_run, None, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODER_RUNS))
+def test_to_json_equals_one_json_dumps(case):
+    run, abort, keyed = ENCODER_RUNS[case]
+    t = run()
+    assert t.abort == abort
+    if abort is None:
+        assert (t.key_report["l"] > 0) == keyed == (t.fpa is not None)
+    assert t.to_json() == reference_to_json(t)
+
+
+INT64 = np.iinfo(np.int64)
+POWERS = [10**k for k in range(19)]
+JSON_LISTS = {
+    "empty": np.array([], dtype=np.int64),
+    "empty-bool": np.array([], dtype=bool),
+    "single": np.array([7], dtype=np.int64),
+    "single-negative": np.array([-12345678901], dtype=np.int64),
+    "bool": np.array([True, False, False, True]),
+    "plus-minus-one": np.array([1, -1, -1, 1, 1], dtype=np.int8),
+    "uint8-0-255": np.array([0, 255, 255, 0, 17], dtype=np.uint8),
+    "int8-all": np.arange(-128, 128, dtype=np.int8)[::-1],
+    "powers-of-ten": np.array(
+        [v for x in POWERS for v in (x - 1, x, x + 1)], dtype=np.int64
+    ),
+    "negative-powers-of-ten": np.array(
+        [v for x in POWERS for v in (1 - x, -x, -x - 1)], dtype=np.int64
+    ),
+    "small-span-at-ten": np.array([9, 10, 11, -9, -10, -11], dtype=np.int16),
+    "int64-min-max": np.array([INT64.max, INT64.min, 0, -1, 1], dtype=np.int64),
+    "int64-min": np.array([INT64.min, INT64.min + 3], dtype=np.int64),
+    "int64-max": np.array([INT64.max - 3, INT64.max], dtype=np.int64),
+    "uint64-max": np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64),
+}
+# spans max - min either side of the token table's limit, from a negative minimum
+for span in (255, 256, 257):
+    JSON_LISTS[f"span-{span}"] = np.concatenate(
+        [[-37, span - 37], np.random.default_rng(span).integers(-37, span - 37, 500)]
+    )
+
+
+@pytest.mark.parametrize("case", sorted(JSON_LISTS))
+def test_json_list_equals_json_dumps(case):
+    a = JSON_LISTS[case]
+    expected = json.dumps((a.view(np.int8) if a.dtype == bool else a).tolist())
+    assert _json_list(a, None) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+def test_json_list_random_values(dtype):
+    info = np.iinfo(dtype)
+    a = np.random.default_rng(5).integers(info.min, info.max, 2000, dtype=dtype, endpoint=True)
+    assert _json_list(a, None) == json.dumps(a.tolist())
+
+
+def test_json_list_spells_basis_labels():
+    codes = np.random.default_rng(6).integers(0, 3, 1000).astype(np.int8)
+    assert _json_list(codes, _BASIS_TOKENS["bases_b"]) == json.dumps(
+        [BOB_BASES[c] for c in codes]
+    )
+    assert _json_list(codes[:0], _BASIS_TOKENS["bases_a"]) == "[]"
+
+
+@pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 2), dtype=np.int8)], ids=["float", "2-d"])
+def test_json_list_rejects_non_integer_or_multi_dim(a):
+    with pytest.raises(TypeError):
+        _json_list(a, None)
+
+
 class TestAbortFrequency:
     def test_chernoff_bound_holds_at_protocol_scale(self):
         from diqkd.rates import chernoff_abort_bound
@@ -543,3 +690,49 @@ class TestNoiseGapExperiment:
         m = chsh_measurement(-1j, -1j)
         with pytest.raises(ValueError):
             povm_noise_experiment(m, identity(4) / 4, trials=0, rng=np.random.default_rng(0))
+
+
+def noise_inputs(monkeypatch, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(probs, values)`` that ``povm_noise_experiment`` hands its kernel for ``rho``."""
+    from diqkd import protocol
+
+    seen = []
+
+    def record(probs, values, *rest):
+        seen.append((probs, values))
+
+    monkeypatch.setattr(protocol, "_noise_gap_core", record)
+    povm_noise_experiment(chsh_measurement(-1j, -1j), rho, trials=1, rng=np.random.default_rng(0))
+    return seen[0]
+
+
+# (state or (probs, values), trials, batch_size, deviation, seed)
+BELL_VALUES = chsh_measurement(-1j, -1j).bell_values
+NOISE_CASES = {
+    # the mc-1e5 benchmark and the README bounds-check (p = 0: the ideal state)
+    "bench": (depolarized_pair_state(0.0), 2000, 4800, 0.1, 999),
+    "bounds-check": (depolarized_pair_state(0.0), 2000, 4800, 0.1, 0),
+    "bounds-check-test": (depolarized_pair_state(0.0), 300, 1000, 0.1, 0),
+    "depolarized": (depolarized_pair_state(0.05), 500, 4800, 0.02, 1),
+    "zero-probs": ((np.array([0.3, 0.0, 0.7, 0.0]), BELL_VALUES), 400, 301, 0.05, 2),
+    "zero-probs-leading": ((np.array([0.0, 0.0, 0.5, 0.5]), BELL_VALUES), 400, 300, 0.05, 3),
+    "cum-below-one": (
+        (np.array([0.2, 0.2, 0.2, 0.2]), np.array([0.3, -0.7, 1.0, -1.0])), 400, 300, 0.05, 4
+    ),
+    "cum-far-below-one": ((np.full(4, 0.1), BELL_VALUES), 300, 200, 0.05, 5),
+    "batch-one": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 5000, 1, 0.5, 6),
+    "batch-odd": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 900, 7, 0.2, 7),
+    # 2e6 // 4801 = 416 trials per chunk: two full chunks and a short one
+    "trials-past-chunks": (depolarized_pair_state(0.1), 1000, 4801, 0.05, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_counting_noise_kernel_equals_reference(case, monkeypatch):
+    source, trials, batch, deviation, seed = NOISE_CASES[case]
+    probs, values = source if isinstance(source, tuple) else noise_inputs(monkeypatch, source)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _noise_gap_core(probs, values, trials, batch, deviation, rng)
+    expected = reference_noise_gap_core(probs, values, trials, batch, deviation, rng_ref)
+    assert got == expected
+    assert rng.bit_generator.state == rng_ref.bit_generator.state

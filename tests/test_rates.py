@@ -171,6 +171,29 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make_params(**{"n": 1000, "q": 0.1, "s0": 0.0} | {name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("q", True),
+            ("delta", False),
+            ("s0", False),
+            ("eps", True),
+            ("eps_cor", True),
+            ("f_ec", True),
+            ("s0", np.False_),
+            ("f_ec", "1.0"),
+            ("q", 0.1 + 0j),
+        ],
+    )
+    def test_real_fields_reject_bools_and_non_reals(self, name, value):
+        # a bool would pass the range checks and be echoed as true/false by as_dict
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            make_params(**{"n": 1000, "q": 0.1, "s0": 0.0} | {name: value})
+
+    def test_numpy_reals_accepted(self):
+        p = make_params(1000, np.float64(0.1), np.float32(0.5), f_ec=1)
+        assert (p.q, p.f_ec) == (0.1, 1)
+
     def test_numpy_integers_accepted(self):
         p = make_params(np.int64(1000), 0.1, 0.0, l_syn=np.int32(7))
         assert (p.n, p.l_syn) == (1000, 7)
