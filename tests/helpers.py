@@ -3,6 +3,7 @@
 Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, hash regrowth from
 its JSON description, bit unpacking.  Reference forms of fast kernels: the
+hash diagonals through ``Generator.integers``, the raw-byte draw's; the
 protocol's pulse stage drawn whole-array, the chunked one's reference; the
 transcript document through one ``json.dumps``, the numpy encoder's; and
 the noise-gap experiment on +-1 arrays, the counting kernel's.
@@ -72,6 +73,11 @@ def partial_trace_out(matrix: np.ndarray, in_dim: int, out_dim: int) -> np.ndarr
 def toeplitz_from_json(data: dict) -> ToeplitzHash:
     """Regrow a hash from its ``ToeplitzHash.to_json`` description."""
     return ToeplitzHash.sample(data["in_len"], data["out_len"], data["seed"])
+
+
+def reference_diagonals(size: int, seed: int) -> np.ndarray:
+    """``ToeplitzHash`` diagonals drawn through ``Generator.integers``."""
+    return np.random.default_rng(seed).integers(0, 2, size, dtype=np.uint8)
 
 
 def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:

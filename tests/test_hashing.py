@@ -1,11 +1,20 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from diqkd.hashing import _GROUP_POINTS, ToeplitzHash, _blocking, pack_bits
-from helpers import toeplitz_from_json, unpack_bits
+from diqkd.hashing import (
+    _GROUP_POINTS,
+    _GROUP_WORDS,
+    ToeplitzHash,
+    _blocking,
+    _gf2_toeplitz_apply,
+    _gf2_toeplitz_apply_packed,
+    pack_bits,
+)
+from helpers import reference_diagonals, toeplitz_from_json, unpack_bits
 
 
 def toeplitz_matrix(h: ToeplitzHash) -> np.ndarray:
@@ -18,7 +27,7 @@ def toeplitz_matrix(h: ToeplitzHash) -> np.ndarray:
 
 
 def block_len(out_len: int) -> int:
-    """Block length the kernel uses for inputs longer than one block."""
+    """Block length the FFT kernel uses for inputs longer than one block."""
     return _blocking(1 << 40, out_len)[0]
 
 
@@ -26,11 +35,12 @@ def straddling(block: int) -> tuple[int, ...]:
     return (1, block - 1, block, block + 1, 3 * block + 7)
 
 
-# Input lengths on both sides of the block boundaries, a square hash of each
-# of those lengths (always one block), and one output longer than 4096 bits.
+# Input lengths on both sides of the FFT block boundaries, and a square hash
+# of each of those lengths (always one block).  Outputs of 65 and 5000 bits
+# run the FFT kernel, the second with a block longer than 4096 bits; outputs
+# of 1 and 30 bits run the packed kernel at the same lengths.
 EDGE_SHAPES = sorted(
-    {(3 * block_len(5000) + 7, 5000)}
-    | {(n, out) for out in (1, 30) for n in straddling(block_len(out)) if n >= out}
+    {(n, out) for out in (1, 30, 65, 5000) for n in straddling(block_len(out)) if n >= out}
     | {(n, n) for n in straddling(block_len(1))}
 )
 
@@ -41,13 +51,34 @@ def group_len(out_len: int) -> int:
     return _GROUP_POINTS // size * block
 
 
-# Input lengths on both sides of the first group boundary, where the kernel
-# starts a second batch of blocks, and one that needs a third, partial group.
+# Input lengths on both sides of the first group boundary, where the FFT
+# kernel starts a second batch of blocks, and one that needs a third, partial
+# group: the FFT kernel at 65 output bits, the packed one at 1 and 30.
 GROUP_SHAPES = [
     (n, out)
-    for out in (1, 30)
+    for out in (1, 30, 65)
     for n in (group_len(out) - 1, group_len(out), group_len(out) + 1, 2 * group_len(out) + 7)
 ]
+
+
+def around(length: int) -> tuple[int, ...]:
+    return (length - 1, length, length + 1)
+
+
+# Packed kernel: input lengths on both sides of word boundaries and of its
+# group boundaries (the last one needing a third, partial group), at outputs
+# of 1 to 64 bits, and every square hash up to 64 bits.
+PACKED_GROUP_BITS = 64 * _GROUP_WORDS
+PACKED_SHAPES = sorted(
+    {
+        (n, out)
+        for out in (1, 2, 30, 63, 64)
+        for n in around(64) + around(128) + around(320)
+        if n >= out
+    }
+    | {(n, 64) for n in around(PACKED_GROUP_BITS) + (2 * PACKED_GROUP_BITS + 7,)}
+    | {(n, n) for n in range(1, 65)}
+)
 
 
 def test_deterministic_given_seed():
@@ -80,6 +111,36 @@ def test_rejects_wrong_input_length():
     h = ToeplitzHash.sample(8, 3, seed=0)
     with pytest.raises(ValueError):
         h(np.zeros(7, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("in_len, out_len", [(64, 16), (200, 65)])
+@pytest.mark.parametrize("bad", [np.uint8(2), np.int64(256)])
+def test_rejects_non_bit_input(in_len, out_len, bad):
+    # one shape per kernel; 256 would wrap to 0 in a cast to uint8
+    h = ToeplitzHash.sample(in_len, out_len, seed=2)
+    x = np.zeros(in_len, dtype=np.asarray(bad).dtype)
+    x[3] = bad
+    with pytest.raises(ValueError):
+        h(x)
+
+
+def test_hash_is_immutable():
+    h = ToeplitzHash.sample(64, 16, seed=2)
+    with pytest.raises(ValueError):
+        h.diagonals[:] ^= 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.out_len = 8
+    built = ToeplitzHash(in_len=64, out_len=16, diagonals=h.diagonals.copy(), seed=2)
+    with pytest.raises(ValueError):
+        built.diagonals[0] = 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 12345678901234])
+def test_diagonals_are_the_integers_draw(seed):
+    for size in [*range(1, 70), 46_579, 3_000_029, 3_124_287]:
+        diagonals = ToeplitzHash.sample(size, 1, seed).diagonals
+        assert diagonals.dtype == np.uint8
+        assert np.array_equal(diagonals, reference_diagonals(size, seed))
 
 
 def test_zero_maps_to_zero():
@@ -120,6 +181,46 @@ def test_matches_dense_reference_at_group_edges(in_len, out_len):
     assert_matches_dense_reference(in_len, out_len, seeds=3)
 
 
+@pytest.mark.parametrize("in_len, out_len", PACKED_SHAPES)
+def test_packed_kernel_matches_dense_reference_and_fft_kernel(in_len, out_len):
+    seeds = 20 if in_len < PACKED_GROUP_BITS else 3
+    assert_matches_dense_reference(in_len, out_len, seeds)
+    rng = np.random.default_rng(in_len)
+    for seed in range(seeds):
+        h = ToeplitzHash.sample(in_len, out_len, seed=seed)
+        x = rng.integers(0, 2, in_len, dtype=np.uint8)
+        packed = _gf2_toeplitz_apply_packed(h.diagonals, x, out_len)
+        assert np.array_equal(packed, _gf2_toeplitz_apply(h.diagonals, x, out_len))
+
+
+def test_packed_window_at_offset_zero():
+    # A one-bit output reads only the window at offset s = 0, which must take
+    # no bit from the next word.  Here y[0] = r[0] x[0] = d[64] = 0, while the
+    # next word holds r[64] = d[0] = 1, so a window of r_0 | r_1 would give 1.
+    diagonals = np.zeros(65, dtype=np.uint8)
+    diagonals[0] = 1
+    h = ToeplitzHash(in_len=65, out_len=1, diagonals=diagonals, seed=0)
+    x = np.zeros(65, dtype=np.uint8)
+    x[0] = 1
+    assert np.array_equal(h(x), toeplitz_matrix(h) @ x % 2)
+    assert np.array_equal(h(x), [0])
+
+
+def test_packed_apply_memory_is_bounded_by_the_group():
+    # the keygen-3e6 correctness hash shape; windowing all 46,875 words at
+    # once peaked at 24 MB, and groups of 4096 words measure 4.1 MB
+    in_len, out_len = 3_000_000, 30
+    h = ToeplitzHash.sample(in_len, out_len, seed=8)
+    x = np.random.default_rng(8).integers(0, 2, in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        h(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_apply_memory_is_bounded_by_the_group():
     # the keygen-3e6 privacy amplification shape; transforming all 22 blocks
     # at once peaked at 123 MB, and one group of 4 blocks measures 34 MB
@@ -138,14 +239,14 @@ def test_apply_memory_is_bounded_by_the_group():
 def test_rounding_failure_raises(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.5)
-    h = ToeplitzHash.sample(64, 16, seed=2)
+    h = ToeplitzHash.sample(200, 65, seed=2)
     with pytest.raises(ArithmeticError):
-        h(np.ones(64, dtype=np.uint8))
+        h(np.ones(200, dtype=np.uint8))
 
 
 def test_rounding_error_below_guard_is_exact(monkeypatch):
-    x = np.random.default_rng(6).integers(0, 2, 64, dtype=np.uint8)
-    h = ToeplitzHash.sample(64, 16, seed=2)
+    x = np.random.default_rng(6).integers(0, 2, 200, dtype=np.uint8)
+    h = ToeplitzHash.sample(200, 65, seed=2)
     expected = h(x)
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.2)
