@@ -208,6 +208,8 @@ def _make_strategy(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise ValueError("runs must be at least 1")
     params = _params_from_args(args)
     strategy = _make_strategy(args)
     rows = []

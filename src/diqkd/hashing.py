@@ -41,21 +41,19 @@ FFT size ``L`` is the next power of two at or above
 input is cut into ``ceil(in_len / B)`` blocks of ``B`` bits (the last one
 zero-padded); block ``b`` meets the length-``L`` window of the diagonals
 (zero-padded on the left) that starts ``B (blocks - 1 - b)`` entries in.
-The blocks are streamed in groups of ``max(1, 2^20 // L)``: each group gets
-one batched ``rfft`` per operand, and the products are added into one
-running spectrum of ``L/2 + 1`` points, one block after another.  One
-``irfft`` of size ``L`` then gives the circular convolution summed over
-all blocks.  An apply therefore holds ``O(max(2^20, L))`` floats plus the
-bit arrays, however many blocks the input has.
+The blocks are taken one at a time, last block first: the ``rfft`` of the
+window times the ``rfft`` of the block is added into one running spectrum
+of ``L/2 + 1`` points.  One ``irfft`` of size ``L`` then gives the
+circular convolution summed over all blocks.  An apply therefore holds
+``O(L)`` floats plus the bit arrays, however many blocks the input has.
 
 Exactness.  A window of length ``L`` convolved with a block of length ``B``
 has linear length ``L + B - 1``; wrapping it into ``L`` points folds only
 the indices ``>= L`` back onto ``[0, B - 1)``, so the output window
 ``[B - 1, L)``, which holds the ``out_len`` wanted entries, is free of
 aliasing.  Summing the spectra over blocks is summing these convolutions,
-and grouping only decides which products are formed together, so every
-entry there is still a count of at most ``in_len < 2^53`` ones: an integer
-that the FFT reproduces to within its rounding error.  That error is
+so every entry there is a count of at most ``in_len < 2^53`` ones: an
+integer that the FFT reproduces to within its rounding error.  That error is
 checked against 1/4 on the final ``irfft``, before rounding, so a rounding
 failure raises instead of yielding a wrong hash.
 
@@ -71,8 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# FFT points per operand transformed together; bounds the memory of one apply.
-_GROUP_POINTS = 1 << 20
 # Words per group of the packed kernel; bounds the memory of one apply.
 _GROUP_WORDS = 1 << 12
 
@@ -86,29 +82,19 @@ def _blocking(in_len: int, out_len: int) -> tuple[int, int]:
 def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
     """Toeplitz matrix-vector product over GF(2) by blocked FFT convolution.
 
-    See the module docstring for the blocking, the grouping and the
-    exactness argument.
+    See the module docstring for the blocking and the exactness argument.
     """
     n = len(x)
     block, size = _blocking(n, out_len)
     blocks = -(-n // block)
-    pad = blocks * block - n
-    padded_d = np.concatenate([np.zeros(pad, dtype=np.uint8), diagonals])
-    # Row w is padded_d[w * block : w * block + size], a view; the last row ends
-    # at the array's end (numpy checks that the rows fit in the buffer).
-    windows = np.ndarray((blocks, size), np.uint8, padded_d, strides=(block, 1))
-    padded_x = np.zeros(blocks * block, dtype=np.uint8)
-    padded_x[:n] = x
-    x_blocks = padded_x.reshape(blocks, block)[::-1]
-    group = max(1, _GROUP_POINTS // size)
-    total = 0.0
-    for start in range(0, blocks, group):
-        rows = slice(start, start + group)
-        spectra = np.fft.rfft(windows[rows], size)
-        spectra *= np.fft.rfft(x_blocks[rows], size)
-        # carry the running sum into the first row, so blocks add in order
-        spectra[0] += total
-        total = spectra.sum(axis=0)
+    padded_d = np.concatenate([np.zeros(blocks * block - n, dtype=np.uint8), diagonals])
+    total = np.zeros(size // 2 + 1, dtype=complex)
+    for w in range(blocks):
+        # window w meets input block blocks - 1 - w; rfft zero-pads each block to size
+        start = (blocks - 1 - w) * block
+        spectrum = np.fft.rfft(padded_d[w * block : w * block + size], size)
+        spectrum *= np.fft.rfft(x[start : start + block], size)
+        total += spectrum
     conv = np.fft.irfft(total, size)[block - 1 :]
     counts = np.rint(conv)
     error = float(abs(conv - counts).max())

@@ -95,20 +95,20 @@ def require_hermitian(m: np.ndarray, atol: float = ATOL_INPUT) -> np.ndarray:
     return m
 
 
-def min_eigenvalue(m: np.ndarray, atol: float = ATOL_INPUT):
+def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix; PSD check is ``>= -tol``."""
-    m = require_hermitian(m, atol)
+    m = require_hermitian(m)
     return np.linalg.eigvalsh(m)[..., 0][()]
 
 
-def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix, or of each in a stack."""
-    rho = require_hermitian(rho, ATOL_INPUT)
+    rho = require_hermitian(rho)
     tr = np.trace(rho, axis1=-2, axis2=-1)
     if np.any(np.abs(tr.real - 1.0) > ATOL_POST) or np.any(np.abs(tr.imag) > ATOL_POST):
-        raise ValueError(f"{name} must have unit trace")
+        raise ValueError("rho must have unit trace")
     if np.any(min_eigenvalue(rho) < -ATOL_POST):
-        raise ValueError(f"{name} must be positive semidefinite")
+        raise ValueError("rho must be positive semidefinite")
     return rho
 
 

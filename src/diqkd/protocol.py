@@ -198,12 +198,12 @@ def joint_outcome_pmf(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> np
 
 
 def outcomes_from_uniforms(
-    pmfs: np.ndarray, uniforms: np.ndarray, *, rows: np.ndarray | None = None
+    pmfs: np.ndarray, uniforms: np.ndarray, *, rows: np.ndarray
 ) -> np.ndarray:
     """Map per-pulse uniforms through per-pulse outcome distributions.
 
-    Pulse ``i`` uses the distribution ``pmfs[rows[i]]`` (``pmfs[i]`` when
-    ``rows`` is None) and gets the int8 outcome code of its uniform draw.
+    Pulse ``i`` uses the distribution ``pmfs[rows[i]]`` and gets the int8
+    outcome code of its uniform draw.
     Pure kernel of the measurement step: the row alone fully determines
     outcome ``i`` given ``uniforms[i]``, so permuting rows and uniforms
     together permutes the outcomes identically.  This is the memorylessness
@@ -213,7 +213,7 @@ def outcomes_from_uniforms(
     cum = np.cumsum(pmfs, axis=1).T.copy()
     codes = np.zeros(len(uniforms), dtype=np.int8)
     for col in cum[:3]:
-        codes += uniforms >= (col if rows is None else col.take(rows))
+        codes += uniforms >= col.take(rows)
     return codes
 
 
@@ -426,6 +426,8 @@ def run_protocol(
     outcomes, not errors: the transcript is filled in stage by stage and
     every exit returns it with its abort code.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     big_n = params.pulse_pairs
     if strategy.rho.shape[:-2] not in ((), (big_n,)):
@@ -618,8 +620,8 @@ def povm_noise_experiment(
     """Simulate both CHSH test channels on ``rho`` and bound their disagreement."""
     if trials < 1 or batch_size < 1:
         raise ValueError("trials and batch_size must be at least 1")
-    if not math.isfinite(deviation):
-        raise ValueError(f"deviation must be finite, got {deviation!r}")
+    if not 0.0 <= deviation < math.inf:
+        raise ValueError(f"deviation must be finite and non-negative, got {deviation!r}")
     rho = np.asarray(rho, dtype=complex)
     basis = m.bell_basis
     probs = np.clip(np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real, 0.0, 1.0)

@@ -202,11 +202,11 @@ class FeasibilityReport:
 
 _CONSTRAINT_OBS = (identity(2), pauli("x"), pauli("z"))
 
-
-def _constraint_targets(mx: np.ndarray, mz: np.ndarray) -> list:
-    # Tr[O . block(j, k)] must equal adjoint(O)[k, j]; as a block-coefficient
-    # array that is the transpose of the target observable.
-    return [identity(2).T, mx.T.copy(), mz.T.copy()]
+# Dykstra stopping rules of single_party_squash_feasibility.
+_FEASIBLE_TOL = 1e-7
+_INFEASIBLE_FLOOR = 1e-4
+_STALL_ITERS = 500
+_MAX_ITERS = 100_000
 
 
 def _project_affine(j: np.ndarray, targets: list) -> np.ndarray:
@@ -239,40 +239,35 @@ def _affine_residual(j: np.ndarray, targets: list) -> float:
     return res
 
 
-def single_party_squash_feasibility(
-    mx: np.ndarray,
-    mz: np.ndarray,
-    feasible_tol: float = 1e-7,
-    infeasible_floor: float = 1e-4,
-    stall_iters: int = 500,
-    max_iters: int = 100_000,
-) -> FeasibilityReport:
+def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> FeasibilityReport:
     """Decide whether a qubit channel F with F_adj(X) = mx, F_adj(Z) = mz exists.
 
     Runs Dykstra alternating projections between the PSD cone and the affine
     set of Choi matrices satisfying trace preservation plus the two adjoint
     constraints.  Feasible means a point was found satisfying every
-    constraint within ``feasible_tol`` (returned as a witness after clipping
+    constraint within ``_FEASIBLE_TOL`` (returned as a witness after clipping
     to the cone); infeasible means the inter-set distance stalled above
-    ``infeasible_floor`` for ``stall_iters`` consecutive iterations, which at
-    this problem size is a reliable positive-gap certificate.  Anything else
-    is reported as inconclusive rather than guessed.
+    ``_INFEASIBLE_FLOOR`` for ``_STALL_ITERS`` consecutive iterations, which
+    at this problem size is a reliable positive-gap certificate.  Anything
+    else is reported as inconclusive rather than guessed.
     """
-    mx = require_hermitian(mx, ATOL_INPUT)
-    mz = require_hermitian(mz, ATOL_INPUT)
+    mx = require_hermitian(mx)
+    mz = require_hermitian(mz)
     for name, m in (("mx", mx), ("mz", mz)):
         w = np.linalg.eigvalsh(m)
         if w[0] < -1.0 - 1e-9 or w[-1] > 1.0 + 1e-9:
             raise ValueError(f"{name} must have spectrum within [-1, 1]")
 
-    targets = _constraint_targets(mx, mz)
+    # Tr[O . block(j, k)] must equal adjoint(O)[k, j]; as a block-coefficient
+    # array that is the transpose of the target observable.
+    targets = [identity(2).T, mx.T.copy(), mz.T.copy()]
     x = _project_affine(np.zeros((4, 4), dtype=complex), targets)
     correction = np.zeros((4, 4), dtype=complex)
     best_gap = np.inf
     stalled = 0
     gap = np.inf
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         y = _project_psd(x + correction)
         correction = x + correction - y
         x = _project_affine(y, targets)
@@ -281,13 +276,13 @@ def single_party_squash_feasibility(
         # y is exactly PSD; x satisfies the constraints exactly.
         y_residual = _affine_residual(y, targets)
         x_min_eig = float(np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0])
-        if y_residual <= feasible_tol or x_min_eig >= -feasible_tol:
-            witness = _project_psd(x) if x_min_eig >= -feasible_tol else y
+        if y_residual <= _FEASIBLE_TOL or x_min_eig >= -_FEASIBLE_TOL:
+            witness = _project_psd(x) if x_min_eig >= -_FEASIBLE_TOL else y
             residual = max(
                 _affine_residual(witness, targets),
                 max(0.0, -float(np.linalg.eigvalsh(witness)[0])),
             )
-            if residual <= feasible_tol:
+            if residual <= _FEASIBLE_TOL:
                 return FeasibilityReport(
                     status="feasible",
                     residual=residual,
@@ -300,13 +295,13 @@ def single_party_squash_feasibility(
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_iters and gap > infeasible_floor:
+            if stalled >= _STALL_ITERS and gap > _INFEASIBLE_FLOOR:
                 return FeasibilityReport(
                     status="infeasible", residual=gap, iterations=it, witness=None
                 )
 
     return FeasibilityReport(
-        status="inconclusive", residual=gap, iterations=max_iters, witness=None
+        status="inconclusive", residual=gap, iterations=_MAX_ITERS, witness=None
     )
 
 

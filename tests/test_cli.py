@@ -196,6 +196,20 @@ class TestBoundsCheck:
         assert run_cli(*argv, "--out", str(tmp_path / "bounds.json")) == 2
         assert not (tmp_path / "bounds.json").exists()
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_simulate_runs_below_one_rejected(self, tmp_path, capsys, runs):
+        argv = ["simulate", "--n", "2000", "--q", "0.3", "--delta", "0.25", "--s0", "0.0"]
+        assert run_cli(*argv, f"--runs={runs}", "--out", str(tmp_path / "sim.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: runs ")
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("sub", ["simulate", "bounds-check"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, sub):
+        argv = [sub, "--n", "2000", "--q", "0.3", "--delta", "0.25", "--s0", "0.0", "--runs", "1"]
+        assert run_cli(*argv, "--seed=-1", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: seed ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_config_provides_defaults(self, tmp_path):
@@ -305,6 +319,8 @@ NON_FINITE = {
     "keylength-s0-nan": (KEYLENGTH + ("--s0", "nan"), "s0"),
     "bounds-check-deviation-nan": (BOUNDS + ("--deviation", "nan"), "deviation"),
     "bounds-check-deviation-inf": (BOUNDS + ("--deviation", "inf"), "deviation"),
+    # a negative deviation is finite but counts every gap as a tail event
+    "bounds-check-deviation-negative": (BOUNDS + ("--deviation=-0.5",), "deviation"),
     "keylength-p-est-nan": (KEYLENGTH + ("--p-est", "nan"), "p_est"),
     "verify-squash-tol-nan": (("verify-squash", "--grid", "2", "--tol", "nan"), "tol"),
     "verify-squash-tol-inf": (("verify-squash", "--grid", "2", "--tol", "inf"), "tol"),
@@ -355,4 +371,14 @@ class TestNonFiniteInputs:
         assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.5])
+    def test_config_deviation_rejected(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deviation": value}))
+        out = tmp_path / "out.json"
+        assert run_cli(*BOUNDS, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deviation ")
         assert not out.exists()

@@ -6,7 +6,6 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diqkd.hashing import (
-    _GROUP_POINTS,
     _GROUP_WORDS,
     ToeplitzHash,
     _blocking,
@@ -46,14 +45,14 @@ EDGE_SHAPES = sorted(
 
 
 def group_len(out_len: int) -> int:
-    """Input bits in one group of ``_GROUP_POINTS // L`` blocks."""
+    """Input bits in ``2^20 // L`` FFT blocks, about 2^20 FFT points."""
     block, size = _blocking(1 << 40, out_len)
-    return _GROUP_POINTS // size * block
+    return (1 << 20) // size * block
 
 
-# Input lengths on both sides of the first group boundary, where the FFT
-# kernel starts a second batch of blocks, and one that needs a third, partial
-# group: the FFT kernel at 65 output bits, the packed one at 1 and 30.
+# Inputs of 128 to 256 FFT blocks (about 2^20 FFT points), a bit either side
+# of a block boundary, and twice that plus 7 bits: the FFT kernel at 65
+# output bits, the packed one at 1 and 30.
 GROUP_SHAPES = [
     (n, out)
     for out in (1, 30, 65)
@@ -221,9 +220,10 @@ def test_packed_apply_memory_is_bounded_by_the_group():
     assert peak < 8e6
 
 
-def test_apply_memory_is_bounded_by_the_group():
+def test_apply_memory_is_bounded_by_one_block():
     # the keygen-3e6 privacy amplification shape; transforming all 22 blocks
-    # at once peaked at 123 MB, and one group of 4 blocks measures 34 MB
+    # at once peaked at 123 MB, groups of 4 blocks at 34 MB, and one block
+    # at a time measures 12 MB
     in_len, out_len = 3_000_000, 124_288
     h = ToeplitzHash.sample(in_len, out_len, seed=8)
     x = np.random.default_rng(8).integers(0, 2, in_len, dtype=np.uint8)
@@ -233,7 +233,7 @@ def test_apply_memory_is_bounded_by_the_group():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60e6
+    assert peak < 20e6
 
 
 def test_rounding_failure_raises(monkeypatch):

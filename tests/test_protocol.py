@@ -164,6 +164,10 @@ class TestRunProtocol:
         c = run_protocol(params, DepolarizingSource(0.03), seed=12)
         assert c.to_json() != a.to_json()
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            run_protocol(small_params(), DepolarizingSource(0.03), seed=-1)
+
     def test_index_sets_disjoint_and_sized(self):
         params = small_params()
         t = run_protocol(params, DepolarizingSource(0.0), seed=1)
@@ -322,9 +326,11 @@ class TestMemorylessness:
         rng = np.random.default_rng(10)
         pmfs = rng.dirichlet(np.ones(4), size=500)
         uniforms = rng.random(500)
-        base = outcomes_from_uniforms(pmfs, uniforms)
+        rows = np.arange(500)
+        base = outcomes_from_uniforms(pmfs, uniforms, rows=rows)
         perm = rng.permutation(500)
-        assert np.array_equal(outcomes_from_uniforms(pmfs[perm], uniforms[perm]), base[perm])
+        permuted = outcomes_from_uniforms(pmfs[perm], uniforms[perm], rows=rows)
+        assert np.array_equal(permuted, base[perm])
 
     def test_row_index_matches_gathered_table(self):
         rng = np.random.default_rng(12)
@@ -332,7 +338,8 @@ class TestMemorylessness:
         r = rng.integers(0, 6, 500)
         u = rng.random(500)
         assert np.array_equal(
-            outcomes_from_uniforms(table, u, rows=r), outcomes_from_uniforms(table[r], u)
+            outcomes_from_uniforms(table, u, rows=r),
+            outcomes_from_uniforms(table[r], u, rows=np.arange(500)),
         )
 
     def test_shuffled_custom_source_same_statistics(self):
@@ -690,6 +697,15 @@ class TestNoiseGapExperiment:
         m = chsh_measurement(-1j, -1j)
         with pytest.raises(ValueError):
             povm_noise_experiment(m, identity(4) / 4, trials=0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("deviation", [-0.5, float("nan"), float("inf")])
+    def test_rejects_bad_deviation(self, deviation):
+        # a negative deviation makes every gap a tail event, a false Azuma failure
+        m = chsh_measurement(-1j, -1j)
+        with pytest.raises(ValueError, match="deviation"):
+            povm_noise_experiment(
+                m, identity(4) / 4, trials=1, rng=np.random.default_rng(0), deviation=deviation
+            )
 
 
 def noise_inputs(monkeypatch, rho) -> tuple[np.ndarray, np.ndarray]:
