@@ -21,6 +21,7 @@ from .linalg import generalized_x, pauli
 from .protocol import (
     DepolarizingSource,
     MisalignedSource,
+    check_noise_experiment,
     povm_noise_experiment,
     qber,
     run_protocol,
@@ -57,8 +58,42 @@ def _write_csv(path: str, config: dict, header: list, rows: list) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` exactly as ``json.dump(doc, fh, indent=2)`` does, plus a newline.
+
+    ``indent`` selects ``json``'s pure-Python encoder, which is slow on the
+    cell tables, so only the nesting is walked here.  Each dict or list whose
+    values are all scalars goes to the C encoder in one call, with the
+    newline and indent of its items folded into the item separator, and is
+    written as soon as it is made.  Keys, numbers, NaN and infinities, and
+    the TypeError on a value that is not JSON all come from ``json`` itself.
+    """
+    encoders = {}
+
+    def dump(obj, newline: str) -> None:
+        # ``newline`` is "\n" plus the indent of the line that ``obj`` starts on
+        if not isinstance(obj, (dict, list, tuple)) or not obj:
+            fh.write(json.dumps(obj))
+            return
+        inner = newline + "  "
+        keyed = isinstance(obj, dict)
+        if not any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if keyed else obj)):
+            if inner not in encoders:
+                encoders[inner] = json.JSONEncoder(separators=("," + inner, ": ")).encode
+            text = encoders[inner](obj)
+            fh.write(text[0] + inner + text[1:-1] + newline + text[-1])
+            return
+        fh.write("{" if keyed else "[")
+        for i, item in enumerate(obj.items() if keyed else obj):
+            fh.write("," + inner if i else inner)
+            if keyed:
+                key, item = item
+                # json's key conversion: the quoted key of {key: 0}
+                fh.write(json.dumps({key: 0})[1:-4] + ": ")
+            dump(item, inner)
+        fh.write(newline + ("}" if keyed else "]"))
+
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        dump(doc, "\n")
         fh.write("\n")
 
 
@@ -138,15 +173,24 @@ def cmd_keylength(args) -> int:
     return EXIT_OK
 
 
+# Cells per stacked verify_squash_conditions call: whole alpha rows, at most
+# this many cells when a row is shorter, so the grid is never held at once.
+_CHUNK = 256
+
+
 def cmd_verify_squash(args) -> int:
     if args.grid < 2:
         raise ValueError("grid must be at least 2")
     angles = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    betas = np.exp(1j * angles)
-    # one stacked call per alpha row; each report field becomes a (grid, grid) array
-    reps = [verify_squash_conditions(squash_channel(np.exp(1j * t), betas), args.tol) for t in angles]
+    points = np.exp(1j * angles)
+    # one stacked call per block of alpha rows; each report field becomes a (grid, grid) array
+    rows = max(1, _CHUNK // args.grid)
+    reps = [
+        verify_squash_conditions(squash_channel(points[i : i + rows, None], points), args.tol)
+        for i in range(0, args.grid, rows)
+    ]
     fields = ("cond1_residual", "cond2_min_eig", "n_min_eig", "lift_gap_min_eig")
-    table = {f: np.stack([getattr(rep, f) for rep in reps]) for f in fields + ("passed",)}
+    table = {f: np.concatenate([getattr(rep, f) for rep in reps]) for f in fields + ("passed",)}
     all_pass = bool(table["passed"].all())
     worst = {f: float(table[f].max() if f == "cond1_residual" else table[f].min()) for f in fields}
     table = {f: v.tolist() for f, v in table.items()}
@@ -268,6 +312,7 @@ def cmd_simulate(args) -> int:
 def cmd_bounds_check(args) -> int:
     if args.runs < 1:
         raise ValueError("runs must be at least 1")
+    check_noise_experiment(args.trials, args.batch, args.deviation)
     params = _params_from_args(args)
     strategy = DepolarizingSource(args.p)
 

@@ -609,6 +609,14 @@ def _noise_gap_core(
     )
 
 
+def check_noise_experiment(trials: int, batch_size: int, deviation: float) -> None:
+    """Raise ValueError unless ``povm_noise_experiment`` accepts these sizes and deviation."""
+    if trials < 1 or batch_size < 1:
+        raise ValueError("trials and batch_size must be at least 1")
+    if not 0.0 <= deviation < math.inf:
+        raise ValueError(f"deviation must be finite and non-negative, got {deviation!r}")
+
+
 def povm_noise_experiment(
     m: CHSHMeasurement,
     rho: np.ndarray,
@@ -618,10 +626,7 @@ def povm_noise_experiment(
     deviation: float = 0.1,
 ) -> NoiseGapReport:
     """Simulate both CHSH test channels on ``rho`` and bound their disagreement."""
-    if trials < 1 or batch_size < 1:
-        raise ValueError("trials and batch_size must be at least 1")
-    if not 0.0 <= deviation < math.inf:
-        raise ValueError(f"deviation must be finite and non-negative, got {deviation!r}")
+    check_noise_experiment(trials, batch_size, deviation)
     rho = np.asarray(rho, dtype=complex)
     basis = m.bell_basis
     probs = np.clip(np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real, 0.0, 1.0)
@@ -640,6 +645,7 @@ __all__ = [
     "MisalignedSource",
     "NoiseGapReport",
     "Transcript",
+    "check_noise_experiment",
     "depolarized_pair_state",
     "estimate_chsh",
     "ideal_pair_state",

@@ -22,7 +22,16 @@ The one-party question (does a qubit-to-qubit channel exist whose adjoint
 maps X, Z to two prescribed observables?) is decided numerically as a Choi
 matrix feasibility problem, by Dykstra alternating projections between the
 PSD cone and the affine set encoding trace preservation and the two adjoint
-constraints.
+constraints.  The affine projection sets the I, X and Z coefficients
+``Tr[O . block]`` of each of the four 2x2 blocks of the Choi matrix to
+their targets.  The three observables are orthogonal with ``||O||_F^2 = 2``,
+so moving every coefficient by at most ``r`` moves the matrix by at most
+``sqrt(12 r^2 / 2) = sqrt(6) r`` in Frobenius norm: the distance between a
+PSD iterate and its projection is at most ``sqrt(6)`` times the iterate's
+affine residual.  The solver therefore computes that residual only while
+the distance is at most ``2 sqrt(6)`` times the feasibility tolerance
+(twice the bound, for rounding); beyond it the residual cannot be within
+the tolerance.
 
 ``flip_amplitude``, ``squash_channel`` and ``verify_squash_conditions``
 broadcast over leading axes like ``chsh.chsh_measurement``: a row of
@@ -201,12 +210,29 @@ class FeasibilityReport:
 
 
 _CONSTRAINT_OBS = (identity(2), pauli("x"), pauli("z"))
+# The nonzero entries (a, b, O[a, b]) of each constraint observable, as Python
+# complex numbers.  There are two per observable: I is diagonal and, in the y
+# eigenbasis of this package, X = [[0, -i], [i, 0]] and Z = [[0, 1], [1, 0]]
+# are off-diagonal.
+_CONSTRAINT_TERMS = tuple(
+    tuple((a, b, complex(obs[a, b])) for a in range(2) for b in range(2) if obs[a, b] != 0)
+    for obs in _CONSTRAINT_OBS
+)
 
 # Dykstra stopping rules of single_party_squash_feasibility.
 _FEASIBLE_TOL = 1e-7
 _INFEASIBLE_FLOOR = 1e-4
 _STALL_ITERS = 500
 _MAX_ITERS = 100_000
+# gap <= sqrt(6) * (affine residual of y), so above this gap (twice the
+# bound, for rounding) the residual of y cannot be within _FEASIBLE_TOL.
+_RESIDUAL_SKIP_GAP = 2.0 * math.sqrt(6.0) * _FEASIBLE_TOL
+
+
+def _block_coeff(t: list, j: int, k: int, terms: tuple) -> complex:
+    """``Tr[O . block(j, k)]`` of a Choi matrix held as nested lists ``t[j][a][k][b]``."""
+    (a0, b0, v0), (a1, b1, v1) = terms
+    return v0 * t[j][b0][k][a0] + v1 * t[j][b1][k][a1]
 
 
 def _project_affine(j: np.ndarray, targets: list) -> np.ndarray:
@@ -214,29 +240,38 @@ def _project_affine(j: np.ndarray, targets: list) -> np.ndarray:
 
     The constraints fix the I, X and Z Pauli components of every 2x2 block
     of the Choi matrix and leave the Y components free, so the projection is
-    a closed-form per-block component replacement.
+    a closed-form per-block component replacement, one observable after the
+    other.  Each coefficient and each update is a two-term sum over the
+    observable's nonzero entries, in Python complex arithmetic on the 16
+    entries (multiplying by 1 or +-i is exact, so this rounds like the
+    ``einsum`` contraction it replaces).  ``targets`` are nested lists.
     """
-    t = j.reshape(2, 2, 2, 2).copy()
-    for obs, tgt in zip(_CONSTRAINT_OBS, targets):
-        coeff = np.einsum("ab,jbka->jk", obs, t)
-        t += np.einsum("jk,ab->jakb", (tgt - coeff) / 2.0, obs)
-    return t.reshape(4, 4)
+    t = j.reshape(2, 2, 2, 2).tolist()
+    for terms, tgt in zip(_CONSTRAINT_TERMS, targets):
+        for r in range(2):
+            for c in range(2):
+                step = (tgt[r][c] - _block_coeff(t, r, c, terms)) / 2.0
+                for a, b, v in terms:
+                    t[r][a][c][b] += step * v
+    return np.array(t).reshape(4, 4)
 
 
 def _project_psd(j: np.ndarray) -> np.ndarray:
     h = (j + j.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 def _affine_residual(j: np.ndarray, targets: list) -> float:
-    t = j.reshape(2, 2, 2, 2)
-    res = 0.0
-    for obs, tgt in zip(_CONSTRAINT_OBS, targets):
-        coeff = np.einsum("ab,jbka->jk", obs, t)
-        res = max(res, float(np.max(np.abs(coeff - tgt))))
-    return res
+    """Largest deviation of a block coefficient of ``j`` from its target."""
+    t = j.reshape(2, 2, 2, 2).tolist()
+    gaps = [
+        _block_coeff(t, r, c, terms) - tgt[r][c]
+        for terms, tgt in zip(_CONSTRAINT_TERMS, targets)
+        for r in range(2)
+        for c in range(2)
+    ]
+    return float(np.max(np.abs(gaps)))
 
 
 def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> FeasibilityReport:
@@ -246,10 +281,13 @@ def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> Feasibili
     set of Choi matrices satisfying trace preservation plus the two adjoint
     constraints.  Feasible means a point was found satisfying every
     constraint within ``_FEASIBLE_TOL`` (returned as a witness after clipping
-    to the cone); infeasible means the inter-set distance stalled above
-    ``_INFEASIBLE_FLOOR`` for ``_STALL_ITERS`` consecutive iterations, which
-    at this problem size is a reliable positive-gap certificate.  Anything
-    else is reported as inconclusive rather than guessed.
+    to the cone).  The affine residual of the PSD iterate is computed only
+    while the gap to its projection is at most ``_RESIDUAL_SKIP_GAP``, since
+    ``gap <= sqrt(6) * residual`` (see the module docstring).  Infeasible
+    means the inter-set distance stalled above ``_INFEASIBLE_FLOOR`` for
+    ``_STALL_ITERS`` consecutive iterations, which at this problem size is a
+    reliable positive-gap certificate.  Anything else is reported as
+    inconclusive rather than guessed.
     """
     mx = require_hermitian(mx)
     mz = require_hermitian(mz)
@@ -260,7 +298,7 @@ def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> Feasibili
 
     # Tr[O . block(j, k)] must equal adjoint(O)[k, j]; as a block-coefficient
     # array that is the transpose of the target observable.
-    targets = [identity(2).T, mx.T.copy(), mz.T.copy()]
+    targets = [m.T.tolist() for m in (identity(2), mx, mz)]
     x = _project_affine(np.zeros((4, 4), dtype=complex), targets)
     correction = np.zeros((4, 4), dtype=complex)
     best_gap = np.inf
@@ -268,15 +306,16 @@ def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> Feasibili
     gap = np.inf
 
     for it in range(1, _MAX_ITERS + 1):
-        y = _project_psd(x + correction)
-        correction = x + correction - y
+        shifted = x + correction
+        y = _project_psd(shifted)
+        correction = shifted - y
         x = _project_affine(y, targets)
         gap = float(np.linalg.norm(x - y))
 
         # y is exactly PSD; x satisfies the constraints exactly.
-        y_residual = _affine_residual(y, targets)
+        y_feasible = gap <= _RESIDUAL_SKIP_GAP and _affine_residual(y, targets) <= _FEASIBLE_TOL
         x_min_eig = float(np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0])
-        if y_residual <= _FEASIBLE_TOL or x_min_eig >= -_FEASIBLE_TOL:
+        if y_feasible or x_min_eig >= -_FEASIBLE_TOL:
             witness = _project_psd(x) if x_min_eig >= -_FEASIBLE_TOL else y
             residual = max(
                 _affine_residual(witness, targets),

@@ -14,8 +14,9 @@ from dataclasses import fields
 
 import numpy as np
 
+from diqkd import squash
 from diqkd.hashing import ToeplitzHash
-from diqkd.linalg import QuantumChannel, identity
+from diqkd.linalg import QuantumChannel, identity, require_hermitian
 from diqkd.protocol import (
     ALICE_BASES,
     BOB_BASES,
@@ -25,7 +26,12 @@ from diqkd.protocol import (
     outcomes_from_uniforms,
 )
 from diqkd.rates import ProtocolParams, azuma_tail
-from diqkd.squash import ChoiMatrix
+from diqkd.squash import (
+    ChoiMatrix,
+    FeasibilityReport,
+    squash_channel,
+    verify_squash_conditions,
+)
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -179,4 +185,98 @@ def reference_noise_gap_core(
         mean_abs_gap=abs_gap_total / trials,
         mean_s_randomized=s2_total / trials,
         mean_s_projective=s3_total / trials,
+    )
+
+
+def reference_verify_squash_doc(grid: int, tol: float = 1e-9) -> dict:
+    """The ``verify-squash`` document built from one stacked call per alpha row."""
+    angles = 2.0 * np.pi * np.arange(grid) / grid
+    betas = np.exp(1j * angles)
+    reps = [verify_squash_conditions(squash_channel(np.exp(1j * t), betas), tol) for t in angles]
+    fields = ("cond1_residual", "cond2_min_eig", "n_min_eig", "lift_gap_min_eig")
+    table = {f: np.stack([getattr(rep, f) for rep in reps]) for f in fields + ("passed",)}
+    all_pass = bool(table["passed"].all())
+    worst = {f: float(table[f].max() if f == "cond1_residual" else table[f].min()) for f in fields}
+    table = {f: v.tolist() for f, v in table.items()}
+    cells = [
+        {"alpha_angle": ta, "beta_angle": tb}
+        | {f: table[f][i][j] for f in fields}
+        | {"pass": table["passed"][i][j]}
+        for i, ta in enumerate(angles.tolist())
+        for j, tb in enumerate(angles.tolist())
+    ]
+    return {
+        "config": {"subcommand": "verify-squash", "grid": grid, "tol": tol},
+        "all_pass": all_pass,
+        "worst": worst,
+        "cells": cells,
+    }
+
+
+def reference_project_affine(j: np.ndarray, targets: list) -> np.ndarray:
+    t = j.reshape(2, 2, 2, 2).copy()
+    for obs, tgt in zip(squash._CONSTRAINT_OBS, targets):
+        coeff = np.einsum("ab,jbka->jk", obs, t)
+        t += np.einsum("jk,ab->jakb", (tgt - coeff) / 2.0, obs)
+    return t.reshape(4, 4)
+
+
+def _reference_project_psd(j: np.ndarray) -> np.ndarray:
+    h = (j + j.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    w = np.clip(w, 0.0, None)
+    return (v * w) @ v.conj().T
+
+
+def reference_affine_residual(j: np.ndarray, targets: list) -> float:
+    """``squash._affine_residual`` through one ``einsum`` per observable."""
+    t = j.reshape(2, 2, 2, 2)
+    res = 0.0
+    for obs, tgt in zip(squash._CONSTRAINT_OBS, targets):
+        coeff = np.einsum("ab,jbka->jk", obs, t)
+        res = max(res, float(np.max(np.abs(coeff - tgt))))
+    return res
+
+
+def reference_feasibility(mx: np.ndarray, mz: np.ndarray) -> FeasibilityReport:
+    """``single_party_squash_feasibility`` with ``einsum`` projections, residual every iteration."""
+    mx = require_hermitian(mx)
+    mz = require_hermitian(mz)
+    targets = [identity(2).T, mx.T.copy(), mz.T.copy()]
+    x = reference_project_affine(np.zeros((4, 4), dtype=complex), targets)
+    correction = np.zeros((4, 4), dtype=complex)
+    best_gap = np.inf
+    stalled = 0
+    gap = np.inf
+    for it in range(1, squash._MAX_ITERS + 1):
+        y = _reference_project_psd(x + correction)
+        correction = x + correction - y
+        x = reference_project_affine(y, targets)
+        gap = float(np.linalg.norm(x - y))
+        y_residual = reference_affine_residual(y, targets)
+        x_min_eig = float(np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0])
+        if y_residual <= squash._FEASIBLE_TOL or x_min_eig >= -squash._FEASIBLE_TOL:
+            witness = _reference_project_psd(x) if x_min_eig >= -squash._FEASIBLE_TOL else y
+            residual = max(
+                reference_affine_residual(witness, targets),
+                max(0.0, -float(np.linalg.eigvalsh(witness)[0])),
+            )
+            if residual <= squash._FEASIBLE_TOL:
+                return FeasibilityReport(
+                    status="feasible",
+                    residual=residual,
+                    iterations=it,
+                    witness=ChoiMatrix(in_dim=2, out_dim=2, matrix=witness),
+                )
+        if gap < best_gap - 1e-12:
+            best_gap = gap
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= squash._STALL_ITERS and gap > squash._INFEASIBLE_FLOOR:
+                return FeasibilityReport(
+                    status="infeasible", residual=gap, iterations=it, witness=None
+                )
+    return FeasibilityReport(
+        status="inconclusive", residual=gap, iterations=squash._MAX_ITERS, witness=None
     )

@@ -54,8 +54,9 @@ def test_traced_pass_counts(tmp_path):
         assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
         cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
     metrics = tracing.layer_metrics(tracer)
-    # one stacked Born-rule call per run, one CHSH measurement per verify-squash row,
-    # one fcor hash per run (Bob's string equals Alice's, so it is hashed once; l = 0)
+    # one stacked Born-rule call per run, one CHSH measurement for the whole 4x4
+    # verify-squash grid (one block of rows), one fcor hash per run (Bob's string
+    # equals Alice's, so it is hashed once; l = 0)
     assert {name: metrics[name] for name in EXACT} == {
         "protocol.joint_outcome_pmf.calls": 2,
         "protocol.pulses": 2 * pulses,
@@ -63,10 +64,10 @@ def test_traced_pass_counts(tmp_path):
         "hashing.apply.calls": 2,
         "hashing.apply.in_bits": 2 * params.n,
         "rates.finite_key_length.calls": 2,
-        "chsh.chsh_measurement.calls": 4,
-        "squash.verify_squash_conditions.calls": 4,
-        "linalg.min_eigenvalue.calls": 12,
-        "linalg.adjoint_apply.calls": 8,
+        "chsh.chsh_measurement.calls": 1,
+        "squash.verify_squash_conditions.calls": 1,
+        "linalg.min_eigenvalue.calls": 3,
+        "linalg.adjoint_apply.calls": 2,
     }
     assert metrics["protocol.array_bytes"] > 0
     assert sum(metrics[f"squash.nogo_{status}"] for status in NOGO_STATUSES) == 2

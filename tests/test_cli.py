@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diqkd import cli
 from diqkd.cli import main
+from helpers import reference_verify_squash_doc
 
 
 def run_cli(*argv):
@@ -121,6 +124,94 @@ class TestVerifySquash:
         assert any(abs(a - three_half_pi) < 1e-12 and abs(b - three_half_pi) < 1e-12 for a, b in angles)
 
 
+    @pytest.mark.parametrize(
+        "grid, tol",
+        [(2, "1e-9"), (15, "1e-9"), (16, "1e-9"), (17, "1e-9"), (17, "1e-30"), (64, "1e-9")],
+    )
+    def test_blocked_grid_equals_per_row_reference(self, tmp_path, grid, tol):
+        # blocks of whole rows (17: rows 0-14, then 15-16) give the per-row table bit for bit
+        out = tmp_path / "squash.json"
+        run_cli("verify-squash", "--grid", str(grid), "--tol", tol, "--out", str(out))
+        doc = reference_verify_squash_doc(grid, float(tol))
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def test_readme_grid_memory_is_block_bounded(self, tmp_path):
+        assert verify_squash_peak(tmp_path) < SQUASH_PEAK_BOUND
+
+    def test_memory_bound_catches_a_whole_grid_call(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", 64 * 64)
+        assert verify_squash_peak(tmp_path) > SQUASH_PEAK_BOUND
+
+
+# README verify-squash --grid 64 under tracemalloc: blocks of 256 cells peak
+# near 2.3 MB, one stacked call over all 4096 cells near 11 MB.
+SQUASH_PEAK_BOUND = 5e6
+
+
+def verify_squash_peak(tmp_path) -> int:
+    out = str(tmp_path / "squash.json")
+    run_cli("verify-squash", "--grid", "2", "--out", out)  # first-call allocations
+    tracemalloc.start()
+    try:
+        assert run_cli("verify-squash", "--grid", "64", "--tol", "1e-9", "--out", out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WRITER_DOCS = {
+    "empty-dict": {},
+    "empty-list": [],
+    "nested-empty": {"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": {"f": ()}},
+    "non-finite": {"nan": float("nan"), "inf": [np.inf, -np.inf], "deep": [1, [-np.inf]]},
+    "non-ascii": {
+        "\u00e9": "\u00fcn\u00efc\u00f8d\u00e9 \u2713 \U0001d11e",
+        "l\u00efst": ["\u2028", "t\tq\"\x00", {"k\u00e9y": [1]}],
+    },
+    "scalars": {"t": True, "f": False, "none": None, "int": -12, "big": 2**70, "neg0": -0.0},
+    "tuples-and-numpy": {
+        "t": (1, 2.5, (3, [4])),
+        "np": np.float64(1e-300),
+        "rows": [{"x": np.float64(0.5), "ok": False}] * 3,
+    },
+    "keys": {7: "i", 2.5: [1], False: "b", None: {"x": 1}, np.nan: [{}], "s": {3: [1], -1.5: 2}},
+    "top-list": [1, {"a": [2, 3]}, [[]], "s", (4,)],
+    "top-scalar": 3.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_DOCS))
+def test_writer_matches_json_dump_indent_2(tmp_path, name):
+    doc = WRITER_DOCS[name]
+    out = tmp_path / "doc.json"
+    cli._write_json(str(out), doc)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+NOT_JSON = {
+    "int64-leaf": {"a": np.int64(1)},
+    "int64-beside-list": {"a": np.int64(1), "b": [1]},
+    "bool-nested": {"a": [{"b": np.bool_(True)}]},
+    "float32": [np.float32(1.0)],
+    "array": {"a": np.zeros(2)},
+    "set": [[{1}]],
+    "tuple-key": {(1, 2): 3},
+    "tuple-key-nested": {(1,): [1]},
+    "top-int64": np.int64(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_JSON))
+def test_writer_raises_type_error_where_json_dump_does(tmp_path, name):
+    with pytest.raises(TypeError):
+        json.dumps(NOT_JSON[name], indent=2)
+    with pytest.raises(TypeError):
+        cli._write_json(str(tmp_path / "doc.json"), NOT_JSON[name])
+
+
 class TestNogo:
     def test_grid_divisible_by_four_finds_witnesses(self, tmp_path):
         out = tmp_path / "nogo.json"
@@ -195,6 +286,18 @@ class TestBoundsCheck:
         argv += ["--runs", "2", "--trials", "5", "--batch", "100", flag, "0"]
         assert run_cli(*argv, "--out", str(tmp_path / "bounds.json")) == 2
         assert not (tmp_path / "bounds.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--trials=0", "--batch=0", "--deviation=-0.5"])
+    def test_noise_arguments_checked_before_the_runs(self, tmp_path, monkeypatch, capsys, flag):
+        def run_protocol(*args, **kwargs):
+            raise AssertionError("run_protocol ran before the noise arguments were checked")
+
+        monkeypatch.setattr(cli, "run_protocol", run_protocol)
+        out = tmp_path / "bounds.json"
+        argv = ["bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0"]
+        assert run_cli(*argv, flag, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_simulate_runs_below_one_rejected(self, tmp_path, capsys, runs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diqkd import squash
 from diqkd.chsh import chsh_measurement
 from diqkd.linalg import (
     adjoint_apply,
@@ -24,6 +25,10 @@ from helpers import (
     partial_trace_out,
     random_channel,
     random_density,
+    random_hermitian,
+    reference_affine_residual,
+    reference_feasibility,
+    reference_project_affine,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -217,3 +222,57 @@ class TestFeasibility:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             single_party_squash_feasibility(np.array([[0, 1], [0, 0]], dtype=complex), pauli("z"))
+
+
+def random_targets(rng: np.random.Generator) -> list:
+    """Block-coefficient targets of ``single_party_squash_feasibility`` for random observables."""
+    return [identity(2).T, random_hermitian(2, rng).T, random_hermitian(2, rng).T]
+
+
+def test_two_term_step_rounds_like_the_einsum_step():
+    rng = np.random.default_rng(11)
+    for trial in range(600):
+        j = random_hermitian(4, rng)
+        if trial % 3:
+            # exact zeros of either sign, as in the solver's first iterates
+            j[rng.random((4, 4)) < 0.4] = complex(-0.0, -0.0) if trial % 3 == 1 else 0.0
+        targets = random_targets(rng)
+        lists = [t.tolist() for t in targets]
+        expected = reference_project_affine(j, targets)
+        assert squash._project_affine(j, lists).tobytes() == expected.tobytes()
+        assert squash._affine_residual(j, lists) == reference_affine_residual(j, targets)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_gap_bounded_by_sqrt6_times_residual(scale):
+    # the residual skip of the solver rests on gap <= sqrt(6) * residual
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        targets = [t.tolist() for t in random_targets(rng)]
+        on_set = squash._project_affine(random_hermitian(4, rng), targets)
+        y = on_set + scale * random_hermitian(4, rng)
+        gap = np.linalg.norm(squash._project_affine(y, targets) - y)
+        assert gap <= np.sqrt(6.0) * squash._affine_residual(y, targets)
+    assert squash._RESIDUAL_SKIP_GAP == 2.0 * np.sqrt(6.0) * squash._FEASIBLE_TOL
+
+
+FEASIBILITY_INPUTS = {
+    f"readme-{k}": (generalized_x(np.exp(2j * np.pi * k / 16)), pauli("z")) for k in range(16)
+} | {
+    "identity-witness": (generalized_x(-1j), pauli("z")),
+    "z-conjugation": (generalized_x(1j), pauli("z")),
+    "misaligned": (generalized_x(np.exp(1j * np.pi / 4)), pauli("z")),
+    "shrunk": (0.3 * pauli("x"), 0.3 * pauli("z")),
+}
+
+
+@pytest.mark.parametrize("name", list(FEASIBILITY_INPUTS))
+def test_report_equals_einsum_reference(name):
+    # the README nogo --grid 16 cells and every input of TestFeasibility
+    rep = single_party_squash_feasibility(*FEASIBILITY_INPUTS[name])
+    ref = reference_feasibility(*FEASIBILITY_INPUTS[name])
+    assert (rep.status, rep.residual, rep.iterations) == (ref.status, ref.residual, ref.iterations)
+    if ref.witness is None:
+        assert rep.witness is None
+    else:
+        assert rep.witness.matrix.tobytes() == ref.witness.matrix.tobytes()
