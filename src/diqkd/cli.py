@@ -389,22 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--f-ec", type=float, default=1.0)
-    p.add_argument("--out", default=None)
 
     p = add_parser("keylength", cmd_keylength, "finite-size key length report as JSON")
     _add_params_flags(p)
-    p.add_argument("--out", default=None)
 
     p = add_parser(
         "verify-squash", cmd_verify_squash, "verify the squash conditions on a parameter grid"
     )
     p.add_argument("--grid", type=int, default=64, help="points per unit-circle axis")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
 
     p = add_parser("nogo", cmd_nogo, "one-party squash feasibility over an alpha grid")
     p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--out", default=None)
 
     p = add_parser("simulate", cmd_simulate, "Monte Carlo protocol runs")
     _add_params_flags(p)
@@ -415,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
 
     p = add_parser(
         "bounds-check", cmd_bounds_check, "Monte Carlo tails versus concentration bounds"
@@ -427,16 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=4800)
     p.add_argument("--deviation", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
+    # last, so that it closes every subcommand's help
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
 def _check_config_value(action: argparse.Action, value) -> None:
     """Raise ValueError unless ``value`` is of the kind ``action`` takes from the command line.
 
-    ``set_defaults`` stores a config value as it is, past argparse's
-    ``type`` and ``choices`` checks, so they are made here.
+    argparse parses the value's text, which a string such as "0.05" or a bool could pass.
     """
     if action.choices is not None:
         ok = value in action.choices
@@ -454,26 +450,30 @@ def _check_config_value(action: argparse.Action, value) -> None:
         raise ValueError(f"{action.dest} must be {kind}, got {value!r}")
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config is not None:
             with open(args.config) as fh:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("config file must hold a JSON object")
-            # the parsed namespace holds every destination of the subcommand,
-            # plus the top-level "subcommand" and the "func" default
+            # the namespace holds each flag's destination, "subcommand" and "func"
             unknown = sorted(set(overrides) - (set(vars(args)) - {"subcommand", "func"}))
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-            sub = parser.subcommand_parsers[args.subcommand]
-            actions = {action.dest: action for action in sub._actions}
+            actions = {a.dest: a for a in _PARSER.subcommand_parsers[args.subcommand]._actions}
             for name, value in overrides.items():
                 _check_config_value(actions[name], value)
-            sub.set_defaults(**overrides)
-            args = parser.parse_args(argv)
+            # read as flags right after the subcommand, so that command-line flags
+            # come later and win; the "=" form keeps a value such as "-x" a value
+            i = argv.index(args.subcommand) + 1
+            argv[i:i] = [f"{actions[k].option_strings[0]}={v}" for k, v in overrides.items()]
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the bad-config code
         return int(exc.code) if exc.code else EXIT_OK

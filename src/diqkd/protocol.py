@@ -611,8 +611,10 @@ def _noise_gap_core(
 
 def check_noise_experiment(trials: int, batch_size: int, deviation: float) -> None:
     """Raise ValueError unless ``povm_noise_experiment`` accepts these sizes and deviation."""
-    if trials < 1 or batch_size < 1:
-        raise ValueError("trials and batch_size must be at least 1")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
     if not 0.0 <= deviation < math.inf:
         raise ValueError(f"deviation must be finite and non-negative, got {deviation!r}")
 

@@ -287,8 +287,17 @@ class TestBoundsCheck:
         assert run_cli(*argv, "--out", str(tmp_path / "bounds.json")) == 2
         assert not (tmp_path / "bounds.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--trials=0", "--batch=0", "--deviation=-0.5"])
-    def test_noise_arguments_checked_before_the_runs(self, tmp_path, monkeypatch, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, prefix",
+        [
+            pytest.param("--trials=0", "error: trials ", id="--trials=0"),
+            pytest.param("--batch=0", "error: batch", id="--batch=0"),
+            pytest.param("--deviation=-0.5", "error: deviation ", id="--deviation=-0.5"),
+        ],
+    )
+    def test_noise_arguments_checked_before_the_runs(
+        self, tmp_path, monkeypatch, capsys, flag, prefix
+    ):
         def run_protocol(*args, **kwargs):
             raise AssertionError("run_protocol ran before the noise arguments were checked")
 
@@ -296,7 +305,7 @@ class TestBoundsCheck:
         out = tmp_path / "bounds.json"
         argv = ["bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0"]
         assert run_cli(*argv, flag, "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(prefix)
         assert not out.exists()
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
@@ -362,9 +371,49 @@ class TestConfigFile:
         out = tmp_path / "kl.json"
         assert run_cli("keylength", "--out", str(out)) == 2
 
+    @pytest.mark.parametrize(
+        "argv, doc, flags",
+        [
+            (("keylength", "--n", "100000000", "--q", "0.0909", "--delta", "0.01"),
+             {"s0": 0}, ["--s0", "0"]),
+            (("verify-squash", "--grid", "2"), {"tol": 0}, ["--tol", "0"]),
+        ],
+        ids=["keylength-s0", "verify-squash-tol"],
+    )
+    def test_config_value_written_as_its_flag(self, tmp_path, argv, doc, flags):
+        # the config's int 0 for a number flag must reach the file as the flag's 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+        code = run_cli(*argv, "--config", str(cfg), "--out", str(by_config))
+        assert run_cli(*argv, *flags, "--out", str(by_flag)) == code
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    def test_config_string_starting_with_dash_stays_a_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"steps": 3, "out": "-x.csv"}))
+        assert run_cli("rate-curve", "--config", "cfg.json") == 0
+        lines = (tmp_path / "-x.csv").read_text().splitlines()
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 3
+
+    def test_parser_built_once_and_never_changed(self, tmp_path, monkeypatch):
+        def build_parser():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 11}))
+        out = tmp_path / "rates.csv"
+        assert run_cli("rate-curve", "--config", str(cfg), "--out", str(out)) == 0
+        assert "# steps = 11\n" in out.read_text()
+        # a config value must not outlive its run as a default
+        assert run_cli("rate-curve", "--out", str(out)) == 0
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(data) == 1 + 101
+
 
 SIM_CONFIG = {"n": 1000, "q": 0.3, "delta": 0.05, "s0": 0.0, "runs": 1}
-# set_defaults stores config values past argparse's type and choices checks
+# argparse parses a config value's text, so a JSON string or bool of the wrong kind would pass
 BAD_CONFIG_VALUES = {
     "simulate-n-fractional": ("simulate", {"n": 1000.5}, "n"),
     "keylength-n-fractional": ("keylength", {"n": 1000.5}, "n"),
