@@ -1,17 +1,22 @@
 """Command-line front end; every subcommand writes a reproducible output file.
 
 Subcommands: ``rate-curve``, ``keylength``, ``verify-squash``, ``nogo``,
-``simulate``, ``bounds-check``.  All numeric output uses 12 significant
-digits with '.' decimal separator, the resolved configuration is echoed
-into the output header, and re-running with the same configuration and
-seed produces byte-identical files.  Exit codes: 0 on success / all checks
-passed, 1 on a verification failure, 2 on invalid configuration.
+``simulate``, ``bounds-check``.  Each ``cmd_*`` returns its document, the
+note of its ``wrote PATH (note)`` line and its verdict; ``main`` alone writes
+the file, prints that line and picks the exit code.  CSV cells use 12
+significant digits; JSON floats are Python's shortest round-trip repr.  The
+resolved configuration is echoed into the output header, and re-running
+with the same configuration and seed produces byte-identical files.  Exit
+codes: 0 on success / all checks passed, 1 on a verification failure, 2 on
+invalid configuration, including an ``--out`` that does not name a file in
+an existing directory, which is checked before the job runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -134,7 +139,11 @@ def _params_from_args(args) -> ProtocolParams:
     )
 
 
-def cmd_rate_curve(args) -> int:
+# Each cmd_* returns (doc, note, ok): doc is a JSON dict, or (config, header,
+# rows) for a CSV file; note closes the "wrote PATH (note)" line; ok is the verdict.
+
+
+def cmd_rate_curve(args):
     if not (0.0 <= args.p_min < args.p_max <= 0.15):
         raise ValueError("need 0 <= p_min < p_max <= 0.15")
     if args.steps < 2:
@@ -150,12 +159,11 @@ def cmd_rate_curve(args) -> int:
     rows = []
     for p in np.linspace(args.p_min, args.p_max, args.steps):
         rows.append((float(p), asymptotic_rate(float(p), args.f_ec), device_dependent_rate(float(p), args.f_ec)))
-    _write_csv(args.out, config, ["p", "rate_device_independent", "rate_device_dependent"], rows)
-    print(f"wrote {args.out} ({args.steps} rows)")
-    return EXIT_OK
+    header = ["p", "rate_device_independent", "rate_device_dependent"]
+    return (config, header, rows), f"{args.steps} rows", True
 
 
-def cmd_keylength(args) -> int:
+def cmd_keylength(args):
     params = _params_from_args(args)
     report = finite_key_length(params)
     doc = {
@@ -168,9 +176,7 @@ def cmd_keylength(args) -> int:
         "components": report.components,
         "reason": report.reason,
     }
-    _write_json(args.out, doc)
-    print(f"wrote {args.out} (l = {report.l})")
-    return EXIT_OK
+    return doc, f"l = {report.l}", True
 
 
 # Cells per stacked verify_squash_conditions call: whole alpha rows, at most
@@ -178,7 +184,7 @@ def cmd_keylength(args) -> int:
 _CHUNK = 256
 
 
-def cmd_verify_squash(args) -> int:
+def cmd_verify_squash(args):
     if args.grid < 2:
         raise ValueError("grid must be at least 2")
     angles = 2.0 * np.pi * np.arange(args.grid) / args.grid
@@ -207,12 +213,10 @@ def cmd_verify_squash(args) -> int:
         "worst": worst,
         "cells": cells,
     }
-    _write_json(args.out, doc)
-    print(f"wrote {args.out} (all_pass = {all_pass})")
-    return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
+    return doc, f"all_pass = {all_pass}", all_pass
 
 
-def cmd_nogo(args) -> int:
+def cmd_nogo(args):
     if args.grid < 1:
         raise ValueError("grid must be at least 1")
     z = pauli("z")
@@ -236,9 +240,7 @@ def cmd_nogo(args) -> int:
         "inconclusive_cells": inconclusive,
         "cells": cells,
     }
-    _write_json(args.out, doc)
-    print(f"wrote {args.out} ({inconclusive} inconclusive cells)")
-    return EXIT_OK if inconclusive == 0 else EXIT_VERIFICATION_FAILED
+    return doc, f"{inconclusive} inconclusive cells", inconclusive == 0
 
 
 def _make_strategy(args):
@@ -251,7 +253,7 @@ def _make_strategy(args):
     raise ValueError(f"unknown strategy {args.strategy!r}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     if args.runs < 1:
         raise ValueError("runs must be at least 1")
     params = _params_from_args(args)
@@ -286,30 +288,16 @@ def cmd_simulate(args) -> int:
         config["mean_s_est"] = float(s_vals.mean())
         config["std_s_est"] = float(s_vals.std(ddof=1)) if len(rows) > 1 else 0.0
         config["mean_qber"] = float(q_vals.mean())
+    header = ["seed", "s_est", "sifted_qber", "key_bits", "keys_match"]
     if args.format == "csv":
-        _write_csv(
-            args.out, config, ["seed", "s_est", "sifted_qber", "key_bits", "keys_match"], rows
-        )
+        doc = (config, header, rows)
     else:
-        doc = {
-            "config": config,
-            "runs": [
-                {
-                    "seed": r[0],
-                    "s_est": r[1],
-                    "sifted_qber": r[2],
-                    "key_bits": r[3],
-                    "keys_match": bool(r[4]),
-                }
-                for r in rows
-            ],
-        }
-        _write_json(args.out, doc)
-    print(f"wrote {args.out} ({len(rows)} completed runs, {sum(aborts.values())} aborted)")
-    return EXIT_OK
+        runs = [dict(zip(header, r), keys_match=bool(r[-1])) for r in rows]
+        doc = {"config": config, "runs": runs}
+    return doc, f"{len(rows)} completed runs, {sum(aborts.values())} aborted", True
 
 
-def cmd_bounds_check(args) -> int:
+def cmd_bounds_check(args):
     if args.runs < 1:
         raise ValueError("runs must be at least 1")
     check_noise_experiment(args.trials, args.batch, args.deviation)
@@ -326,7 +314,7 @@ def cmd_bounds_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     gap = povm_noise_experiment(
         m,
-        strategy.pulse_state(0),
+        strategy.rho,
         trials=args.trials,
         rng=rng,
         batch_size=args.batch,
@@ -361,9 +349,7 @@ def cmd_bounds_check(args) -> int:
             "within_bound": bool(azuma_ok),
         },
     }
-    _write_json(args.out, doc)
-    print(f"wrote {args.out} (chernoff ok = {chernoff_ok}, azuma ok = {azuma_ok})")
-    return EXIT_OK if chernoff_ok and azuma_ok else EXIT_VERIFICATION_FAILED
+    return doc, f"chernoff ok = {chernoff_ok}, azuma ok = {azuma_ok}", chernoff_ok and azuma_ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,19 +460,24 @@ def main(argv=None) -> int:
             i = argv.index(args.subcommand) + 1
             argv[i:i] = [f"{actions[k].option_strings[0]}={v}" for k, v in overrides.items()]
             args = _PARSER.parse_args(argv)
+        if not args.out:
+            raise ValueError("missing required parameter: out")
+        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"out must name a file in an existing directory, got {args.out!r}")
+        doc, note, ok = args.func(args)
+        if isinstance(doc, dict):
+            _write_json(args.out, doc)
+        else:
+            _write_csv(args.out, *doc)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the bad-config code
         return int(exc.code) if exc.code else EXIT_OK
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # json.JSONDecodeError, from a --config file, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    try:
-        if args.out is None:
-            raise ValueError("missing required parameter: out")
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    print(f"wrote {args.out} ({note})")
+    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

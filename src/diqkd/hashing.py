@@ -53,9 +53,11 @@ the indices ``>= L`` back onto ``[0, B - 1)``, so the output window
 ``[B - 1, L)``, which holds the ``out_len`` wanted entries, is free of
 aliasing.  Summing the spectra over blocks is summing these convolutions,
 so every entry there is a count of at most ``in_len < 2^53`` ones: an
-integer that the FFT reproduces to within its rounding error.  That error is
-checked against 1/4 on the final ``irfft``, before rounding, so a rounding
-failure raises instead of yielding a wrong hash.
+integer that the FFT reproduces to within its rounding error.  Before
+rounding, every entry of that window of the final ``irfft`` must lie within
+1/4 of an integer.  That guards the observed error; it is not a proof, since
+an error of 0.8 lands 0.2 from the wrong integer and passes.  An a-priori
+error bound is ROADMAP item 4.
 
 Bit strings are numpy uint8 arrays of 0/1; the serialized byte form packs
 bits little-endian within each byte.  Hash objects are frozen, with

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,3 +538,75 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: deviation ")
         assert not out.exists()
+
+
+# a valid run of each subcommand and the name on ``cli`` of the call that starts its job
+OUT_JOBS = {
+    "rate-curve": (("rate-curve", "--steps", "2"), "asymptotic_rate"),
+    "keylength": (KEYLENGTH, "finite_key_length"),
+    "verify-squash": (("verify-squash", "--grid", "2"), "squash_channel"),
+    "nogo": (("nogo", "--grid", "1"), "single_party_squash_feasibility"),
+    "simulate": (
+        ("simulate", "--n", "2000", "--q", "0.3", "--delta", "0.25", "--s0", "0.0", "--runs", "1"),
+        "run_protocol",
+    ),
+    "bounds-check": (
+        ("bounds-check", "--n", "2000", "--q", "0.3", "--delta", "0.25", "--s0", "0.0"),
+        "run_protocol",
+    ),
+}
+BAD_OUTS = {
+    "missing-dir": lambda tmp: ["--out", str(tmp / "missing" / "x.out")],
+    "empty": lambda tmp: ["--out="],
+    "directory": lambda tmp: ["--out", str(tmp)],
+}
+
+
+class TestOut:
+    @pytest.mark.parametrize("sub", sorted(OUT_JOBS))
+    @pytest.mark.parametrize("case", sorted(BAD_OUTS))
+    def test_bad_out_rejected_before_the_job(self, tmp_path, monkeypatch, capsys, sub, case):
+        argv, entry = OUT_JOBS[sub]
+
+        def job(*args, **kwargs):
+            raise AssertionError(f"{entry} ran before --out was checked")
+
+        monkeypatch.setattr(cli, entry, job)
+        # a relative write would land here, where the test can see it
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, *BAD_OUTS[case](tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestEntryPoint:
+    # ``python -m diqkd`` goes through ``__main__.py`` and ``sys.exit(main())``
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "diqkd", *argv],
+            env=os.environ | {"PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_job_exits_zero(self, tmp_path):
+        out = tmp_path / "nogo.json"
+        proc = self.run_module("nogo", "--grid", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {out} (0 inconclusive cells)\n"
+        assert json.loads(out.read_text())["config"] == {"subcommand": "nogo", "grid": 1}
+
+    def test_bad_out_exits_two(self, tmp_path):
+        proc = self.run_module("nogo", "--grid", "1", "--out", str(tmp_path / "missing" / "x"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+

@@ -176,3 +176,24 @@ def test_cli_output_digest(name, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == digest
+
+
+# The note of each CLI_RUNS job's "wrote PATH (note)" line on stdout.
+SUMMARY_NOTES = {
+    "rate-curve": "17 rows",
+    "keylength": "l = 35440366",
+    "verify-squash": "all_pass = True",
+    "verify-squash-16": "all_pass = True",
+    "verify-squash-64": "all_pass = True",
+    "nogo": "0 inconclusive cells",
+    "simulate-csv": "3 completed runs, 0 aborted",
+    "simulate-json": "3 completed runs, 0 aborted",
+    "bounds-check": "chernoff ok = True, azuma ok = True",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_summary_line(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*CLI_RUNS[name][0], "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} ({SUMMARY_NOTES[name]})\n"
