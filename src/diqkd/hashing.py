@@ -31,32 +31,42 @@ arithmetic, so the result is exact.  The words are streamed in groups of
 beyond the packed operands and one reversed copy of the diagonals, however
 long its input is.
 
-Long outputs (privacy amplification): blocked FFT.  The product
-``y[i] = sum_j d[i - j + in_len - 1] x[j] mod 2`` is computed
-as an integer convolution with FFTs of bounded size, blocked along the
-input (overlap-add; compare Hayashi and Tsurumaru, IEEE TIT 2016).  The
-FFT size ``L`` is the next power of two at or above
-``out_len + min(in_len, max(out_len, 4096)) - 1`` and the block length is
-``B = L - out_len + 1``, so both follow from the input sizes alone.  The
-input is cut into ``ceil(in_len / B)`` blocks of ``B`` bits (the last one
-zero-padded); block ``b`` meets the length-``L`` window of the diagonals
-(zero-padded on the left) that starts ``B (blocks - 1 - b)`` entries in.
-The blocks are taken one at a time, last block first: the ``rfft`` of the
-window times the ``rfft`` of the block is added into one running spectrum
-of ``L/2 + 1`` points.  One ``irfft`` of size ``L`` then gives the
-circular convolution summed over all blocks.  An apply therefore holds
-``O(L)`` floats plus the bit arrays, however many blocks the input has.
+Long outputs (privacy amplification): tiled, blocked FFT.  The product
+``y[i] = sum_j d[i - j + in_len - 1] x[j] mod 2`` is computed as integer
+convolutions with FFTs of bounded size (overlap-add; compare Hayashi and
+Tsurumaru, IEEE TIT 2016).  ``_plan`` fixes three sizes from the input
+sizes alone.  The output is cut into tiles of ``t = min(out_len,
+_MAX_TILE)`` bits (the last one may be shorter).  The input is cut into
+``k = ceil(in_len / (3 max(t, 4096) + 1))`` balanced blocks of
+``B = ceil(in_len / k)`` bits, which align with the end of ``x``, so the
+first block is the short one and is zero-padded on the left; a shorter
+input is one block.  The FFT size ``L`` is the smallest even 5-smooth
+integer (``2^a 3^b 5^c``) at or above ``t + B - 1``.  Output tile
+``[i0, i0 + t)`` meets input block ``[j0, j0 + B)`` through the window
+``w`` of ``t + B - 1`` diagonals that starts at ``d[i0 - j0 + in_len - B]``,
+since ``y[i0 + a]`` gains ``sum_b w[a + B - 1 - b] x[j0 + b]``: entry
+``a + B - 1`` of the linear convolution of ``w`` with the block.  Windows
+that run past the end of ``d`` are cut short; the entries they lose meet
+only output bits beyond ``out_len`` or the zero padding of the first
+block.  The loop runs over tiles, and within a tile over blocks: the
+``rfft`` of each window times the ``rfft`` of its block is added into one
+running spectrum of ``L/2 + 1`` points, and one ``irfft`` of size ``L`` per
+tile gives the convolution summed over all blocks.  The blocks' spectra are
+recomputed for each tile.  An apply therefore holds ``O(L)`` floats, about
+``32 L`` bytes, plus the bit arrays, and since ``t <= _MAX_TILE`` and
+``B <= 3 max(t, 4096) + 1``, ``L`` stays near ``4 _MAX_TILE`` (2^24 points,
+about 0.5 GB) however long the input and output are.
 
-Exactness.  A window of length ``L`` convolved with a block of length ``B``
-has linear length ``L + B - 1``; wrapping it into ``L`` points folds only
-the indices ``>= L`` back onto ``[0, B - 1)``, so the output window
-``[B - 1, L)``, which holds the ``out_len`` wanted entries, is free of
+Exactness.  For any even ``L >= t + B - 1``, a window of ``t + B - 1``
+entries convolved with a block of ``B`` has linear length ``t + 2B - 2``;
+wrapping it into ``L`` points folds only the indices ``>= L`` back onto
+``[0, B - 1)``, so the tile's entries ``[B - 1, B - 1 + t)`` are free of
 aliasing.  Summing the spectra over blocks is summing these convolutions,
 so every entry there is a count of at most ``in_len < 2^53`` ones: an
 integer that the FFT reproduces to within its rounding error.  Before
-rounding, every entry of that window of the final ``irfft`` must lie within
-1/4 of an integer.  That guards the observed error; it is not a proof, since
-an error of 0.8 lands 0.2 from the wrong integer and passes.  An a-priori
+rounding, every entry of each tile of its ``irfft`` must lie within 1/4 of
+an integer.  That guards the observed error; it is not a proof, since an
+error of 0.8 lands 0.2 from the wrong integer and passes.  An a-priori
 error bound is ROADMAP item 4.
 
 Bit strings are numpy uint8 arrays of 0/1; the serialized byte form packs
@@ -74,35 +84,60 @@ import numpy as np
 # Words per group of the packed kernel; bounds the memory of one apply.
 _GROUP_WORDS = 1 << 12
 
+# Longest output tile of the FFT kernel; bounds its FFT size and memory.
+_MAX_TILE = 1 << 22
 
-def _blocking(in_len: int, out_len: int) -> tuple[int, int]:
-    """Block length ``B`` and FFT size ``L = out_len + B - 1`` (a power of two)."""
-    size = 1 << (out_len + min(in_len, max(out_len, 4096)) - 2).bit_length()
-    return size - out_len + 1, size
+
+def _smooth_size(n: int) -> int:
+    """Smallest even 5-smooth integer ``2^a 3^b 5^c >= n`` (``a >= 1``)."""
+    odd = [1]
+    for prime in (3, 5):
+        odd = [p * prime**e for p in odd for e in range(n.bit_length()) if p * prime**e <= n]
+    return min(p * max(2, 1 << (-(-n // p) - 1).bit_length()) for p in odd)
+
+
+def _plan(in_len: int, out_len: int) -> tuple[int, int, int]:
+    """Tile length ``t``, block length ``B`` and FFT size ``L`` of the FFT kernel."""
+    tile = min(out_len, _MAX_TILE)
+    # blocks of at least 3 * 4096 bits spare short outputs thousands of tiny FFTs
+    blocks = -(-in_len // (3 * max(tile, 4096) + 1))
+    block = -(-in_len // blocks)
+    return tile, block, _smooth_size(tile + block - 1)
 
 
 def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
-    """Toeplitz matrix-vector product over GF(2) by blocked FFT convolution.
+    """Toeplitz matrix-vector product over GF(2) by tiled, blocked FFT convolution.
 
-    See the module docstring for the blocking and the exactness argument.
+    See the module docstring for the plan and the exactness argument.
     """
     n = len(x)
-    block, size = _blocking(n, out_len)
-    blocks = -(-n // block)
-    padded_d = np.concatenate([np.zeros(blocks * block - n, dtype=np.uint8), diagonals])
-    total = np.zeros(size // 2 + 1, dtype=complex)
-    for w in range(blocks):
-        # window w meets input block blocks - 1 - w; rfft zero-pads each block to size
-        start = (blocks - 1 - w) * block
-        spectrum = np.fft.rfft(padded_d[w * block : w * block + size], size)
-        spectrum *= np.fft.rfft(x[start : start + block], size)
-        total += spectrum
-    conv = np.fft.irfft(total, size)[block - 1 :]
-    counts = np.rint(conv)
-    error = float(abs(conv - counts).max())
-    if not error < 0.25:
-        raise ArithmeticError(f"FFT rounding error {error:.3g} too large for an exact hash")
-    return np.fmod(counts, 2).astype(np.uint8)
+    tile, block, size = _plan(n, out_len)
+    window = tile + block - 1
+    y = np.empty(out_len, dtype=np.uint8)
+    for first in range(0, out_len, tile):
+        total = np.zeros(size // 2 + 1, dtype=complex)
+        # blocks end at n, n - B, ...; the first block of x is the short one
+        for end in range(n, 0, -block):
+            start = n - end + first
+            spectrum = np.fft.rfft(diagonals[start : start + window], size)
+            bits = x[max(end - block, 0) : end]
+            if len(bits) < block:
+                bits = np.concatenate([np.zeros(block - len(bits), dtype=np.uint8), bits])
+            spectrum *= np.fft.rfft(bits, size)
+            total += spectrum
+        conv = np.fft.irfft(total, size)[block - 1 : block - 1 + min(tile, out_len - first)]
+        counts = np.rint(conv)
+        error = float(abs(conv - counts).max())
+        if not error < 0.25:
+            raise ArithmeticError(
+                f"FFT rounding error {error:.3g} in output tile {first // tile} "
+                f"(bits {first} to {first + len(conv) - 1}) at FFT size L = {size}: "
+                "too large for an exact hash"
+            )
+        y[first : first + len(conv)] = np.fmod(counts, 2)
+        # conv views this tile's whole irfft; free it before the next tile's sums
+        del conv, counts
+    return y
 
 
 def _words(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -174,7 +209,7 @@ class ToeplitzHash:
         """Hash a bit vector of length ``in_len`` down to ``out_len`` bits.
 
         Outputs of at most 64 bits run on packed words, longer ones as
-        blocked FFTs; both give the same bits.
+        tiled, blocked FFTs; both give the same bits.
         """
         x = np.asarray(x)
         if x.shape != (self.in_len,):

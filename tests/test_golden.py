@@ -18,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from diqkd import hashing
 from diqkd.cli import main
 from diqkd.hashing import ToeplitzHash, pack_bits
 from diqkd.protocol import (
@@ -112,6 +113,30 @@ def test_multi_block_hash_digest():
     h = ToeplitzHash.sample(300_000, 40_000, seed=3)
     assert sha256(pack_bits(h(x))) == (
         "3845cc0de9fde018aa0f7addfcba031b38790b5ad8db9689bfe12b1bb3f90233"
+    )
+
+
+# Taken from the power-of-two FFT kernel, before the output was cut into
+# tiles and the input into balanced blocks with 5-smooth FFT sizes.
+def test_keygen_shape_hash_digest():
+    # the keygen-3e6 privacy amplification shape: one tile of nine blocks
+    x = np.random.default_rng(8).integers(0, 2, 3_000_000, dtype=np.uint8)
+    h = ToeplitzHash.sample(3_000_000, 124_288, seed=8)
+    assert sha256(pack_bits(h(x))) == (
+        "742e0975c5ca37885fba7c5a4d154c4d6e6b19ecc3e37cb46061653f60388f5a"
+    )
+
+
+def test_multi_tile_hash_digest(monkeypatch):
+    # two full tiles and one of 5 bits; the shipped tile would need an input
+    # of more than 8e6 bits for several tiles
+    monkeypatch.setattr(hashing, "_MAX_TILE", 1 << 16)
+    out_len = 2 * hashing._MAX_TILE + 5
+    assert -(-out_len // hashing._plan(3_000_000, out_len)[0]) == 3
+    x = np.random.default_rng(8).integers(0, 2, 3_000_000, dtype=np.uint8)
+    h = ToeplitzHash.sample(3_000_000, out_len, seed=9)
+    assert sha256(pack_bits(h(x))) == (
+        "93af98c232846f6ddfed098b4c0749fc69ba3115f16deffc58b5892c521b89c5"
     )
 
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from diqkd import hashing
 from diqkd.hashing import (
     _GROUP_WORDS,
     ToeplitzHash,
-    _blocking,
     _gf2_toeplitz_apply,
     _gf2_toeplitz_apply_packed,
+    _plan,
+    _smooth_size,
     pack_bits,
 )
 from helpers import reference_diagonals, toeplitz_from_json, unpack_bits
@@ -25,43 +27,67 @@ def toeplitz_matrix(h: ToeplitzHash) -> np.ndarray:
     return sliding_window_view(h.diagonals[::-1], h.in_len)[::-1]
 
 
+def around(length: int) -> tuple[int, ...]:
+    return (length - 1, length, length + 1)
+
+
 def block_len(out_len: int) -> int:
-    """Block length the FFT kernel uses for inputs longer than one block."""
-    return _blocking(1 << 40, out_len)[0]
+    """Longest block of the FFT plan: the block length for a very long input."""
+    return _plan(1 << 60, out_len)[1]
 
 
 def straddling(block: int) -> tuple[int, ...]:
     return (1, block - 1, block, block + 1, 3 * block + 7)
 
 
-# Input lengths on both sides of the FFT block boundaries, and a square hash
-# of each of those lengths (always one block).  Outputs of 65 and 5000 bits
-# run the FFT kernel, the second with a block longer than 4096 bits; outputs
-# of 1 and 30 bits run the packed kernel at the same lengths.
+# Shapes at the block edges of the former power-of-two plan (FFT size the
+# power of two at or above out_len + max(out_len, 4096) - 1), with a square
+# hash of each length around 4096: fixed regression cases.
+FORMER_EDGE_SHAPES = {
+    (1, 1), (4095, 1), (4095, 4095), (4096, 1), (4096, 4096), (4097, 1),
+    (4097, 4097), (8127, 65), (8128, 65), (8129, 65), (8162, 30), (8163, 30),
+    (8164, 30), (11384, 5000), (11385, 5000), (11386, 5000), (12295, 1),
+    (12295, 12295), (24391, 65), (24496, 30), (34162, 5000),
+}
+
+# Input lengths on both sides of the first FFT block boundary, and past three
+# balanced blocks with a short first one.  Outputs of 65 bits run the FFT
+# kernel with blocks of at most 3 * 4096 + 1 bits, 5000 bits with blocks of
+# at most 3 * 5000 + 1; outputs of 1 and 30 bits run the packed kernel at the
+# same lengths.
 EDGE_SHAPES = sorted(
     {(n, out) for out in (1, 30, 65, 5000) for n in straddling(block_len(out)) if n >= out}
-    | {(n, n) for n in straddling(block_len(1))}
+    | FORMER_EDGE_SHAPES
 )
 
 
-def group_len(out_len: int) -> int:
-    """Input bits in ``2^20 // L`` FFT blocks, about 2^20 FFT points."""
-    block, size = _blocking(1 << 40, out_len)
-    return (1 << 20) // size * block
+def long_len(out_len: int) -> int:
+    """Input bits in as many whole longest FFT blocks as fit in 2^20 bits."""
+    return (1 << 20) // block_len(out_len) * block_len(out_len)
 
 
-# Inputs of 128 to 256 FFT blocks (about 2^20 FFT points), a bit either side
-# of a block boundary, and twice that plus 7 bits: the FFT kernel at 65
-# output bits, the packed one at 1 and 30.
-GROUP_SHAPES = [
+# Inputs of about a million bits: 85 FFT blocks at 65 output bits, a bit
+# either side of a block boundary and twice that plus 7 bits; and the shapes
+# at the edges of the former groups of about 2^20 FFT points, which run the
+# packed kernel over several of its groups at 1 and 30 output bits.
+LONG_SHAPES = sorted(
+    {(n, 65) for n in (*around(long_len(65)), 2 * long_len(65) + 7)}
+    | {
+        (1048575, 1), (1048576, 1), (1048577, 1), (2097159, 1),
+        (1044863, 30), (1044864, 30), (1044865, 30), (2089735, 30),
+        (1040383, 65), (1040384, 65), (1040385, 65), (2080775, 65),
+    }
+)
+
+# Tile length in the tile-edge tests, and outputs on both sides of one and of
+# two tiles and past three, at one block, two blocks and four blocks of
+# input: the FFT kernel with several output tiles and every tile/block pair.
+TILE = 256
+TILE_SHAPES = sorted(
     (n, out)
-    for out in (1, 30, 65)
-    for n in (group_len(out) - 1, group_len(out), group_len(out) + 1, 2 * group_len(out) + 7)
-]
-
-
-def around(length: int) -> tuple[int, ...]:
-    return (length - 1, length, length + 1)
+    for out in around(TILE) + around(2 * TILE) + (3 * TILE + 7,)
+    for n in (out, block_len(out) + 1, 3 * block_len(out) + 7)
+)
 
 
 # Packed kernel: input lengths on both sides of word boundaries and of its
@@ -174,10 +200,16 @@ def test_matches_dense_reference_at_block_edges(in_len, out_len):
     assert_matches_dense_reference(in_len, out_len)
 
 
-@pytest.mark.parametrize("in_len, out_len", GROUP_SHAPES)
+@pytest.mark.parametrize("in_len, out_len", LONG_SHAPES)
 def test_matches_dense_reference_at_group_edges(in_len, out_len):
     # inputs of a million bits and more: fewer seeds keep the dense products quick
     assert_matches_dense_reference(in_len, out_len, seeds=3)
+
+
+@pytest.mark.parametrize("in_len, out_len", TILE_SHAPES)
+def test_matches_dense_reference_at_tile_edges(in_len, out_len, monkeypatch):
+    monkeypatch.setattr(hashing, "_MAX_TILE", TILE)
+    assert_matches_dense_reference(in_len, out_len)
 
 
 @pytest.mark.parametrize("in_len, out_len", PACKED_SHAPES)
@@ -222,8 +254,9 @@ def test_packed_apply_memory_is_bounded_by_the_group():
 
 def test_apply_memory_is_bounded_by_one_block():
     # the keygen-3e6 privacy amplification shape; transforming all 22 blocks
-    # at once peaked at 123 MB, groups of 4 blocks at 34 MB, and one block
-    # at a time measures 12 MB
+    # of the former power-of-two plan at once peaked at 123 MB, groups of 4
+    # blocks at 34 MB, and one block at a time 12 MB; its nine balanced blocks
+    # at L = 460,800 measure 15 MB
     in_len, out_len = 3_000_000, 124_288
     h = ToeplitzHash.sample(in_len, out_len, seed=8)
     x = np.random.default_rng(8).integers(0, 2, in_len, dtype=np.uint8)
@@ -236,11 +269,63 @@ def test_apply_memory_is_bounded_by_one_block():
     assert peak < 20e6
 
 
+def test_apply_memory_is_bounded_by_one_tile(monkeypatch):
+    # 16 tiles of 16,384 bits at L = 64,800 measure 2.5 MB; keeping each
+    # tile's irfft alive into the next tile measured 3.1 MB, and one untiled
+    # FFT would need L = 2^20 and about 32 MB
+    monkeypatch.setattr(hashing, "_MAX_TILE", 1 << 14)
+    in_len, out_len = 1_000_000, 250_000
+    assert _plan(in_len, out_len) == (1 << 14, 47_620, 64_800)
+    h = ToeplitzHash.sample(in_len, out_len, seed=8)
+    x = np.random.default_rng(8).integers(0, 2, in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        h(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8e6
+
+
+def is_even_5_smooth(size: int) -> bool:
+    if size % 2:
+        return False
+    for prime in (2, 3, 5):
+        while size % prime == 0:
+            size //= prime
+    return size == 1
+
+
+def test_smooth_size_is_the_next_even_5_smooth_integer():
+    sizes = [size for size in range(1, 5000) if is_even_5_smooth(size)]
+    for n in range(1, 4000):
+        assert _smooth_size(n) == min(size for size in sizes if size >= n)
+
+
+@pytest.mark.parametrize(
+    "in_len, out_len, tiles, blocks, size",
+    [
+        # keygen-3e6 privacy amplification: one tile of nine blocks
+        (3_000_000, 124_288, 1, 9, 460_800),
+        # the n = 1e8 probe run: nine tiles of eight blocks
+        (100_000_000, 37_376_533, 9, 8, 1 << 24),
+    ],
+)
+def test_plan_at_probe_shapes(in_len, out_len, tiles, blocks, size):
+    tile, block, fft_size = _plan(in_len, out_len)
+    assert (-(-out_len // tile), -(-in_len // block), fft_size) == (tiles, blocks, size)
+    assert tiles * tile >= out_len and blocks * block >= in_len
+    assert is_even_5_smooth(fft_size) and fft_size >= tile + block - 1
+    # about 32 bytes per FFT point: the running spectrum, a product, the
+    # spectrum it is multiplied by and a float copy of a transform input
+    assert 32 * fft_size < 1e9
+
+
 def test_rounding_failure_raises(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.5)
     h = ToeplitzHash.sample(200, 65, seed=2)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"error 0\.5 in output tile 0 .* L = 270:"):
         h(np.ones(200, dtype=np.uint8))
 
 
