@@ -472,9 +472,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the bad-config code
         return int(exc.code) if exc.code else EXIT_OK
-    except (OSError, ValueError) as exc:
-        # json.JSONDecodeError, from a --config file, is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # json.JSONDecodeError, from a --config file, is a ValueError; a job too
+        # large for memory is a bad configuration, not a failed verification
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     print(f"wrote {args.out} ({note})")
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED

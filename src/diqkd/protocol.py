@@ -397,16 +397,17 @@ def _chunk_rows(table, bases_a, bases_b) -> tuple[np.ndarray, np.ndarray]:
     return pmfs, rows
 
 
-def _sorted_sample(rng: np.random.Generator, pop: np.ndarray, k: int) -> np.ndarray:
-    """``np.sort(rng.choice(pop, k, replace=False))`` for a sorted ``pop``, by mask.
+def _sorted_sample(rng: np.random.Generator, cand: np.ndarray, k: int) -> np.ndarray:
+    """``np.sort(rng.choice(np.flatnonzero(cand), k, replace=False))``, by mask.
 
     ``choice`` of an array draws the same indices as ``choice`` of its
     length and then gathers them, so the draws and the chosen set are the
-    same; selecting by mask keeps ``pop``'s order, so no sort is needed.
+    same; selecting by mask keeps the candidates' order, so no sort is
+    needed, and the candidates' indices are built only after the draw.
     """
-    mask = np.zeros(len(pop), dtype=bool)
-    mask[rng.choice(len(pop), size=k, replace=False)] = True
-    return pop[mask]
+    sel = np.zeros(np.count_nonzero(cand), dtype=bool)
+    sel[rng.choice(len(sel), size=k, replace=False)] = True
+    return np.flatnonzero(cand)[sel]
 
 
 def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,9 +489,9 @@ def run_protocol(
         abort=None,
     )
 
-    both_smp = np.flatnonzero(labels_a & labels_b)
-    both_sif = np.flatnonzero(~labels_a & ~labels_b)
-    if len(both_smp) < params.l_smp or len(both_sif) < params.n:
+    both_smp = labels_a & labels_b
+    both_sif = ~(labels_a | labels_b)
+    if np.count_nonzero(both_smp) < params.l_smp or np.count_nonzero(both_sif) < params.n:
         t.abort = ABORT_INSUFFICIENT
         return t
 

@@ -31,7 +31,19 @@ PSD iterate and its projection is at most ``sqrt(6)`` times the iterate's
 affine residual.  The solver therefore computes that residual only while
 the distance is at most ``2 sqrt(6)`` times the feasibility tolerance
 (twice the bound, for rounding); beyond it the residual cannot be within
-the tolerance.
+the tolerance.  It also skips the eigensolve of an affine iterate ``x``
+when the Rayleigh bound ``lambda_min(H) <= Re(u^H x u) / |u|^2``, for
+``H = (x + x^H)/2`` and any ``u`` (the solver takes the least eigenvector of
+the PSD projection just before), puts that eigenvalue below ``-tol``, where
+it is not needed.
+With ``eps = 2^-52``, rounding moves the computed ``Re(u^H x u)`` by at most
+``20 eps ||x||_F |u|^2``, ``|u|^2`` is within ``20 eps`` of 1, forming ``H``
+moves its eigenvalues by at most ``eps ||x||_F / 2`` and ``zheevd``'s
+backward error by at most ``p(4) eps ||H||_2``, assuming ``p(4) <= 64``
+(LAPACK Users' Guide, section 4.7): in all, less than
+``100 eps (||x||_F + tol)``.  So a computed ``Re(u^H x u)`` below
+``-tol - 1e-11 (1 + ||x||_F^2)``, a margin at least 400 times larger,
+certifies that the computed eigenvalue is below ``-tol``.
 
 ``flip_amplitude``, ``squash_channel`` and ``verify_squash_conditions``
 broadcast over leading axes like ``chsh.chsh_measurement``: a row of
@@ -210,13 +222,22 @@ class FeasibilityReport:
 
 
 _CONSTRAINT_OBS = (identity(2), pauli("x"), pauli("z"))
-# The nonzero entries (a, b, O[a, b]) of each constraint observable, as Python
-# complex numbers.  There are two per observable: I is diagonal and, in the y
-# eigenbasis of this package, X = [[0, -i], [i, 0]] and Z = [[0, 1], [1, 0]]
-# are off-diagonal.
-_CONSTRAINT_TERMS = tuple(
-    tuple((a, b, complex(obs[a, b])) for a in range(2) for b in range(2) if obs[a, b] != 0)
-    for obs in _CONSTRAINT_OBS
+# The affine step on the row-major list t of the 16 Choi matrix entries, which
+# holds entry (a, b) of block (r, c) at 8r + 4a + 2c + b.  Each observable O has
+# two nonzero entries (a, b, v = O[a, b]): I is diagonal and, in the y eigenbasis
+# of this package, X = [[0, -i], [i, 0]] and Z = [[0, 1], [1, 0]] are
+# off-diagonal.  Per block, Tr[O . block(r, c)] = v0 * t[i0] + v1 * t[i1], and
+# the update adds step * v0 at o0 and step * v1 at o1.
+_AFFINE_PLAN = tuple(
+    tuple(
+        (r, c, 8 * r + 4 * b0 + 2 * c + a0, v0, 8 * r + 4 * b1 + 2 * c + a1, v1,
+         8 * r + 4 * a0 + 2 * c + b0, 8 * r + 4 * a1 + 2 * c + b1)
+        for r in range(2) for c in range(2)
+    )
+    for (a0, b0, v0), (a1, b1, v1) in (
+        [(a, b, complex(o[a, b])) for a in range(2) for b in range(2) if o[a, b] != 0]
+        for o in _CONSTRAINT_OBS
+    )
 )
 
 # Dykstra stopping rules of single_party_squash_feasibility.
@@ -227,12 +248,6 @@ _MAX_ITERS = 100_000
 # gap <= sqrt(6) * (affine residual of y), so above this gap (twice the
 # bound, for rounding) the residual of y cannot be within _FEASIBLE_TOL.
 _RESIDUAL_SKIP_GAP = 2.0 * math.sqrt(6.0) * _FEASIBLE_TOL
-
-
-def _block_coeff(t: list, j: int, k: int, terms: tuple) -> complex:
-    """``Tr[O . block(j, k)]`` of a Choi matrix held as nested lists ``t[j][a][k][b]``."""
-    (a0, b0, v0), (a1, b1, v1) = terms
-    return v0 * t[j][b0][k][a0] + v1 * t[j][b1][k][a1]
 
 
 def _project_affine(j: np.ndarray, targets: list) -> np.ndarray:
@@ -246,32 +261,36 @@ def _project_affine(j: np.ndarray, targets: list) -> np.ndarray:
     entries (multiplying by 1 or +-i is exact, so this rounds like the
     ``einsum`` contraction it replaces).  ``targets`` are nested lists.
     """
-    t = j.reshape(2, 2, 2, 2).tolist()
-    for terms, tgt in zip(_CONSTRAINT_TERMS, targets):
-        for r in range(2):
-            for c in range(2):
-                step = (tgt[r][c] - _block_coeff(t, r, c, terms)) / 2.0
-                for a, b, v in terms:
-                    t[r][a][c][b] += step * v
+    t = j.ravel().tolist()
+    for plan, tgt in zip(_AFFINE_PLAN, targets):
+        for r, c, i0, v0, i1, v1, o0, o1 in plan:
+            step = (tgt[r][c] - (v0 * t[i0] + v1 * t[i1])) / 2.0
+            t[o0] += step * v0
+            t[o1] += step * v1
     return np.array(t).reshape(4, 4)
 
 
-def _project_psd(j: np.ndarray) -> np.ndarray:
+def _project_psd(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PSD projection of the Hermitian part of ``j``, and its least eigenvector."""
     h = (j + j.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)) @ v.conj().T, v[:, 0]
 
 
 def _affine_residual(j: np.ndarray, targets: list) -> float:
     """Largest deviation of a block coefficient of ``j`` from its target."""
-    t = j.reshape(2, 2, 2, 2).tolist()
+    t = j.ravel().tolist()
     gaps = [
-        _block_coeff(t, r, c, terms) - tgt[r][c]
-        for terms, tgt in zip(_CONSTRAINT_TERMS, targets)
-        for r in range(2)
-        for c in range(2)
+        v0 * t[i0] + v1 * t[i1] - tgt[r][c]
+        for plan, tgt in zip(_AFFINE_PLAN, targets)
+        for r, c, i0, v0, i1, v1, _, _ in plan
     ]
     return float(np.max(np.abs(gaps)))
+
+
+def _rayleigh_skip(x: np.ndarray, u: np.ndarray) -> bool:
+    """Whether ``u`` certifies ``eigvalsh((x + x^H)/2)[0] < -_FEASIBLE_TOL`` (module docstring)."""
+    return np.vdot(u, x @ u).real < -_FEASIBLE_TOL - 1e-11 * (1.0 + np.vdot(x, x).real)
 
 
 def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> FeasibilityReport:
@@ -283,11 +302,12 @@ def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> Feasibili
     constraint within ``_FEASIBLE_TOL`` (returned as a witness after clipping
     to the cone).  The affine residual of the PSD iterate is computed only
     while the gap to its projection is at most ``_RESIDUAL_SKIP_GAP``, since
-    ``gap <= sqrt(6) * residual`` (see the module docstring).  Infeasible
-    means the inter-set distance stalled above ``_INFEASIBLE_FLOOR`` for
-    ``_STALL_ITERS`` consecutive iterations, which at this problem size is a
-    reliable positive-gap certificate.  Anything else is reported as
-    inconclusive rather than guessed.
+    ``gap <= sqrt(6) * residual``, and the least eigenvalue of the affine
+    iterate only where ``_rayleigh_skip`` cannot put it below the tolerance
+    (see the module docstring).  Infeasible means the inter-set distance
+    stalled above ``_INFEASIBLE_FLOOR`` for ``_STALL_ITERS`` consecutive
+    iterations, which at this problem size is a reliable positive-gap
+    certificate.  Anything else is reported as inconclusive, not guessed.
     """
     mx = require_hermitian(mx)
     mz = require_hermitian(mz)
@@ -307,16 +327,18 @@ def single_party_squash_feasibility(mx: np.ndarray, mz: np.ndarray) -> Feasibili
 
     for it in range(1, _MAX_ITERS + 1):
         shifted = x + correction
-        y = _project_psd(shifted)
+        y, u = _project_psd(shifted)
         correction = shifted - y
         x = _project_affine(y, targets)
-        gap = float(np.linalg.norm(x - y))
+        d = (x - y).ravel()
+        gap = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))  # np.linalg.norm's sum
 
         # y is exactly PSD; x satisfies the constraints exactly.
         y_feasible = gap <= _RESIDUAL_SKIP_GAP and _affine_residual(y, targets) <= _FEASIBLE_TOL
-        x_min_eig = float(np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0])
+        skip = not y_feasible and _rayleigh_skip(x, u)  # x_min_eig < -_FEASIBLE_TOL
+        x_min_eig = -math.inf if skip else float(np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0])
         if y_feasible or x_min_eig >= -_FEASIBLE_TOL:
-            witness = _project_psd(x) if x_min_eig >= -_FEASIBLE_TOL else y
+            witness = _project_psd(x)[0] if x_min_eig >= -_FEASIBLE_TOL else y
             residual = max(
                 _affine_residual(witness, targets),
                 max(0.0, -float(np.linalg.eigvalsh(witness)[0])),

@@ -582,6 +582,24 @@ class TestOut:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutOfMemory:
+    # exit 1 is kept for a failed verification; the library still raises
+    @pytest.mark.parametrize("sub", ["simulate", "bounds-check"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 763. MiB for an array", ""])
+    def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys, sub, message):
+        def run_protocol(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_protocol", run_protocol)
+        out = tmp_path / "x"
+        argv = (sub, "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0", "--out", str(out))
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message or 'MemoryError'}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestEntryPoint:
     # ``python -m diqkd`` goes through ``__main__.py`` and ``sys.exit(main())``
     @staticmethod

@@ -174,6 +174,12 @@ CLI_RUNS = {
         ("nogo", "--grid", "4"),
         "70834d8376c33ba53810a5b6727a7b67d0567f9286fb143c56614829dd1e78c1",
     ),
+    # the README configuration, taken before the solver skipped the affine
+    # iterate's eigensolve and ran its affine step on a flat list
+    "nogo-16": (
+        ("nogo", "--grid", "16"),
+        "a1a5c47c6503b3333fced34d918c5d5538830a627bae7481efed8ee3078cd704",
+    ),
     "simulate-csv": (
         SIMULATE_ARGS,
         "467d93706e7ba96e23a057f3e43dd2760013d7a13da92f28eb288735ec012db6",
@@ -211,6 +217,7 @@ SUMMARY_NOTES = {
     "verify-squash-16": "all_pass = True",
     "verify-squash-64": "all_pass = True",
     "nogo": "0 inconclusive cells",
+    "nogo-16": "0 inconclusive cells",
     "simulate-csv": "3 completed runs, 0 aborted",
     "simulate-json": "3 completed runs, 0 aborted",
     "bounds-check": "chernoff ok = True, azuma ok = True",

@@ -485,10 +485,12 @@ def test_masked_selection_equals_sorted_choice(case):
     size, k = SELECTIONS[case]
     pop = np.flatnonzero(np.random.default_rng(size).random(3 * size) < 0.5)[:size]
     assert len(pop) == size
+    cand = np.zeros(3 * size, dtype=bool)
+    cand[pop] = True
     for seed in range(3):
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = np.sort(rng_ref.choice(pop, size=k, replace=False))
-        got = _sorted_sample(rng, pop, k)
+        got = _sorted_sample(rng, cand, k)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 

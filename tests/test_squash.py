@@ -256,6 +256,20 @@ def test_gap_bounded_by_sqrt6_times_residual(scale):
     assert squash._RESIDUAL_SKIP_GAP == 2.0 * np.sqrt(6.0) * squash._FEASIBLE_TOL
 
 
+def bounded_observable(rng: np.random.Generator) -> np.ndarray:
+    """A random 2x2 observable with spectrum in [-1, 1]: half traceless, half of norm 1."""
+    h = random_hermitian(2, rng)
+    if rng.random() < 0.5:
+        h -= np.trace(h).real / 2.0 * identity(2)
+    radius = 1.0 if rng.random() < 0.5 else rng.uniform(0.3, 1.0)
+    return h * (radius / np.abs(np.linalg.eigvalsh(h)).max())
+
+
+def random_pair(seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    return bounded_observable(rng), bounded_observable(rng)
+
+
 FEASIBILITY_INPUTS = {
     f"readme-{k}": (generalized_x(np.exp(2j * np.pi * k / 16)), pauli("z")) for k in range(16)
 } | {
@@ -263,12 +277,18 @@ FEASIBILITY_INPUTS = {
     "z-conjugation": (generalized_x(1j), pauli("z")),
     "misaligned": (generalized_x(np.exp(1j * np.pi / 4)), pauli("z")),
     "shrunk": (0.3 * pauli("x"), 0.3 * pauli("z")),
-}
+} | {f"random-{seed}": random_pair(seed) for seed in range(40)}
 
 
 @pytest.mark.parametrize("name", list(FEASIBILITY_INPUTS))
-def test_report_equals_einsum_reference(name):
-    # the README nogo --grid 16 cells and every input of TestFeasibility
+def test_report_equals_einsum_reference(name, monkeypatch):
+    # The README nogo --grid 16 cells, every input of TestFeasibility and 40
+    # random pairs.  The reference computes the least eigenvalue of x in every
+    # iteration.  A cap of 1,000 iterations keeps the inconclusive cells cheap
+    # and lets every other verdict through (the named inputs stop by iteration
+    # 522, stall verdicts need at least 501): the random pairs give 5
+    # feasible, 23 infeasible and 12 inconclusive reports.
+    monkeypatch.setattr(squash, "_MAX_ITERS", 1000)
     rep = single_party_squash_feasibility(*FEASIBILITY_INPUTS[name])
     ref = reference_feasibility(*FEASIBILITY_INPUTS[name])
     assert (rep.status, rep.residual, rep.iterations) == (ref.status, ref.residual, ref.iterations)
@@ -276,3 +296,27 @@ def test_report_equals_einsum_reference(name):
         assert rep.witness is None
     else:
         assert rep.witness.matrix.tobytes() == ref.witness.matrix.tobytes()
+
+
+def test_rayleigh_skip_only_below_tolerance():
+    # Whenever the skip fires, the eigenvalue it skips is below -tol: at
+    # random and with the least eigenvalue within 1e-8 of -tol, at three
+    # scales, with a non-Hermitian part, and with u the least eigenvector of
+    # the Hermitian part or of a perturbed copy, as in the solver.
+    rng = np.random.default_rng(13)
+    tol = squash._FEASIBLE_TOL
+    fired = 0
+    for trial in range(3000):
+        scale = (1.0, 1e-3, 1e3)[trial % 3]
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        w = np.sort(rng.uniform(-1.0, 1.0, 4)) * scale
+        if trial % 2:
+            w[0] = -tol + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -8.0)
+            w[1:] = np.abs(w[1:])
+        h = (q * w) @ q.conj().T
+        x = h + 1j * 1e-3 * scale * random_hermitian(4, rng)
+        u = np.linalg.eigh(h if trial % 4 < 2 else h + 1e-9 * random_hermitian(4, rng))[1][:, 0]
+        if squash._rayleigh_skip(x, u):
+            fired += 1
+            assert np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] < -tol
+    assert fired >= 1000
