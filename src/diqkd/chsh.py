@@ -46,9 +46,9 @@ BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 def t_sign(basis_a: str, basis_b: str) -> int:
     """Sign exponent of a CHSH round: 1 when both parties measured x, else 0.
 
-    This single definition is shared by the operator construction (the minus
-    sign on the x-x term) and the classical estimator of the protocol
-    simulator, so the two cannot drift apart.
+    This single definition is shared by the protocol simulator's estimator
+    (``protocol._SIGN_TABLE``) and by ``povm_equals_local_mixture``, which
+    checks it against the x-x minus sign that ``chsh_measurement`` writes out.
     """
     return 1 if basis_a == "x" and basis_b == "x" else 0
 
@@ -63,8 +63,8 @@ class CHSHMeasurement:
         Unit-modulus detector parameters.
     operator : ndarray
         The 4x4 CHSH observable.
-    mu, nu : complex
-        Bell-sector coefficients; ``|mu|^2 + |nu|^2 = 1/2``.
+    abs_mu, abs_nu : float
+        Moduli of the Bell-sector coefficients; ``|mu|^2 + |nu|^2 = 1/2``.
     phi : float
         Angle with ``cos(phi) = |mu| + |nu|`` and ``sin(phi) = |mu| - |nu|``,
         always within ``[-pi/4, pi/4]``.
@@ -76,8 +76,6 @@ class CHSHMeasurement:
     alpha: complex
     beta: complex
     operator: np.ndarray
-    mu: complex
-    nu: complex
     abs_mu: float
     abs_nu: float
     phi: float
@@ -121,8 +119,6 @@ def chsh_measurement(alpha, beta) -> CHSHMeasurement:
         alpha=alpha,
         beta=beta,
         operator=op,
-        mu=mu,
-        nu=nu,
         abs_mu=abs_mu,
         abs_nu=abs_nu,
         phi=phi,
@@ -178,20 +174,18 @@ def povm_equals_local_mixture(m: CHSHMeasurement, rho: np.ndarray) -> MixtureAgr
     )
 
 
-def positive_lift(m: CHSHMeasurement) -> tuple[np.ndarray, float]:
+def positive_lift(m: CHSHMeasurement) -> np.ndarray:
     """CHSH observable with its negative eigenvalues flipped positive.
 
     Adding ``2|mu| P(psi-) + 2|nu| P(phi-)`` to M gives an operator that
     dominates M and has the closed form
-    ``(cos(phi) I + sin(phi) Y (x) Y) / 2`` with ``|phi| <= pi/4``.
-    Returns the lifted operator together with ``phi``.
+    ``(cos(phi) I + sin(phi) Y (x) Y) / 2`` with ``phi = m.phi``, ``|phi| <= pi/4``.
     """
-    lifted = (
+    return (
         m.operator
         + (2.0 * m.abs_mu)[..., None, None] * m.projector("psi_minus")
         + (2.0 * m.abs_nu)[..., None, None] * m.projector("phi_minus")
     )
-    return lifted, m.phi
 
 
 def max_chsh_eigenvalue_magnitude(m: CHSHMeasurement) -> float:

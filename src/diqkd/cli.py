@@ -15,6 +15,7 @@ an existing directory, which is checked before the job runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -124,10 +125,8 @@ def _params_from_args(args) -> ProtocolParams:
     missing = [name for name in ("n", "q", "delta", "s0") if getattr(args, name) is None]
     if missing:
         raise ValueError(f"missing required parameters: {', '.join(missing)}")
-    l_syn = args.l_syn
-    if l_syn is None:
-        l_syn = syndrome_budget(args.n, args.p_est, args.f_ec)
-    return ProtocolParams(
+    # checked first, so that an n too large for a float fails here, not in syndrome_budget
+    params = ProtocolParams(
         n=args.n,
         q=args.q,
         delta=args.delta,
@@ -135,8 +134,11 @@ def _params_from_args(args) -> ProtocolParams:
         eps=args.eps,
         eps_cor=args.eps_cor,
         f_ec=args.f_ec,
-        l_syn=l_syn,
+        l_syn=0 if args.l_syn is None else args.l_syn,
     )
+    if args.l_syn is None:
+        params.l_syn = syndrome_budget(args.n, args.p_est, args.f_ec)
+    return params
 
 
 # Each cmd_* returns (doc, note, ok): doc is a JSON dict, or (config, header,
@@ -166,16 +168,7 @@ def cmd_rate_curve(args):
 def cmd_keylength(args):
     params = _params_from_args(args)
     report = finite_key_length(params)
-    doc = {
-        "config": {"subcommand": "keylength", **params.as_dict()},
-        "l": report.l,
-        "mu_prime": report.mu_prime,
-        "delta_s": report.delta_s,
-        "mu": report.mu,
-        "hmin_bound": report.hmin_bound,
-        "components": report.components,
-        "reason": report.reason,
-    }
+    doc = {"config": {"subcommand": "keylength", **params.as_dict()}, **dataclasses.asdict(report)}
     return doc, f"l = {report.l}", True
 
 
@@ -247,6 +240,9 @@ def _make_strategy(args):
     if args.strategy == "depolarizing":
         return DepolarizingSource(args.p)
     if args.strategy == "misaligned":
+        for name in ("alpha_angle", "beta_angle"):
+            if not np.isfinite(getattr(args, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")
         alpha = complex(np.exp(1j * args.alpha_angle))
         beta = complex(np.exp(1j * args.beta_angle))
         return MisalignedSource(alpha, beta, args.p)

@@ -80,17 +80,11 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_INPUT):
-    """Whether ``m`` is Hermitian within ``atol``, one answer per matrix."""
-    m = np.asarray(m)
-    return m.ndim >= 2 and m.shape[-1] == m.shape[-2] and np.all(
-        np.abs(m - m.conj().swapaxes(-1, -2)) <= atol, axis=(-2, -1)
-    )
-
-
 def require_hermitian(m: np.ndarray, atol: float = ATOL_INPUT) -> np.ndarray:
+    """``m`` as a complex array; ValueError unless each matrix is Hermitian within ``atol``."""
     m = np.asarray(m, dtype=complex)
-    if not np.all(is_hermitian(m, atol)):
+    square = m.ndim >= 2 and m.shape[-1] == m.shape[-2]
+    if not (square and np.all(np.abs(m - m.conj().swapaxes(-1, -2)) <= atol)):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 

@@ -86,6 +86,13 @@ def ideal_pair_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _depolarize(state: np.ndarray, p: float) -> np.ndarray:
+    """``(1 - 2p) state + 2p I/4`` for an error rate ``p`` in [0, 1/2]."""
+    if not 0.0 <= p <= 0.5:
+        raise ValueError("error rate must be in [0, 1/2]")
+    return (1.0 - 2.0 * p) * state + 2.0 * p * identity(4) / 4.0
+
+
 def depolarized_pair_state(p: float) -> np.ndarray:
     """Source state ``(1 - 2p) |psi><psi| + 2p I/4``.
 
@@ -94,10 +101,7 @@ def depolarized_pair_state(p: float) -> np.ndarray:
     ``(1 - 2p)/sqrt(2)``: the correlators of the pure state all scale by
     ``(1 - 2p)`` and the maximally mixed part contributes nothing.
     """
-    if not 0.0 <= p <= 0.5:
-        raise ValueError("error rate must be in [0, 1/2]")
-    lam = 2.0 * p
-    return (1.0 - lam) * ideal_pair_state() + lam * identity(4) / 4.0
+    return _depolarize(ideal_pair_state(), p)
 
 
 class DepolarizingSource:
@@ -134,14 +138,11 @@ class MisalignedSource:
     """
 
     def __init__(self, alpha: complex, beta: complex, p: float = 0.0):
-        if not 0.0 <= p <= 0.5:
-            raise ValueError("error rate must be in [0, 1/2]")
         self.p = float(p)
         self.measurement = chsh_measurement(alpha, beta)
         self.alpha, self.beta = self.measurement.alpha, self.measurement.beta
         label = "psi_plus" if self.measurement.abs_mu >= self.measurement.abs_nu else "phi_plus"
-        top = self.measurement.projector(label)
-        self.rho = (1.0 - 2.0 * self.p) * top + 2.0 * self.p * identity(4) / 4.0
+        self.rho = _depolarize(self.measurement.projector(label), self.p)
         z = pauli("z")
         self.alice_ops = {"z": z, "x": generalized_x(self.alpha)}
         self.bob_ops = {"zp": z, "z": z, "x": generalized_x(self.beta)}
@@ -236,10 +237,10 @@ class Transcript:
     bases_b: np.ndarray  # int8 indices into BOB_BASES
     outcomes_a: np.ndarray  # +-1
     outcomes_b: np.ndarray
-    i_smp: np.ndarray
-    i_sif: np.ndarray
-    s_est: float | None
-    abort: str | None
+    i_smp: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    i_sif: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    s_est: float | None = None
+    abort: str | None = None
     p_est: float | None = None
     sifted_key: np.ndarray | None = None
     bob_raw: np.ndarray | None = None
@@ -416,16 +417,14 @@ def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     return tag_a, tag_a.copy() if np.array_equal(a, b) else h(b)
 
 
-def run_protocol(
-    params: ProtocolParams, strategy, seed: int, p_est: float | None = None
-) -> Transcript:
+def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     """Execute one full protocol run and return its transcript.
 
-    ``p_est`` is the error-rate estimate used to size the syndrome; by
-    default it is derived from the measured CHSH average by inverting
-    ``S = (1 - 2p)/sqrt(2)`` and clipping to [0, 1/2].  Aborts are recorded
-    outcomes, not errors: the transcript is filled in stage by stage and
-    every exit returns it with its abort code.
+    The error-rate estimate ``p_est`` that sizes the syndrome is derived
+    from the measured CHSH average by inverting ``S = (1 - 2p)/sqrt(2)`` and
+    clipping to [0, 1/2].  Aborts are recorded outcomes, not errors: the
+    transcript is filled in stage by stage and every exit returns it with
+    its abort code.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -483,10 +482,6 @@ def run_protocol(
         bases_b=bases_b,
         outcomes_a=outcomes_a,
         outcomes_b=outcomes_b,
-        i_smp=np.empty(0, dtype=np.int64),
-        i_sif=np.empty(0, dtype=np.int64),
-        s_est=None,
-        abort=None,
     )
 
     both_smp = labels_a & labels_b
@@ -506,10 +501,8 @@ def run_protocol(
     sifted = t.sifted_key = ((1 - t.outcomes_a[t.i_sif]) // 2).astype(np.uint8)
     t.bob_raw = ((1 - t.outcomes_b[t.i_sif]) // 2).astype(np.uint8)
 
-    if p_est is None:
-        p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
-    t.p_est = p_est
-    t.syndrome_bits_used = syndrome_budget(params.n, p_est, params.f_ec)
+    t.p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
+    t.syndrome_bits_used = syndrome_budget(params.n, t.p_est, params.f_ec)
     t.syndrome_within_budget = t.syndrome_bits_used <= params.l_syn
 
     # Oracle error correction: Bob adopts Alice's string, the syndrome cost
@@ -549,9 +542,6 @@ class NoiseGapReport:
     Azuma-Hoeffding bound.
     """
 
-    trials: int
-    batch_size: int
-    deviation: float
     empirical_tail: float
     bound: float
     mean_abs_gap: float
@@ -599,9 +589,6 @@ def _noise_gap_core(
         s3_total += float(g3.sum())
         done += t
     return NoiseGapReport(
-        trials=trials,
-        batch_size=batch_size,
-        deviation=deviation,
         empirical_tail=exceed / trials,
         bound=azuma_tail(batch_size, deviation),
         mean_abs_gap=abs_gap_total / trials,

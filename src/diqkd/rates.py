@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .linalg import SQRT2
 
@@ -127,9 +127,9 @@ def total_deviation(n: int, l_smp: int, eps: float) -> float:
     return coeff * math.sqrt(math.log(6.0 / eps) / l_smp)
 
 
-def _ceil_tol(x: float, tol: float = 1e-9) -> int:
-    """Ceiling that forgives float noise just below an integer."""
-    return int(math.ceil(x - tol))
+def _ceil_tol(x: float) -> int:
+    """Ceiling that forgives float noise up to 1e-9 below an integer."""
+    return int(math.ceil(x - 1e-9))
 
 
 def syndrome_budget(n: int, p_est: float, f_ec: float) -> int:
@@ -167,6 +167,10 @@ class ProtocolParams:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"{name} must fit in a float, got {v.bit_length()} bits") from None
         for name in ("q", "delta", "s0", "eps", "eps_cor", "f_ec"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -211,8 +215,8 @@ class KeyLengthReport:
     delta_s: float
     mu: float
     hmin_bound: float
-    components: dict = field(default_factory=dict)
-    reason: str | None = None
+    components: dict
+    reason: str | None
 
 
 def _entropy_term(n: int, s0: float, mu: float) -> float | None:

@@ -134,7 +134,6 @@ class SquashConditionReport:
     cond2_min_eig: float
     n_min_eig: float
     lift_gap_min_eig: float
-    tol: float
     passed: bool
 
 
@@ -152,7 +151,7 @@ def verify_squash_conditions(sq: SquashChannel, tol: float = 1e-9) -> SquashCond
     cond2_op = identity(4) + (SQRT2 - 1.0) * adj_xx - 2.0 * m.operator
     cond2_min = min_eigenvalue(cond2_op)
 
-    lifted, _ = positive_lift(m)
+    lifted = positive_lift(m)
     lift_gap_min = min_eigenvalue(lifted - m.operator)
     slack = (1.0 + SQRT2) * (identity(4) - 2.0 * lifted) + adj_xx
     n_min = min_eigenvalue(slack)
@@ -162,7 +161,6 @@ def verify_squash_conditions(sq: SquashChannel, tol: float = 1e-9) -> SquashCond
         cond2_min_eig=cond2_min,
         n_min_eig=n_min,
         lift_gap_min_eig=lift_gap_min,
-        tol=tol,
         passed=(cond1_residual <= tol) & (np.min([cond2_min, n_min, lift_gap_min], axis=0) >= -tol),
     )
 

@@ -177,9 +177,6 @@ def reference_noise_gap_core(
         s3_total += float(g3.sum())
         done += t
     return NoiseGapReport(
-        trials=trials,
-        batch_size=batch_size,
-        deviation=deviation,
         empirical_tail=exceed / trials,
         bound=azuma_tail(batch_size, deviation),
         mean_abs_gap=abs_gap_total / trials,

@@ -135,11 +135,10 @@ def test_mixture_equivalence_random_inputs():
 
 
 def test_positive_lift_aligned_and_degenerate():
-    lifted, phi = positive_lift(chsh_measurement(-1j, -1j))
-    assert phi == pytest.approx(np.pi / 4, abs=1e-12)
-    lifted, phi = positive_lift(chsh_measurement(1.0, 1.0))
-    assert phi == pytest.approx(0.0, abs=1e-14)
-    assert np.allclose(lifted, identity(4) / 2.0, atol=1e-12)
+    assert chsh_measurement(-1j, -1j).phi == pytest.approx(np.pi / 4, abs=1e-12)
+    m = chsh_measurement(1.0, 1.0)
+    assert m.phi == pytest.approx(0.0, abs=1e-14)
+    assert np.allclose(positive_lift(m), identity(4) / 2.0, atol=1e-12)
 
 
 def test_positive_lift_dominates_and_closed_form():
@@ -147,7 +146,7 @@ def test_positive_lift_dominates_and_closed_form():
     for ta in grid_angles(16):
         for tb in grid_angles(16):
             m = chsh_measurement(np.exp(1j * ta), np.exp(1j * tb))
-            lifted, phi = positive_lift(m)
+            lifted, phi = positive_lift(m), m.phi
             assert abs(phi) <= np.pi / 4 + 1e-12
             assert min_eigenvalue(lifted - m.operator) >= -1e-10
             closed = 0.5 * (np.cos(phi) * identity(4) + np.sin(phi) * yy)

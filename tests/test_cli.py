@@ -462,6 +462,9 @@ class TestParser:
 
 
 KEYLENGTH = ("keylength", "--n", "100000000", "--q", "0.0909", "--delta", "0.01", "--s0", "0.69")
+HUGE = str(10**400)  # an integer that float() cannot convert
+MISALIGNED = ("simulate", "--n", "1000", "--q", "0.3", "--delta", "0.05", "--s0", "0.0",
+              "--runs", "1", "--strategy", "misaligned")
 BOUNDS = (
     "bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0",
     "--runs", "2", "--trials", "5", "--batch", "100",
@@ -482,6 +485,13 @@ NON_FINITE = {
     "verify-squash-tol-inf": (("verify-squash", "--grid", "2", "--tol", "inf"), "tol"),
     # a negative tolerance is finite but would fail every cell for nothing
     "verify-squash-tol-negative": (("verify-squash", "--grid", "2", "--tol=-1e-9"), "tol"),
+    # a count that overflows a float is a bad configuration, not an OverflowError
+    "keylength-n-huge": (("keylength", "--n", HUGE) + KEYLENGTH[3:], "n"),
+    "keylength-l-syn-huge": (KEYLENGTH + ("--l-syn", HUGE), "l_syn"),
+    "simulate-n-huge": (("simulate", "--n", HUGE) + KEYLENGTH[3:], "n"),
+    # rejected before np.exp, whose RuntimeWarning the suite turns into an error
+    "simulate-alpha-angle-inf": (MISALIGNED + ("--alpha-angle", "inf"), "alpha_angle"),
+    "simulate-beta-angle-nan": (MISALIGNED + ("--beta-angle", "nan"), "beta_angle"),
 }
 
 
@@ -518,6 +528,7 @@ class TestNonFiniteInputs:
         [
             (("keylength",), {"n": 100000000, "q": 0.0909, "delta": 0.01, "s0": 0.69}, "p_est"),
             (("verify-squash", "--grid", "2"), {}, "tol"),
+            (MISALIGNED, {}, "alpha_angle"),
         ],
     )
     def test_config_nan_rejected(self, tmp_path, capsys, argv, doc, key):

@@ -250,8 +250,6 @@ class TestRunProtocol:
     def test_p_est_default_inverts_chsh(self):
         t = run_protocol(small_params(), DepolarizingSource(0.05), seed=6)
         assert t.p_est == pytest.approx((1 - SQRT2 * t.s_est) / 2, abs=1e-12)
-        t2 = run_protocol(small_params(), DepolarizingSource(0.05), seed=6, p_est=0.02)
-        assert t2.p_est == 0.02
 
     def test_json_roundtrip_fields(self):
         import json

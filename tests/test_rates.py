@@ -198,6 +198,12 @@ class TestProtocolParams:
         p = make_params(np.int64(1000), 0.1, 0.0, l_syn=np.int32(7))
         assert (p.n, p.l_syn) == (1000, 7)
 
+    @pytest.mark.parametrize("name", ["n", "l_syn"])
+    def test_counts_must_fit_in_a_float(self, name):
+        # the pulse count and the cost terms are computed in float64
+        with pytest.raises(ValueError, match=f"^{name} must fit in a float, got 1329 bits$"):
+            make_params(**{"n": 1000, "q": 0.1, "s0": 0.0} | {name: 10**400})
+
 
 class TestFiniteKeyLength:
     def test_spec_scale_parameters_give_no_key(self):
