@@ -4,12 +4,18 @@ Subcommands: ``rate-curve``, ``keylength``, ``verify-squash``, ``nogo``,
 ``simulate``, ``bounds-check``.  Each ``cmd_*`` returns its document, the
 note of its ``wrote PATH (note)`` line and its verdict; ``main`` alone writes
 the file, prints that line and picks the exit code.  CSV cells use 12
-significant digits; JSON floats are Python's shortest round-trip repr.  The
-resolved configuration is echoed into the output header, and re-running
-with the same configuration and seed produces byte-identical files.  Exit
-codes: 0 on success / all checks passed, 1 on a verification failure, 2 on
-invalid configuration, including an ``--out`` that does not name a file in
-an existing directory, which is checked before the job runs.
+significant digits; JSON floats are Python's shortest round-trip repr.  A
+JSON file is byte for byte ``json.dump(doc, fh, indent=2)`` plus a newline,
+but written by ``json``'s C encoder: a list of rows whose keys are exactly
+``str`` and whose values are exactly ``float``, ``int``, ``bool``, ``str``
+or ``None`` (the ``verify-squash`` and ``nogo`` cells, ``simulate`` runs)
+goes as a table, one encoder call per block of at most ``_CHUNK`` rows, so
+that a large grid is never held as one string.  The resolved configuration
+is echoed into the output header, and re-running with the same
+configuration and seed produces byte-identical files.  Exit codes: 0 on
+success / all checks passed, 1 on a verification failure, 2 on invalid
+configuration, including an ``--out`` that does not name a file in an
+existing directory, which is checked before the job runs.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -63,17 +70,55 @@ def _write_csv(path: str, config: dict, header: list, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Cells per stacked verify_squash_conditions call (whole alpha rows, at most
+# this many cells when a row is shorter) and rows per block of a JSON table,
+# so that neither the grid nor its text is held at once.
+_CHUNK = 256
+
+
 def _write_json(path: str, doc: dict) -> None:
     """Write ``doc`` exactly as ``json.dump(doc, fh, indent=2)`` does, plus a newline.
 
     ``indent`` selects ``json``'s pure-Python encoder, which is slow on the
-    cell tables, so only the nesting is walked here.  Each dict or list whose
-    values are all scalars goes to the C encoder in one call, with the
-    newline and indent of its items folded into the item separator, and is
-    written as soon as it is made.  Keys, numbers, NaN and infinities, and
-    the TypeError on a value that is not JSON all come from ``json`` itself.
+    cell tables, so only the nesting is walked here and the C encoder writes
+    the scalars.  Each dict or list whose values are all scalars is one C
+    call, with the newline and indent of its items folded into the item
+    separator.  A list of rows (non-empty dicts whose keys are exactly
+    ``str``, in the first row's order, and whose values are exactly
+    ``float``, ``int``, ``bool``, ``str`` or ``None``) goes in blocks of
+    ``_CHUNK`` rows: one C call encodes a block's values, split on a raw NUL
+    (inside a string the encoder escapes it), and one ``%s`` template of the
+    keys and indents lays them out.  A block that is not such a table, such
+    as one holding a numpy scalar, is written item by item.  Every piece is
+    written as soon as it is made, so at most one block is held as text.
+    Keys, numbers, NaN and infinities, and the TypeError on a value that is
+    not JSON all come from ``json`` itself.
     """
     encoders = {}
+    scalars = {float, int, bool, str, type(None)}
+
+    def encode(obj, sep: str) -> str:
+        if sep not in encoders:
+            encoders[sep] = json.JSONEncoder(separators=(sep, ": ")).encode
+        return encoders[sep](obj)
+
+    def quote(key) -> str:
+        # json's key conversion: the quoted key of {key: 0}
+        return json.dumps({key: 0})[1:-4]
+
+    def table(rows, inner: str):
+        # the text of ``rows`` as items of a list at ``inner``, or None if they are not a table
+        if set(map(type, rows)) != {dict} or not rows[0]:
+            return None
+        keys = list(rows[0])
+        if set(map(type, chain.from_iterable(rows))) != {str} or any(list(r) != keys for r in rows):
+            return None
+        cells = list(chain.from_iterable(map(dict.values, rows)))
+        if not set(map(type, cells)) <= scalars:
+            return None
+        fields = ",".join(inner + "  " + quote(k).replace("%", "%%") + ": %s" for k in keys)
+        row = "{" + fields + inner + "}"
+        return ("," + inner).join([row] * len(rows)) % tuple(encode(cells, ",\0")[1:-1].split(",\0"))
 
     def dump(obj, newline: str) -> None:
         # ``newline`` is "\n" plus the indent of the line that ``obj`` starts on
@@ -83,20 +128,27 @@ def _write_json(path: str, doc: dict) -> None:
         inner = newline + "  "
         keyed = isinstance(obj, dict)
         if not any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if keyed else obj)):
-            if inner not in encoders:
-                encoders[inner] = json.JSONEncoder(separators=("," + inner, ": ")).encode
-            text = encoders[inner](obj)
+            text = encode(obj, "," + inner)
             fh.write(text[0] + inner + text[1:-1] + newline + text[-1])
             return
-        fh.write("{" if keyed else "[")
-        for i, item in enumerate(obj.items() if keyed else obj):
-            fh.write("," + inner if i else inner)
-            if keyed:
-                key, item = item
-                # json's key conversion: the quoted key of {key: 0}
-                fh.write(json.dumps({key: 0})[1:-4] + ": ")
-            dump(item, inner)
-        fh.write(newline + ("}" if keyed else "]"))
+        if keyed:
+            fh.write("{")
+            for i, (key, item) in enumerate(obj.items()):
+                fh.write(("," if i else "") + inner + quote(key) + ": ")
+                dump(item, inner)
+            fh.write(newline + "}")
+            return
+        fh.write("[")
+        for start in range(0, len(obj), _CHUNK):
+            block = obj[start : start + _CHUNK]
+            text = table(block, inner)
+            if text is not None:
+                fh.write(("," if start else "") + inner + text)
+                continue
+            for i, item in enumerate(block, start):
+                fh.write(("," if i else "") + inner)
+                dump(item, inner)
+        fh.write(newline + "]")
 
     with open(path, "w") as fh:
         dump(doc, "\n")
@@ -172,11 +224,6 @@ def cmd_keylength(args):
     return doc, f"l = {report.l}", True
 
 
-# Cells per stacked verify_squash_conditions call: whole alpha rows, at most
-# this many cells when a row is shorter, so the grid is never held at once.
-_CHUNK = 256
-
-
 def cmd_verify_squash(args):
     if args.grid < 2:
         raise ValueError("grid must be at least 2")
@@ -188,18 +235,18 @@ def cmd_verify_squash(args):
         verify_squash_conditions(squash_channel(points[i : i + rows, None], points), args.tol)
         for i in range(0, args.grid, rows)
     ]
-    fields = ("cond1_residual", "cond2_min_eig", "n_min_eig", "lift_gap_min_eig")
+    # the cell keys: two angles, then the report fields, which name the last one "passed"
+    keys = ("alpha_angle", "beta_angle", "cond1_residual", "cond2_min_eig", "n_min_eig",
+            "lift_gap_min_eig", "pass")
+    fields = keys[2:6]
     table = {f: np.concatenate([getattr(rep, f) for rep in reps]) for f in fields + ("passed",)}
     all_pass = bool(table["passed"].all())
     worst = {f: float(table[f].max() if f == "cond1_residual" else table[f].min()) for f in fields}
-    table = {f: v.tolist() for f, v in table.items()}
-    cells = [
-        {"alpha_angle": ta, "beta_angle": tb}
-        | {f: table[f][i][j] for f in fields}
-        | {"pass": table["passed"][i][j]}
-        for i, ta in enumerate(angles.tolist())
-        for j, tb in enumerate(angles.tolist())
-    ]
+    # one flat list per column, alpha-major like the cells
+    angles = angles.tolist()
+    columns = [[t for t in angles for _ in angles], angles * args.grid]
+    columns += [v.ravel().tolist() for v in table.values()]
+    cells = [dict(zip(keys, row)) for row in zip(*columns)]
     doc = {
         "config": {"subcommand": "verify-squash", "grid": args.grid, "tol": args.tol},
         "all_pass": all_pass,

@@ -127,8 +127,14 @@ def total_deviation(n: int, l_smp: int, eps: float) -> float:
     return coeff * math.sqrt(math.log(6.0 / eps) / l_smp)
 
 
-def _ceil_tol(x: float) -> int:
-    """Ceiling that forgives float noise up to 1e-9 below an integer."""
+def _ceil_tol(x: float, name: str) -> int:
+    """Ceiling that forgives float noise up to 1e-9 below an integer.
+
+    A count whose float formula overflows is a bad configuration: ``name``
+    labels the ValueError raised for a non-finite ``x``.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must fit in a float, got {x!r}")
     return int(math.ceil(x - 1e-9))
 
 
@@ -137,7 +143,7 @@ def syndrome_budget(n: int, p_est: float, f_ec: float) -> int:
     _require_f_ec(f_ec)
     if not 0.0 <= float(p_est) <= 1.0:
         raise ValueError(f"p_est must be in [0, 1], got {p_est!r}")
-    return _ceil_tol(f_ec * n * binary_entropy(p_est))
+    return _ceil_tol(f_ec * n * binary_entropy(p_est), "l_syn")
 
 
 @dataclass
@@ -198,12 +204,12 @@ class ProtocolParams:
     @property
     def pulse_pairs(self) -> int:
         """Number of pulse pairs N the source must emit."""
-        return _ceil_tol(self.n / (1.0 - self.delta) / (1.0 - self.q) ** 2)
+        return _ceil_tol(self.n / (1.0 - self.delta) / (1.0 - self.q) ** 2, "pulse_pairs")
 
     @property
     def l_smp(self) -> int:
         """Number of sample pairs consumed by the CHSH test."""
-        return _ceil_tol(self.n * (self.q / (1.0 - self.q)) ** 2)
+        return _ceil_tol(self.n * (self.q / (1.0 - self.q)) ** 2, "l_smp")
 
 
 @dataclass

@@ -181,6 +181,25 @@ WRITER_DOCS = {
     "keys": {7: "i", 2.5: [1], False: "b", None: {"x": 1}, np.nan: [{}], "s": {3: [1], -1.5: 2}},
     "top-list": [1, {"a": [2, 3]}, [[]], "s", (4,)],
     "top-scalar": 3.0,
+    # lists of rows: a table when every row has exactly-str keys in one order
+    # and exactly-typed scalar values, item by item otherwise
+    "rows-int-bool-float-keys": {"cells": [{1: "a"}, {True: "b"}, {1.0: "c"}]},
+    "rows-key-order": {"cells": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]},
+    "rows-fewer-keys": {"cells": [{"a": 1, "b": 2}, {"a": 3}]},
+    "rows-across-a-block": {
+        "cells": [{"i": i, "x": i / 7, "ok": i % 3 == 0, "s": str(i)} for i in range(300)]
+    },
+    "rows-scalars": [
+        {"neg0": -0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "big": 2**70, "none": None}
+        | {"b": b, "mixed": m, "text": "\u00e9\u2713 \U0001d11e\x00,\"%s\\"}
+        for b, m in [(True, 1), (False, 2.5), (True, -3)]
+    ],
+    "rows-percent-and-non-ascii-keys": [{"%s %d": 1, "k\u00e9y": "v"}] * 3,
+    "rows-np-float64": {"cells": [{"a": 1.0, "x": np.float64(0.1 * i)} for i in range(3)]},
+    "rows-nested-list": [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}],
+    "rows-empty-row": [{"a": 1}, {}, {"a": 2}],
+    "rows-empty-first-row": [{}, {"a": 1}],
+    "rows-tuple": ({"a": 1}, {"a": 2}),
 }
 
 
@@ -205,6 +224,7 @@ NOT_JSON = {
     "tuple-key": {(1, 2): 3},
     "tuple-key-nested": {(1,): [1]},
     "top-int64": np.int64(3),
+    "table-int64-cell": {"cells": [{"a": 1, "b": 2.0}, {"a": np.int64(2), "b": 3.0}]},
 }
 
 
@@ -214,6 +234,36 @@ def test_writer_raises_type_error_where_json_dump_does(tmp_path, name):
         json.dumps(NOT_JSON[name], indent=2)
     with pytest.raises(TypeError):
         cli._write_json(str(tmp_path / "doc.json"), NOT_JSON[name])
+
+
+# The README jobs that write JSON; rate-curve writes CSV only, and the README
+# simulate job, which writes CSV, is run here with --format json.
+README_JSON_JOBS = {
+    "keylength": (
+        "keylength", "--n", "100000000", "--q", "0.0909", "--delta", "0.01", "--s0", "0.69",
+        "--eps", "1e-9", "--eps-cor", "1e-9", "--p-est", "0.01",
+    ),
+    "verify-squash": ("verify-squash", "--grid", "64", "--tol", "1e-9"),
+    "nogo": ("nogo", "--grid", "16"),
+    "simulate": (
+        "simulate", "--n", "46550", "--q", "0.3", "--delta", "0.05", "--s0", "0.0",
+        "--strategy", "depolarizing", "--p", "0.05", "--runs", "100", "--seed", "1",
+        "--format", "json",
+    ),
+    "bounds-check": (
+        "bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0",
+        "--runs", "1000", "--trials", "2000", "--seed", "0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_JSON_JOBS))
+def test_readme_json_file_is_json_dump_of_its_content(tmp_path, name):
+    # independent of the pinned digests: the writer lays out exactly what it wrote
+    out = tmp_path / "out.json"
+    assert run_cli(*README_JSON_JOBS[name], "--out", str(out)) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestNogo:
@@ -489,6 +539,17 @@ NON_FINITE = {
     "keylength-n-huge": (("keylength", "--n", HUGE) + KEYLENGTH[3:], "n"),
     "keylength-l-syn-huge": (KEYLENGTH + ("--l-syn", HUGE), "l_syn"),
     "simulate-n-huge": (("simulate", "--n", HUGE) + KEYLENGTH[3:], "n"),
+    # n fits in a float, but a count derived from it does not
+    "keylength-pulse-pairs-overflow": (
+        ("keylength", "--n", str(10**308), "--q", "0.5", "--delta", "0.5", "--s0", "0.5",
+         "--l-syn", "0"),
+        "pulse_pairs",
+    ),
+    "keylength-syndrome-overflow": (
+        ("keylength", "--n", str(10**300), "--q", "0.1", "--delta", "0.1", "--s0", "0.5",
+         "--f-ec", "1e10"),
+        "l_syn",
+    ),
     # rejected before np.exp, whose RuntimeWarning the suite turns into an error
     "simulate-alpha-angle-inf": (MISALIGNED + ("--alpha-angle", "inf"), "alpha_angle"),
     "simulate-beta-angle-nan": (MISALIGNED + ("--beta-angle", "nan"), "beta_angle"),

@@ -204,6 +204,12 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match=f"^{name} must fit in a float, got 1329 bits$"):
             make_params(**{"n": 1000, "q": 0.1, "s0": 0.0} | {name: 10**400})
 
+    def test_pulse_pairs_must_fit_in_a_float(self):
+        # n fits, but n / ((1 - delta)(1 - q)^2) does not
+        p = make_params(10**308, 0.5, 0.5, delta=0.5)
+        with pytest.raises(ValueError, match="^pulse_pairs must fit in a float, got inf$"):
+            p.pulse_pairs
+
 
 class TestFiniteKeyLength:
     def test_spec_scale_parameters_give_no_key(self):
@@ -349,3 +355,9 @@ class TestSyndromeBudget:
 
     def test_matches_entropy(self):
         assert syndrome_budget(10**6, 0.01, 1.0) == 80794
+
+    @pytest.mark.parametrize("p_est, value", [(0.05, "inf"), (0.0, "nan")])
+    def test_budget_must_fit_in_a_float(self, p_est, value):
+        # f_ec * n overflows; times h(0) = 0 it is NaN
+        with pytest.raises(ValueError, match=f"^l_syn must fit in a float, got {value}$"):
+            syndrome_budget(10**300, p_est, 1e10)
