@@ -6,11 +6,12 @@ note of its ``wrote PATH (note)`` line and its verdict; ``main`` alone writes
 the file, prints that line and picks the exit code.  CSV cells use 12
 significant digits; JSON floats are Python's shortest round-trip repr.  A
 JSON file is byte for byte ``json.dump(doc, fh, indent=2)`` plus a newline,
-but written by ``json``'s C encoder: a list of rows whose keys are exactly
+written one top-level item at a time: a list of rows whose keys are exactly
 ``str`` and whose values are exactly ``float``, ``int``, ``bool``, ``str``
 or ``None`` (the ``verify-squash`` and ``nogo`` cells, ``simulate`` runs)
-goes as a table, one encoder call per block of at most ``_CHUNK`` rows, so
-that a large grid is never held as one string.  The resolved configuration
+goes by ``json``'s C encoder, one call per block of at most ``_CHUNK`` rows,
+so that a large grid is never held as one string; any other item is written
+by ``json.dumps`` itself.  The resolved configuration
 is echoed into the output header, and re-running with the same
 configuration and seed produces byte-identical files.  Exit codes: 0 on
 success / all checks passed, 1 on a verification failure, 2 on invalid
@@ -80,79 +81,44 @@ def _write_json(path: str, doc: dict) -> None:
     """Write ``doc`` exactly as ``json.dump(doc, fh, indent=2)`` does, plus a newline.
 
     ``indent`` selects ``json``'s pure-Python encoder, which is slow on the
-    cell tables, so only the nesting is walked here and the C encoder writes
-    the scalars.  Each dict or list whose values are all scalars is one C
-    call, with the newline and indent of its items folded into the item
-    separator.  A list of rows (non-empty dicts whose keys are exactly
-    ``str``, in the first row's order, and whose values are exactly
-    ``float``, ``int``, ``bool``, ``str`` or ``None``) goes in blocks of
-    ``_CHUNK`` rows: one C call encodes a block's values, split on a raw NUL
-    (inside a string the encoder escapes it), and one ``%s`` template of the
-    keys and indents lays them out.  A block that is not such a table, such
-    as one holding a numpy scalar, is written item by item.  Every piece is
-    written as soon as it is made, so at most one block is held as text.
-    Keys, numbers, NaN and infinities, and the TypeError on a value that is
-    not JSON all come from ``json`` itself.
+    cell tables, so each top-level item is written one of two ways.  A list
+    of rows (non-empty dicts whose keys are exactly ``str``, in the first
+    row's order, and whose values are exactly ``float``, ``int``, ``bool``,
+    ``str`` or ``None``) goes in blocks of ``_CHUNK`` rows: one C-encoder call
+    encodes a block's values, split on a raw NUL (inside a string the encoder
+    escapes it), and one ``%s`` template of the keys and indents lays them
+    out, so at most one block is held as text.  Any other item is the text
+    ``json.dumps({key: value}, indent=2)`` gives it, so keys, nested values
+    and the TypeError on a value that is not JSON all come from ``json``.
     """
-    encoders = {}
+    encode = json.JSONEncoder(separators=(",\0", ": ")).encode
     scalars = {float, int, bool, str, type(None)}
-
-    def encode(obj, sep: str) -> str:
-        if sep not in encoders:
-            encoders[sep] = json.JSONEncoder(separators=(sep, ": ")).encode
-        return encoders[sep](obj)
-
-    def quote(key) -> str:
-        # json's key conversion: the quoted key of {key: 0}
-        return json.dumps({key: 0})[1:-4]
-
-    def table(rows, inner: str):
-        # the text of ``rows`` as items of a list at ``inner``, or None if they are not a table
-        if set(map(type, rows)) != {dict} or not rows[0]:
-            return None
-        keys = list(rows[0])
-        if set(map(type, chain.from_iterable(rows))) != {str} or any(list(r) != keys for r in rows):
-            return None
-        cells = list(chain.from_iterable(map(dict.values, rows)))
-        if not set(map(type, cells)) <= scalars:
-            return None
-        fields = ",".join(inner + "  " + quote(k).replace("%", "%%") + ": %s" for k in keys)
-        row = "{" + fields + inner + "}"
-        return ("," + inner).join([row] * len(rows)) % tuple(encode(cells, ",\0")[1:-1].split(",\0"))
-
-    def dump(obj, newline: str) -> None:
-        # ``newline`` is "\n" plus the indent of the line that ``obj`` starts on
-        if not isinstance(obj, (dict, list, tuple)) or not obj:
-            fh.write(json.dumps(obj))
-            return
-        inner = newline + "  "
-        keyed = isinstance(obj, dict)
-        if not any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if keyed else obj)):
-            text = encode(obj, "," + inner)
-            fh.write(text[0] + inner + text[1:-1] + newline + text[-1])
-            return
-        if keyed:
-            fh.write("{")
-            for i, (key, item) in enumerate(obj.items()):
-                fh.write(("," if i else "") + inner + quote(key) + ": ")
-                dump(item, inner)
-            fh.write(newline + "}")
-            return
-        fh.write("[")
-        for start in range(0, len(obj), _CHUNK):
-            block = obj[start : start + _CHUNK]
-            text = table(block, inner)
-            if text is not None:
-                fh.write(("," if start else "") + inner + text)
-                continue
-            for i, item in enumerate(block, start):
-                fh.write(("," if i else "") + inner)
-                dump(item, inner)
-        fh.write(newline + "]")
-
     with open(path, "w") as fh:
-        dump(doc, "\n")
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write("," if i else "")
+            rows = isinstance(value, list) and set(map(type, value)) == {dict}
+            keys = list(value[0]) if rows else []
+            if not (
+                keys
+                and set(map(type, chain.from_iterable(value))) == {str}
+                and all(list(row) == keys for row in value)
+                and set(map(type, chain.from_iterable(map(dict.values, value)))) <= scalars
+            ):
+                fh.write(json.dumps({key: value}, indent=2)[1:-2])
+                continue
+            # the key as json writes it, then one template row at the indent of a list item
+            fh.write(json.dumps({key: []}, indent=2)[1:-3])
+            item = "\n    "
+            fields = (f"{item}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+            row = "{" + ",".join(fields) + item + "}"
+            for start in range(0, len(value), _CHUNK):
+                block = value[start : start + _CHUNK]
+                cells = encode(list(chain.from_iterable(map(dict.values, block))))[1:-1]
+                text = ("," + item).join([row] * len(block)) % tuple(cells.split(",\0"))
+                fh.write(("," if start else "") + item + text)
+            fh.write("\n  ]")
+        fh.write("\n}\n" if doc else "}\n")
 
 
 def _add_params_flags(sub: argparse.ArgumentParser) -> None:
@@ -491,8 +457,9 @@ def main(argv=None) -> int:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("config file must hold a JSON object")
-            # the namespace holds each flag's destination, "subcommand" and "func"
-            unknown = sorted(set(overrides) - (set(vars(args)) - {"subcommand", "func"}))
+            # the namespace holds each flag's destination, "subcommand" and "func";
+            # a config file cannot name another config file
+            unknown = sorted(set(overrides) - (set(vars(args)) - {"subcommand", "func", "config"}))
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
             actions = {a.dest: a for a in _PARSER.subcommand_parsers[args.subcommand]._actions}

@@ -87,7 +87,7 @@ def flip_amplitude(phi):
     [-1, 1] and with the same sign as ``sin phi``.
     """
     phi = np.asarray(phi, dtype=float)
-    if np.any(np.abs(phi) > np.pi / 4 + ATOL_INPUT):
+    if not np.all(np.abs(phi) <= np.pi / 4 + ATOL_INPUT):  # NaN fails this test
         raise ValueError("phi must satisfy |phi| <= pi/4")
     s = np.sin(phi)
     return np.sign(s) * np.minimum(1.0, (1.0 + SQRT2) * np.abs(s))

@@ -165,7 +165,6 @@ def verify_squash_peak(tmp_path) -> int:
 
 WRITER_DOCS = {
     "empty-dict": {},
-    "empty-list": [],
     "nested-empty": {"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": {"f": ()}},
     "non-finite": {"nan": float("nan"), "inf": [np.inf, -np.inf], "deep": [1, [-np.inf]]},
     "non-ascii": {
@@ -179,27 +178,34 @@ WRITER_DOCS = {
         "rows": [{"x": np.float64(0.5), "ok": False}] * 3,
     },
     "keys": {7: "i", 2.5: [1], False: "b", None: {"x": 1}, np.nan: [{}], "s": {3: [1], -1.5: 2}},
-    "top-list": [1, {"a": [2, 3]}, [[]], "s", (4,)],
-    "top-scalar": 3.0,
-    # lists of rows: a table when every row has exactly-str keys in one order
-    # and exactly-typed scalar values, item by item otherwise
+    # lists of rows, at the top level where the CLI puts them: a table when every
+    # row has exactly-str keys in one order and exactly-typed scalar values,
+    # json.dumps otherwise
     "rows-int-bool-float-keys": {"cells": [{1: "a"}, {True: "b"}, {1.0: "c"}]},
     "rows-key-order": {"cells": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]},
     "rows-fewer-keys": {"cells": [{"a": 1, "b": 2}, {"a": 3}]},
     "rows-across-a-block": {
         "cells": [{"i": i, "x": i / 7, "ok": i % 3 == 0, "s": str(i)} for i in range(300)]
     },
-    "rows-scalars": [
-        {"neg0": -0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "big": 2**70, "none": None}
-        | {"b": b, "mixed": m, "text": "\u00e9\u2713 \U0001d11e\x00,\"%s\\"}
-        for b, m in [(True, 1), (False, 2.5), (True, -3)]
-    ],
-    "rows-percent-and-non-ascii-keys": [{"%s %d": 1, "k\u00e9y": "v"}] * 3,
+    "rows-scalars": {
+        "cells": [
+            {"neg0": -0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "big": 2**70, "none": None}
+            | {"b": b, "mixed": m, "text": "\u00e9\u2713 \U0001d11e\x00,\"%s\\"}
+            for b, m in [(True, 1), (False, 2.5), (True, -3)]
+        ]
+    },
+    "rows-percent-and-non-ascii-keys": {"cells": [{"%s %d": 1, "k\u00e9y": "v"}] * 3},
     "rows-np-float64": {"cells": [{"a": 1.0, "x": np.float64(0.1 * i)} for i in range(3)]},
-    "rows-nested-list": [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}],
-    "rows-empty-row": [{"a": 1}, {}, {"a": 2}],
-    "rows-empty-first-row": [{}, {"a": 1}],
-    "rows-tuple": ({"a": 1}, {"a": 2}),
+    "rows-nested-list": {"cells": [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}]},
+    "rows-empty-row": {"cells": [{"a": 1}, {}, {"a": 2}]},
+    "rows-empty-first-row": {"cells": [{}, {"a": 1}]},
+    "rows-tuple": {"cells": ({"a": 1}, {"a": 2})},
+    "rows-between-items": {
+        "n": 1,
+        "cells": [{"a": 1, "b": "x"}] * 2,
+        "runs": [{"c": None}],
+        "z": {"d": [2.5]},
+    },
 }
 
 
@@ -218,12 +224,12 @@ NOT_JSON = {
     "int64-leaf": {"a": np.int64(1)},
     "int64-beside-list": {"a": np.int64(1), "b": [1]},
     "bool-nested": {"a": [{"b": np.bool_(True)}]},
-    "float32": [np.float32(1.0)],
+    "float32": {"cells": [np.float32(1.0)]},
     "array": {"a": np.zeros(2)},
-    "set": [[{1}]],
+    "set": {"cells": [[{1}]]},
     "tuple-key": {(1, 2): 3},
     "tuple-key-nested": {(1,): [1]},
-    "top-int64": np.int64(3),
+    "top-int64": {"cells": np.int64(3)},
     "table-int64-cell": {"cells": [{"a": 1, "b": 2.0}, {"a": np.int64(2), "b": 3.0}]},
 }
 
@@ -264,6 +270,26 @@ def test_readme_json_file_is_json_dump_of_its_content(tmp_path, name):
     assert run_cli(*README_JSON_JOBS[name], "--out", str(out)) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name, table", [("verify-squash", "cells"), ("nogo", "cells"),
+                                         ("simulate", "runs")])
+def test_readme_row_tables_bypass_the_indent_encoder(tmp_path, monkeypatch, name, table):
+    # the pure-Python indent=2 encoder writes the same bytes about ten times slower,
+    # so only a spy can tell that a table took the block path
+    reached = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def spy(self, o, *args, **kwargs):
+        if self.indent is not None and isinstance(o, dict):
+            reached.extend(k for k, v in o.items() if isinstance(v, list) and v)
+        return iterencode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", spy)
+    out = tmp_path / "out.json"
+    assert run_cli(*README_JSON_JOBS[name], "--out", str(out)) == 0
+    assert reached == []
+    assert len(json.loads(out.read_text())[table]) > 1
 
 
 class TestNogo:
@@ -394,11 +420,19 @@ class TestConfigFile:
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(data) == 6
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"frobnicate": 1}))
-        out = tmp_path / "rates.csv"
-        assert run_cli("rate-curve", "--config", str(cfg), "--out", str(out)) == 2
+        out = tmp_path / "out.json"
+        # a config file may not name another one, even one that does not exist
+        cases = [
+            ("rate-curve", {"frobnicate": 1}, "frobnicate"),
+            ("nogo", {"config": str(tmp_path / "missing.json"), "grid": 3}, "config"),
+        ]
+        for sub, doc, key in cases:
+            cfg.write_text(json.dumps(doc))
+            assert run_cli(sub, "--config", str(cfg), "--out", str(out)) == 2
+            assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1]", '["steps"]', "null"])
     def test_non_object_config_rejected(self, tmp_path, capsys, text):

@@ -54,8 +54,10 @@ class TestFlipAmplitude:
             assert a * np.sin(phi) >= 0.0
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            flip_amplitude(1.0)
+        # a non-finite phi fails the range check too
+        for phi in (1.0, np.nan, np.inf, -np.inf, [0.0, np.nan]):
+            with pytest.raises(ValueError):
+                flip_amplitude(phi)
 
 
 class TestSquashChannel:
