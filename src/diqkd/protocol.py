@@ -73,6 +73,9 @@ _TABLE_SPAN = 256
 _CHUNK = 1 << 16
 # Per-pulse uniform streams of a run: two labels, two basis coins, the outcome.
 _STREAMS = 5
+# Pulses per chunk of the noise-gap experiment.  The chunk size fixes the
+# order of its Bell and coin draws, so it is part of the output contract.
+_NOISE_CHUNK = 2_000_000
 
 ABORT_INSUFFICIENT = "insufficient_pulses"
 ABORT_CHSH = "chsh_failed"
@@ -491,8 +494,9 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         return t
 
     t.i_smp = _sorted_sample(rng, both_smp, params.l_smp)
+    del both_smp
     t.i_sif = _sorted_sample(rng, both_sif, params.n)
-    del both_smp, both_sif
+    del both_sif
     t.s_est = estimate_chsh(t)
     if t.s_est < params.s0:
         t.abort = ABORT_CHSH
@@ -557,30 +561,61 @@ def _noise_gap_core(
     deviation: float,
     rng: np.random.Generator,
 ) -> NoiseGapReport:
+    """The experiment of ``povm_noise_experiment`` on Bell probabilities and eigenvalues.
+
+    Stream layout: the trials go in chunks of ``_NOISE_CHUNK // batch_size``
+    (at least one).  A chunk draws one uniform per pulse for its Bell
+    outcomes, row after row, and then one per pulse for the randomized
+    test's coins.  The draws pass through one reused float64 buffer of
+    whole rows, at most ``_CHUNK`` draws, or of one row when the batch is
+    longer, in pieces of at most ``_CHUNK`` draws; the chunk keeps a
+    one-byte Bell code per pulse between its outcome and coin draws.  So
+    the working set is ``_CHUNK`` draws, one byte per pulse of a chunk,
+    and one row when the batch is longer than ``_CHUNK``.  A row's
+    projective mean is numpy's ``mean`` over the whole row, so the report
+    and the generator's final state do not depend on the buffer size.
+    """
     cum = np.cumsum(probs)
     thresholds = (1.0 + values) / 2.0
+    chunk = max(1, min(trials, _NOISE_CHUNK // batch_size))
+    rows = min(chunk, max(1, _CHUNK // batch_size))
+    pieces = [slice(col, col + _CHUNK) for col in range(0, batch_size, _CHUNK)]
+    buf = np.empty((rows, batch_size))
+    codes = np.empty((chunk, batch_size), dtype=np.uint8)
     exceed = 0
     abs_gap_total = 0.0
     s2_total = 0.0
     s3_total = 0.0
-    chunk = max(1, min(trials, 2_000_000 // batch_size))
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        draws = rng.random((t, batch_size))
-        # Bell outcome of each pulse: the number of cum[:3] at or below its
-        # draw.  cum is non-decreasing, so this is searchsorted(cum, draws,
-        # side="right") capped at 3.
-        idx = (draws >= cum[0]).astype(np.intp)
-        idx += draws >= cum[1]
-        idx += draws >= cum[2]
-        del draws
-        g3 = values.take(idx).mean(axis=1)
-        # The randomized test outputs +1 with probability thresholds[idx],
+        g3, plus = np.empty(t), np.empty(t, dtype=np.intp)
+        blocks = [slice(start, min(start + rows, t)) for start in range(0, t, rows)]
+        for b in blocks:
+            u, c = buf[: b.stop - b.start], codes[b]
+            for p in pieces:
+                up, cp = u[:, p], c[:, p]
+                rng.random(out=up)
+                # Bell outcome of each pulse: the number of cum[:3] at or
+                # below its draw.  cum is non-decreasing, so this is
+                # searchsorted(cum, draws, side="right") capped at 3.
+                np.greater_equal(up, cum[0], out=cp.view(bool))
+                cp += up >= cum[1]
+                cp += up >= cum[2]
+                # codes are 0..3: "clip" changes nothing, and unlike "raise"
+                # it writes straight into up instead of through a copy
+                np.take(values, cp, out=up, mode="clip")
+            u.mean(axis=1, out=g3[b])
+        # The randomized test outputs +1 with probability thresholds[code],
         # else -1.  Its batch mean is counted, not summed: every partial sum
         # of +-1.0 is an exact integer, so the mean of the +-1 array is
         # exactly (2 * plus - batch) / batch.
-        plus = np.count_nonzero(rng.random((t, batch_size)) < thresholds.take(idx), axis=1)
+        for b in blocks:
+            u, c = buf[: b.stop - b.start], codes[b]
+            plus[b] = sum(
+                np.count_nonzero(rng.random(out=u[:, p]) < thresholds.take(c[:, p]), axis=1)
+                for p in pieces
+            )
         g2 = (2 * plus - batch_size) / batch_size
         gap = np.abs(g2 - g3)
         exceed += int(np.sum(gap >= deviation))
@@ -615,9 +650,13 @@ def povm_noise_experiment(
     batch_size: int = 4800,
     deviation: float = 0.1,
 ) -> NoiseGapReport:
-    """Simulate both CHSH test channels on ``rho`` and bound their disagreement."""
+    """Simulate both CHSH test channels on ``rho`` and bound their disagreement.
+
+    ``rho`` must be a density matrix (``ValueError`` otherwise); the draws
+    and the working set are those of ``_noise_gap_core``.
+    """
     check_noise_experiment(trials, batch_size, deviation)
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate_density(np.asarray(rho, dtype=complex))
     basis = m.bell_basis
     probs = np.clip(np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real, 0.0, 1.0)
     probs = probs / probs.sum()

@@ -495,10 +495,11 @@ def test_masked_selection_equals_sorted_choice(case):
 
 def test_pulse_stage_memory_is_chunk_bounded():
     # N = 2e6 pulses and l = 0 (s0 = 0 makes the entropy bound vacuous).  What
-    # stays is the six one-byte pulse arrays (12 MB), the selection's index
-    # arrays (about 30 MB at their peak) and the correctness hash's FFT
-    # groups, whose size does not grow with N; whole-array float64 draws and
-    # per-pulse thresholds (16 MB each) would not fit beside them.
+    # stays is the six one-byte pulse arrays (12 MB), the sifted selection's
+    # index arrays (the sample mask is freed before it; 37.4 MB traced peak,
+    # 39.4 MB with the mask held) and the correctness hash's FFT groups, whose
+    # size does not grow with N; whole-array float64 draws and per-pulse
+    # thresholds (16 MB each) would not fit beside them.
     params = ProtocolParams(
         n=1_216_000, q=0.2, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=10**6
     )
@@ -510,7 +511,7 @@ def test_pulse_stage_memory_is_chunk_bounded():
     finally:
         tracemalloc.stop()
     assert t.abort is None and t.key_report["l"] == 0
-    assert peak < 70e6, peak
+    assert peak < 45e6, peak
 
 
 def test_custom_source_memory_is_chunk_bounded():
@@ -698,6 +699,18 @@ class TestNoiseGapExperiment:
         with pytest.raises(ValueError):
             povm_noise_experiment(m, identity(4) / 4, trials=0, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "rho",
+        [np.zeros((4, 4)), -identity(4) / 4, np.diag([2.0, -1.0, 0.0, 0.0])],
+        ids=["zero", "negative", "unit-trace-not-psd"],
+    )
+    def test_rejects_non_density_state(self, rho):
+        # a zero or negative state would give 0/0 probabilities, a non-PSD one
+        # a plausible report
+        m = chsh_measurement(-1j, -1j)
+        with pytest.raises(ValueError, match="rho"):
+            povm_noise_experiment(m, rho, trials=1, rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("deviation", [-0.5, float("nan"), float("inf")])
     def test_rejects_bad_deviation(self, deviation):
         # a negative deviation makes every gap a tail event, a false Azuma failure
@@ -706,6 +719,25 @@ class TestNoiseGapExperiment:
             povm_noise_experiment(
                 m, identity(4) / 4, trials=1, rng=np.random.default_rng(0), deviation=deviation
             )
+
+
+@pytest.mark.parametrize(
+    ("trials", "batch", "bound"),
+    # 2000 x 4800 is the README bounds-check and the mc-1e5 size.  Whole-chunk
+    # float64 draws, index and coin arrays would peak at 50.7 MB there, and at
+    # 50.0 MB for one 2,000,001-pulse row.
+    [(2000, 4800, 8e6), (2, 2_000_001, 25e6)],
+    ids=["readme", "row-past-chunk"],
+)
+def test_noise_experiment_memory_is_block_bounded(trials, batch, bound):
+    m, rho = chsh_measurement(-1j, -1j), depolarized_pair_state(0.0)
+    tracemalloc.start()
+    try:
+        povm_noise_experiment(m, rho, trials=trials, rng=np.random.default_rng(0), batch_size=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 
 def noise_inputs(monkeypatch, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -740,6 +772,14 @@ NOISE_CASES = {
     "batch-odd": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 900, 7, 0.2, 7),
     # 2e6 // 4801 = 416 trials per chunk: two full chunks and a short one
     "trials-past-chunks": (depolarized_pair_state(0.1), 1000, 4801, 0.05, 8),
+    # one row per buffer block, the row exactly as long as the block
+    "batch-block": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 3, _CHUNK, 0.01, 9),
+    # one row per block, drawn in two pieces (the second of one draw)
+    "batch-past-block": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 3, _CHUNK + 1, 0.01, 10),
+    # 13 rows per block against 400 trials per chunk: the last block is short
+    "blocks-short-last": (depolarized_pair_state(0.05), 400, 5000, 0.02, 11),
+    # one trial per chunk, its row longer than the block
+    "batch-past-chunk": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 2, 2_000_001, 0.001, 12),
 }
 
 
