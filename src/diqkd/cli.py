@@ -36,6 +36,9 @@ from .protocol import (
     DepolarizingSource,
     MisalignedSource,
     check_noise_experiment,
+    depolarized_pair_state,
+    insufficient_pulses,
+    label_stage,
     povm_noise_experiment,
     qber,
     run_protocol,
@@ -311,29 +314,23 @@ def cmd_bounds_check(args):
         raise ValueError("runs must be at least 1")
     check_noise_experiment(args.trials, args.batch, args.deviation)
     params = _params_from_args(args)
-    strategy = DepolarizingSource(args.p)
+    rho = depolarized_pair_state(args.p)
 
-    abort_count = 0
-    for r in range(args.runs):
-        t = run_protocol(params, strategy, seed=args.seed + r)
-        abort_count += t.abort == "insufficient_pulses"
+    # the insufficient_pulses abort of run seed + r depends on its labels alone
+    abort_count = sum(
+        insufficient_pulses(params, *label_stage(params, args.seed + r)[2:])
+        for r in range(args.runs)
+    )
     abort_report = chernoff_abort_bound(params)
 
-    m = chsh_measurement(-1j, -1j)
-    rng = np.random.default_rng(args.seed)
-    gap = povm_noise_experiment(
-        m,
-        strategy.rho,
-        trials=args.trials,
-        rng=rng,
-        batch_size=args.batch,
-        deviation=args.deviation,
-    )
+    m, rng = chsh_measurement(-1j, -1j), np.random.default_rng(args.seed)
+    gap = povm_noise_experiment(m, rho, args.trials, rng, args.batch, args.deviation)
 
     empirical_abort = abort_count / args.runs
     chernoff_ok = empirical_abort <= abort_report.corrected_bound
     azuma_ok = gap.empirical_tail <= gap.bound
     doc = {
+        "schema_version": 2,
         "config": {
             "subcommand": "bounds-check",
             "runs": args.runs,

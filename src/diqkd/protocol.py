@@ -28,12 +28,14 @@ form per-pulse stream ``s``: Alice's labels, Bob's labels, Alice's basis
 coins, Bob's basis coins and the outcome uniforms, in that order, pulse
 ``i`` taking output ``i`` of each stream whether or not its label uses it.
 The index selection and the two hash seeds read the outputs from ``5 N``
-on.  The pulse stage walks the pulses in chunks of ``_CHUNK``, drawing
-each stream from a copy of the generator advanced to the stream's start,
-and then advances the generator past all five.  Since a pulse's labels,
+on.  The label stage (``label_stage``) makes each stream a copy of the
+generator advanced to the stream's start, advances the generator past all
+five, and draws streams 0 and 1, the labels, which alone decide the
+``insufficient_pulses`` abort; the pulse stage then draws streams 2-4.
+Both walk the pulses in chunks of ``_CHUNK``.  Since a pulse's labels,
 bases and outcome depend only on its own five draws and its row of the
-Born-rule table, the chunked stage writes the same bits as whole-array
-draws would, while its temporaries stay O(``_CHUNK``).
+Born-rule table, the chunked stages write the same bits as whole-array
+draws would, while their temporaries stay O(``_CHUNK``).
 
 Outcomes are recorded as +-1; the per-round CHSH contribution is
 ``r_A r_B`` negated when both parties measured x.  Runs are deterministic
@@ -69,13 +71,11 @@ _BASIS_TOKENS = {"bases_a": _json_tokens(ALICE_BASES), "bases_b": _json_tokens(B
 # Arrays whose max - min is below this are spelled from a token table (uint8 codes).
 _TABLE_SPAN = 256
 
-# Pulses per step of the pulse stage: its temporaries stay small and in cache.
+# Pulses per step of the label and pulse stages, and trials per block of the
+# noise-gap experiment: their temporaries stay small and in cache.
 _CHUNK = 1 << 16
 # Per-pulse uniform streams of a run: two labels, two basis coins, the outcome.
 _STREAMS = 5
-# Pulses per chunk of the noise-gap experiment.  The chunk size fixes the
-# order of its Bell and coin draws, so it is part of the output contract.
-_NOISE_CHUNK = 2_000_000
 
 ABORT_INSUFFICIENT = "insufficient_pulses"
 ABORT_CHSH = "chsh_failed"
@@ -92,7 +92,7 @@ def ideal_pair_state() -> np.ndarray:
 def _depolarize(state: np.ndarray, p: float) -> np.ndarray:
     """``(1 - 2p) state + 2p I/4`` for an error rate ``p`` in [0, 1/2]."""
     if not 0.0 <= p <= 0.5:
-        raise ValueError("error rate must be in [0, 1/2]")
+        raise ValueError(f"p must be in [0, 1/2], got {p!r}")
     return (1.0 - 2.0 * p) * state + 2.0 * p * identity(4) / 4.0
 
 
@@ -420,6 +420,35 @@ def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     return tag_a, tag_a.copy() if np.array_equal(a, b) else h(b)
 
 
+def label_stage(params: ProtocolParams, seed: int) -> tuple:
+    """The generator of run ``seed`` past its pulse streams, the streams, and both parties' labels.
+
+    Stream ``s`` is the run's generator advanced by ``s N`` draws, and the
+    run's generator moves on past all five.  The labels, ``True`` for a
+    sample candidate, are drawn from streams 0 and 1.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    big_n = params.pulse_pairs
+    *streams, rng = (
+        np.random.Generator(np.random.PCG64(seed).advance(s * big_n)) for s in range(_STREAMS + 1)
+    )
+    labels = np.empty(big_n, dtype=bool), np.empty(big_n, dtype=bool)
+    buf = np.empty(min(_CHUNK, big_n))
+    for start in range(0, big_n, _CHUNK):
+        u = buf[: min(_CHUNK, big_n - start)]
+        for stream, out in zip(streams, labels):
+            np.less(stream.random(out=u), params.q, out=out[start : start + len(u)])
+    return rng, streams, *labels
+
+
+def insufficient_pulses(params: ProtocolParams, labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
+    """Whether fewer than ``l_smp`` pulses are sampled by both parties, or ``n`` by neither."""
+    both_smp = np.count_nonzero(labels_a & labels_b)
+    both_sif = len(labels_a) - np.count_nonzero(labels_a | labels_b)
+    return both_smp < params.l_smp or both_sif < params.n
+
+
 def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     """Execute one full protocol run and return its transcript.
 
@@ -429,25 +458,11 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     transcript is filled in stage by stage and every exit returns it with
     its abort code.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
     big_n = params.pulse_pairs
     if strategy.rho.shape[:-2] not in ((), (big_n,)):
         raise ValueError(f"custom strategy must supply exactly {big_n} pulses")
+    rng, streams, labels_a, labels_b = label_stage(params, seed)
 
-    # Pulse stream s is rng's outputs [s N, (s+1) N): a copy of rng advanced
-    # by s N draws it, and rng itself moves on past all five.
-    state = rng.bit_generator.state
-    streams = []
-    for s in range(_STREAMS):
-        bit_gen = np.random.PCG64()
-        bit_gen.state = state
-        streams.append(np.random.Generator(bit_gen.advance(s * big_n)))
-    rng.bit_generator.advance(_STREAMS * big_n)
-
-    labels_a = np.empty(big_n, dtype=bool)
-    labels_b = np.empty(big_n, dtype=bool)
     bases_a = np.empty(big_n, dtype=np.int8)
     bases_b = np.empty(big_n, dtype=np.int8)
     outcomes_a = np.empty(big_n, dtype=np.int8)
@@ -460,8 +475,6 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         u = buf[: stop - start]
         la, lb = labels_a[start:stop], labels_b[start:stop]
         ba, bb = bases_a[start:stop], bases_b[start:stop]
-        np.less(streams[0].random(out=u), params.q, out=la)
-        np.less(streams[1].random(out=u), params.q, out=lb)
         # One basis draw per pulse regardless of label: pulse i's draws are
         # output i of each stream, whatever the chunk boundaries.
         np.logical_and(la, streams[2].random(out=u) < 0.5, out=ba.view(bool))
@@ -487,16 +500,12 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         outcomes_b=outcomes_b,
     )
 
-    both_smp = labels_a & labels_b
-    both_sif = ~(labels_a | labels_b)
-    if np.count_nonzero(both_smp) < params.l_smp or np.count_nonzero(both_sif) < params.n:
+    if insufficient_pulses(params, labels_a, labels_b):
         t.abort = ABORT_INSUFFICIENT
         return t
 
-    t.i_smp = _sorted_sample(rng, both_smp, params.l_smp)
-    del both_smp
-    t.i_sif = _sorted_sample(rng, both_sif, params.n)
-    del both_sif
+    t.i_smp = _sorted_sample(rng, labels_a & labels_b, params.l_smp)
+    t.i_sif = _sorted_sample(rng, ~(labels_a | labels_b), params.n)
     t.s_est = estimate_chsh(t)
     if t.s_est < params.s0:
         t.abort = ABORT_CHSH
@@ -541,7 +550,8 @@ class NoiseGapReport:
     Per pulse, the projective test outputs the Bell eigenvalue
     (``+-|mu|`` or ``+-|nu|``); the randomized test flips a +-1 coin whose
     bias reproduces that eigenvalue in expectation.  Batches of
-    ``batch_size`` pulses give one sample of the gap ``|S_rand - S_proj|``;
+    ``batch_size`` pulses give one sample of the gap ``|S_rand - S_proj|``,
+    drawn from the batch's outcome and coin counts (``_noise_gap_core``);
     the empirical tail beyond ``deviation`` is compared with the
     Azuma-Hoeffding bound.
     """
@@ -563,72 +573,32 @@ def _noise_gap_core(
 ) -> NoiseGapReport:
     """The experiment of ``povm_noise_experiment`` on Bell probabilities and eigenvalues.
 
-    Stream layout: the trials go in chunks of ``_NOISE_CHUNK // batch_size``
-    (at least one).  A chunk draws one uniform per pulse for its Bell
-    outcomes, row after row, and then one per pulse for the randomized
-    test's coins.  The draws pass through one reused float64 buffer of
-    whole rows, at most ``_CHUNK`` draws, or of one row when the batch is
-    longer, in pieces of at most ``_CHUNK`` draws; the chunk keeps a
-    one-byte Bell code per pulse between its outcome and coin draws.  So
-    the working set is ``_CHUNK`` draws, one byte per pulse of a chunk,
-    and one row when the batch is longer than ``_CHUNK``.  A row's
-    projective mean is numpy's ``mean`` over the whole row, so the report
-    and the generator's final state do not depend on the buffer size.
+    A batch's projective mean depends only on its Bell outcome counts, and
+    its randomized mean only on its count of +1 coins, so a trial draws
+    counts and no pulse: ``multinomial(batch_size, probs)``, the last
+    outcome taking the mass the others leave, and given them the sum of
+    ``binomial(counts, (1 + values) / 2)``.  That is the joint law of the
+    two means under per-pulse draws, at a cost free of ``batch_size``, and
+    the one exception to drawing from raw uniform streams.  The trials go
+    in blocks of ``_CHUNK``, each drawing all its Bell counts and then all
+    its coin counts, so the block size is part of the output contract.
     """
-    cum = np.cumsum(probs)
-    thresholds = (1.0 + values) / 2.0
-    chunk = max(1, min(trials, _NOISE_CHUNK // batch_size))
-    rows = min(chunk, max(1, _CHUNK // batch_size))
-    pieces = [slice(col, col + _CHUNK) for col in range(0, batch_size, _CHUNK)]
-    buf = np.empty((rows, batch_size))
-    codes = np.empty((chunk, batch_size), dtype=np.uint8)
-    exceed = 0
-    abs_gap_total = 0.0
-    s2_total = 0.0
-    s3_total = 0.0
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        g3, plus = np.empty(t), np.empty(t, dtype=np.intp)
-        blocks = [slice(start, min(start + rows, t)) for start in range(0, t, rows)]
-        for b in blocks:
-            u, c = buf[: b.stop - b.start], codes[b]
-            for p in pieces:
-                up, cp = u[:, p], c[:, p]
-                rng.random(out=up)
-                # Bell outcome of each pulse: the number of cum[:3] at or
-                # below its draw.  cum is non-decreasing, so this is
-                # searchsorted(cum, draws, side="right") capped at 3.
-                np.greater_equal(up, cum[0], out=cp.view(bool))
-                cp += up >= cum[1]
-                cp += up >= cum[2]
-                # codes are 0..3: "clip" changes nothing, and unlike "raise"
-                # it writes straight into up instead of through a copy
-                np.take(values, cp, out=up, mode="clip")
-            u.mean(axis=1, out=g3[b])
-        # The randomized test outputs +1 with probability thresholds[code],
-        # else -1.  Its batch mean is counted, not summed: every partial sum
-        # of +-1.0 is an exact integer, so the mean of the +-1 array is
-        # exactly (2 * plus - batch) / batch.
-        for b in blocks:
-            u, c = buf[: b.stop - b.start], codes[b]
-            plus[b] = sum(
-                np.count_nonzero(rng.random(out=u[:, p]) < thresholds.take(c[:, p]), axis=1)
-                for p in pieces
-            )
+    thresholds = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
+    totals = np.zeros(4)  # tail events, |gap|, S_rand and S_proj, summed over the trials
+    for start in range(0, trials, _CHUNK):
+        counts = rng.multinomial(batch_size, probs, size=min(_CHUNK, trials - start))
+        plus = rng.binomial(counts, thresholds).sum(axis=-1)
+        g3 = counts @ values / batch_size
         g2 = (2 * plus - batch_size) / batch_size
         gap = np.abs(g2 - g3)
-        exceed += int(np.sum(gap >= deviation))
-        abs_gap_total += float(gap.sum())
-        s2_total += float(g2.sum())
-        s3_total += float(g3.sum())
-        done += t
+        totals += np.count_nonzero(gap >= deviation), gap.sum(), g2.sum(), g3.sum()
+    tail, abs_gap, s2, s3 = (total / trials for total in totals.tolist())
     return NoiseGapReport(
-        empirical_tail=exceed / trials,
+        empirical_tail=tail,
         bound=azuma_tail(batch_size, deviation),
-        mean_abs_gap=abs_gap_total / trials,
-        mean_s_randomized=s2_total / trials,
-        mean_s_projective=s3_total / trials,
+        mean_abs_gap=abs_gap,
+        mean_s_randomized=s2,
+        mean_s_projective=s3,
     )
 
 
@@ -636,8 +606,9 @@ def check_noise_experiment(trials: int, batch_size: int, deviation: float) -> No
     """Raise ValueError unless ``povm_noise_experiment`` accepts these sizes and deviation."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
+    # so that a batch's counts stay exact in float64, and twice its +1 count in int64
+    if not 1 <= batch_size <= 2**53:
+        raise ValueError(f"batch must be from 1 to 2**53, got {batch_size!r}")
     if not 0.0 <= deviation < math.inf:
         raise ValueError(f"deviation must be finite and non-negative, got {deviation!r}")
 
@@ -678,7 +649,9 @@ __all__ = [
     "depolarized_pair_state",
     "estimate_chsh",
     "ideal_pair_state",
+    "insufficient_pulses",
     "joint_outcome_pmf",
+    "label_stage",
     "outcomes_from_uniforms",
     "povm_noise_experiment",
     "qber",

@@ -4,9 +4,8 @@ Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, hash regrowth from
 its JSON description, bit unpacking.  Reference forms of fast kernels: the
 hash diagonals through ``Generator.integers``, the raw-byte draw's; the
-protocol's pulse stage drawn whole-array, the chunked one's reference; the
-transcript document through one ``json.dumps``, the numpy encoder's; and
-the noise-gap experiment on +-1 arrays, the counting kernel's.
+protocol's pulse stage drawn whole-array, the chunked one's reference; and
+the transcript document through one ``json.dumps``, the numpy encoder's.
 """
 
 import json
@@ -20,12 +19,11 @@ from diqkd.linalg import QuantumChannel, identity, require_hermitian
 from diqkd.protocol import (
     ALICE_BASES,
     BOB_BASES,
-    NoiseGapReport,
     Transcript,
     joint_outcome_pmf,
     outcomes_from_uniforms,
 )
-from diqkd.rates import ProtocolParams, azuma_tail
+from diqkd.rates import ProtocolParams
 from diqkd.squash import (
     ChoiMatrix,
     FeasibilityReport,
@@ -143,46 +141,6 @@ def reference_to_json(t: Transcript) -> str:
             value = (value.view(np.int8) if value.dtype == bool else value).tolist()
         doc[f.name] = value
     return json.dumps(doc)
-
-
-def reference_noise_gap_core(
-    probs: np.ndarray,
-    values: np.ndarray,
-    trials: int,
-    batch_size: int,
-    deviation: float,
-    rng: np.random.Generator,
-) -> NoiseGapReport:
-    """``protocol._noise_gap_core`` with a searchsorted outcome and +-1 arrays averaged."""
-    cum = np.cumsum(probs)
-    exceed = 0
-    abs_gap_total = 0.0
-    s2_total = 0.0
-    s3_total = 0.0
-    chunk = max(1, min(trials, 2_000_000 // batch_size))
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        draws = rng.random((t, batch_size))
-        idx = np.searchsorted(cum, draws, side="right").clip(max=3)
-        s3 = values[idx]
-        coin = rng.random((t, batch_size))
-        s2 = np.where(coin < (1.0 + s3) / 2.0, 1.0, -1.0)
-        g2 = s2.mean(axis=1)
-        g3 = s3.mean(axis=1)
-        gap = np.abs(g2 - g3)
-        exceed += int(np.sum(gap >= deviation))
-        abs_gap_total += float(gap.sum())
-        s2_total += float(g2.sum())
-        s3_total += float(g3.sum())
-        done += t
-    return NoiseGapReport(
-        empirical_tail=exceed / trials,
-        bound=azuma_tail(batch_size, deviation),
-        mean_abs_gap=abs_gap_total / trials,
-        mean_s_randomized=s2_total / trials,
-        mean_s_projective=s3_total / trials,
-    )
 
 
 def reference_verify_squash_doc(grid: int, tol: float = 1e-9) -> dict:

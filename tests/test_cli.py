@@ -378,10 +378,10 @@ class TestBoundsCheck:
     def test_noise_arguments_checked_before_the_runs(
         self, tmp_path, monkeypatch, capsys, flag, prefix
     ):
-        def run_protocol(*args, **kwargs):
-            raise AssertionError("run_protocol ran before the noise arguments were checked")
+        def label_stage(*args, **kwargs):
+            raise AssertionError("labels were drawn before the noise arguments were checked")
 
-        monkeypatch.setattr(cli, "run_protocol", run_protocol)
+        monkeypatch.setattr(cli, "label_stage", label_stage)
         out = tmp_path / "bounds.json"
         argv = ["bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.0"]
         assert run_cli(*argv, flag, "--out", str(out)) == 2
@@ -564,6 +564,10 @@ NON_FINITE = {
     "bounds-check-deviation-inf": (BOUNDS + ("--deviation", "inf"), "deviation"),
     # a negative deviation is finite but counts every gap as a tail event
     "bounds-check-deviation-negative": (BOUNDS + ("--deviation=-0.5",), "deviation"),
+    # a batch whose counts a float64 cannot hold exactly
+    "bounds-check-batch-huge": (BOUNDS + ("--batch", "99999999999999999999"), "batch"),
+    "bounds-check-p-out-of-range": (BOUNDS + ("--p", "0.7"), "p"),
+    "simulate-p-nan": (MISALIGNED + ("--p", "nan"), "p"),
     "keylength-p-est-nan": (KEYLENGTH + ("--p-est", "nan"), "p_est"),
     "verify-squash-tol-nan": (("verify-squash", "--grid", "2", "--tol", "nan"), "tol"),
     "verify-squash-tol-inf": (("verify-squash", "--grid", "2", "--tol", "inf"), "tol"),
@@ -658,7 +662,7 @@ OUT_JOBS = {
     ),
     "bounds-check": (
         ("bounds-check", "--n", "2000", "--q", "0.3", "--delta", "0.25", "--s0", "0.0"),
-        "run_protocol",
+        "label_stage",
     ),
 }
 BAD_OUTS = {
@@ -693,10 +697,10 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("sub", ["simulate", "bounds-check"])
     @pytest.mark.parametrize("message", ["Unable to allocate 763. MiB for an array", ""])
     def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys, sub, message):
-        def run_protocol(*args, **kwargs):
+        def job(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "run_protocol", run_protocol)
+        monkeypatch.setattr(cli, OUT_JOBS[sub][1], job)
         out = tmp_path / "x"
         argv = (sub, "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0", "--out", str(out))
         assert run_cli(*argv) == 2

@@ -191,12 +191,15 @@ CLI_RUNS = {
         ),
         "3f047ad2d13d2153a0c74269caee74fd649ee2aea74d50b3e8f50766402996dc",
     ),
+    # re-pinned at bounds.json schema 2: the file gained "schema_version", and
+    # the noise-gap experiment draws per-trial counts instead of per-pulse
+    # uniforms, so its draws changed (its report here did not)
     "bounds-check": (
         (
             "bounds-check", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0",
             "--runs", "20", "--trials", "50", "--batch", "480",
         ),
-        "c05a4368e8be6429e5d6c2be2dd63fdca9f69b8f9a4230003c35d9bed12e95f8",
+        "4f4ac853c85b16543f56a310e00c574ca59fe063fd5f1ddf892d6c85f2d41fd6",
     ),
 }
 

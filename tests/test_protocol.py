@@ -27,7 +27,9 @@ from diqkd.protocol import (
     depolarized_pair_state,
     estimate_chsh,
     ideal_pair_state,
+    insufficient_pulses,
     joint_outcome_pmf,
+    label_stage,
     outcomes_from_uniforms,
     povm_noise_experiment,
     qber,
@@ -36,7 +38,6 @@ from diqkd.protocol import (
 from diqkd.rates import ProtocolParams
 from helpers import (
     random_density,
-    reference_noise_gap_core,
     reference_to_json,
     toeplitz_from_json,
     unchunked_pulse_stage,
@@ -645,6 +646,11 @@ def test_json_list_rejects_non_integer_or_multi_dim(a):
         _json_list(a, None)
 
 
+def label_abort(params, seed: int) -> bool:
+    """Whether run ``seed`` aborts with ``insufficient_pulses``, from its label stage alone."""
+    return insufficient_pulses(params, *label_stage(params, seed)[2:])
+
+
 class TestAbortFrequency:
     def test_chernoff_bound_holds_at_protocol_scale(self):
         from diqkd.rates import chernoff_abort_bound
@@ -654,11 +660,19 @@ class TestAbortFrequency:
         )
         assert params.pulse_pairs == 10_000
         bound = chernoff_abort_bound(params).corrected_bound
-        src = DepolarizingSource(0.0)
-        aborts = sum(
-            run_protocol(params, src, seed=s).abort == ABORT_INSUFFICIENT for s in range(1000)
-        )
+        aborts = sum(label_abort(params, s) for s in range(1000))
         assert aborts / 1000 <= bound
+
+    def test_label_stage_decides_as_run_protocol(self):
+        # a margin this thin makes about half the runs abort
+        params = ProtocolParams(
+            n=4410, q=0.3, delta=0.01, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=5000
+        )
+        src = DepolarizingSource(0.0)
+        decided = [label_abort(params, s) for s in range(400)]
+        aborted = [run_protocol(params, src, s).abort == ABORT_INSUFFICIENT for s in range(400)]
+        assert decided == aborted
+        assert 100 < sum(aborted) < 300
 
 
 class TestNoiseGapExperiment:
@@ -723,11 +737,12 @@ class TestNoiseGapExperiment:
 
 @pytest.mark.parametrize(
     ("trials", "batch", "bound"),
-    # 2000 x 4800 is the README bounds-check and the mc-1e5 size.  Whole-chunk
+    # 2000 x 4800 is the README bounds-check and the mc-1e5 size.  Per-pulse
     # float64 draws, index and coin arrays would peak at 50.7 MB there, and at
-    # 50.0 MB for one 2,000,001-pulse row.
-    [(2000, 4800, 8e6), (2, 2_000_001, 25e6)],
-    ids=["readme", "row-past-chunk"],
+    # 50.0 MB for one 2,000,001-pulse row.  Counts of all 200,000 trials at
+    # once would peak at about 20 MB; blocks of _CHUNK trials keep it near 7 MB.
+    [(2000, 4800, 8e6), (2, 2_000_001, 25e6), (200_000, 10, 10e6)],
+    ids=["readme", "row-past-chunk", "trials-past-block"],
 )
 def test_noise_experiment_memory_is_block_bounded(trials, batch, bound):
     m, rho = chsh_measurement(-1j, -1j), depolarized_pair_state(0.0)
@@ -740,55 +755,58 @@ def test_noise_experiment_memory_is_block_bounded(trials, batch, bound):
     assert peak < bound, peak
 
 
-def noise_inputs(monkeypatch, rho) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(probs, values)`` that ``povm_noise_experiment`` hands its kernel for ``rho``."""
-    from diqkd import protocol
-
-    seen = []
-
-    def record(probs, values, *rest):
-        seen.append((probs, values))
-
-    monkeypatch.setattr(protocol, "_noise_gap_core", record)
-    povm_noise_experiment(chsh_measurement(-1j, -1j), rho, trials=1, rng=np.random.default_rng(0))
-    return seen[0]
-
-
-# (state or (probs, values), trials, batch_size, deviation, seed)
 BELL_VALUES = chsh_measurement(-1j, -1j).bell_values
-NOISE_CASES = {
-    # the mc-1e5 benchmark and the README bounds-check (p = 0: the ideal state)
-    "bench": (depolarized_pair_state(0.0), 2000, 4800, 0.1, 999),
-    "bounds-check": (depolarized_pair_state(0.0), 2000, 4800, 0.1, 0),
-    "bounds-check-test": (depolarized_pair_state(0.0), 300, 1000, 0.1, 0),
-    "depolarized": (depolarized_pair_state(0.05), 500, 4800, 0.02, 1),
-    "zero-probs": ((np.array([0.3, 0.0, 0.7, 0.0]), BELL_VALUES), 400, 301, 0.05, 2),
-    "zero-probs-leading": ((np.array([0.0, 0.0, 0.5, 0.5]), BELL_VALUES), 400, 300, 0.05, 3),
-    "cum-below-one": (
-        (np.array([0.2, 0.2, 0.2, 0.2]), np.array([0.3, -0.7, 1.0, -1.0])), 400, 300, 0.05, 4
-    ),
-    "cum-far-below-one": ((np.full(4, 0.1), BELL_VALUES), 300, 200, 0.05, 5),
-    "batch-one": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 5000, 1, 0.5, 6),
-    "batch-odd": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 900, 7, 0.2, 7),
-    # 2e6 // 4801 = 416 trials per chunk: two full chunks and a short one
-    "trials-past-chunks": (depolarized_pair_state(0.1), 1000, 4801, 0.05, 8),
-    # one row per buffer block, the row exactly as long as the block
-    "batch-block": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 3, _CHUNK, 0.01, 9),
-    # one row per block, drawn in two pieces (the second of one draw)
-    "batch-past-block": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 3, _CHUNK + 1, 0.01, 10),
-    # 13 rows per block against 400 trials per chunk: the last block is short
-    "blocks-short-last": (depolarized_pair_state(0.05), 400, 5000, 0.02, 11),
-    # one trial per chunk, its row longer than the block
-    "batch-past-chunk": ((np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES), 2, 2_000_001, 0.001, 12),
+# (probs, values, batch_size): the Bell outcome law of the ideal state, of the
+# maximally mixed state, a skewed law whose last outcome takes the mass that
+# the others leave (0.4), and single-pulse batches
+ORACLE_CASES = {
+    "ideal": (np.array([0.5 + SQRT2 / 4, 0.5 - SQRT2 / 4, 0.0, 0.0]), BELL_VALUES, 4800),
+    "mixed": (np.full(4, 0.25), BELL_VALUES, 480),
+    "skewed": (np.array([0.1, 0.2, 0.3, 0.0]), np.array([0.3, -0.7, 1.0, -0.2]), 301),
+    "batch-one": (np.array([0.4, 0.3, 0.2, 0.1]), BELL_VALUES, 1),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NOISE_CASES))
-def test_counting_noise_kernel_equals_reference(case, monkeypatch):
-    source, trials, batch, deviation, seed = NOISE_CASES[case]
-    probs, values = source if isinstance(source, tuple) else noise_inputs(monkeypatch, source)
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _noise_gap_core(probs, values, trials, batch, deviation, rng)
-    expected = reference_noise_gap_core(probs, values, trials, batch, deviation, rng_ref)
-    assert got == expected
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
+def oracle_moments(probs, values, batch):
+    """Mean of both tests' batch means, their variances, and the variance of their gap.
+
+    Given its Bell outcome c, a pulse's randomized test is a +-1 coin of mean
+    v_c and variance 1 - v_c**2, so ``Var(g2 - g3) = (1 - sum p_c v_c**2) / batch``.
+    """
+    p = np.append(probs[:-1], 1.0 - probs[:-1].sum())
+    mean, second = p @ values, p @ values**2
+    return mean, (1.0 - mean**2) / batch, (second - mean**2) / batch, (1.0 - second) / batch
+
+
+def within(x, expected, sigma) -> bool:
+    # a zero sigma (one certain outcome) asks for the exact value, up to rounding
+    return abs(x - expected) <= 5.0 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_noise_gap_matches_the_coin_law(case):
+    probs, values, batch = ORACLE_CASES[case]
+    mean, var2, var3, var_gap = oracle_moments(probs, values, batch)
+    rng = np.random.default_rng(16)
+    # one trial per call: each report's two means are that trial's g2 and g3
+    reps = [_noise_gap_core(probs, values, 1, batch, 0.1, rng) for _ in range(4000)]
+    g2 = np.array([rep.mean_s_randomized for rep in reps])
+    g3 = np.array([rep.mean_s_projective for rep in reps])
+    gap = g2 - g3
+    trials = len(reps)
+    assert within(g2.mean(), mean, np.sqrt(var2 / trials))
+    assert within(g3.mean(), mean, np.sqrt(var3 / trials))
+    assert within(gap.mean(), 0.0, np.sqrt(var_gap / trials))
+    # the sample variance against its own standard error
+    var = gap.var(ddof=1)
+    m4 = np.mean((gap - gap.mean()) ** 4)
+    assert within(var, var_gap, np.sqrt((m4 - var**2) / trials))
+
+
+def test_noise_gap_means_across_blocks():
+    probs, values, _ = ORACLE_CASES["skewed"]
+    batch, trials = 10, _CHUNK + 1000
+    mean, var2, var3, _ = oracle_moments(probs, values, batch)
+    rep = _noise_gap_core(probs, values, trials, batch, 0.1, np.random.default_rng(17))
+    assert within(rep.mean_s_randomized, mean, np.sqrt(var2 / trials))
+    assert within(rep.mean_s_projective, mean, np.sqrt(var3 / trials))
