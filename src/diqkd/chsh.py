@@ -47,7 +47,7 @@ def t_sign(basis_a: str, basis_b: str) -> int:
     """Sign exponent of a CHSH round: 1 when both parties measured x, else 0.
 
     This single definition is shared by the protocol simulator's estimator
-    (``protocol._SIGN_TABLE``) and by ``povm_equals_local_mixture``, which
+    (``protocol._ROUND_VALUES``) and by ``povm_equals_local_mixture``, which
     checks it against the x-x minus sign that ``chsh_measurement`` writes out.
     """
     return 1 if basis_a == "x" and basis_b == "x" else 0

@@ -318,7 +318,7 @@ def cmd_bounds_check(args):
 
     # the insufficient_pulses abort of run seed + r depends on its labels alone
     abort_count = sum(
-        insufficient_pulses(params, *label_stage(params, args.seed + r)[2:])
+        insufficient_pulses(params, *label_stage(params, args.seed + r))
         for r in range(args.runs)
     )
     abort_report = chernoff_abort_bound(params)

@@ -28,19 +28,26 @@ form per-pulse stream ``s``: Alice's labels, Bob's labels, Alice's basis
 coins, Bob's basis coins and the outcome uniforms, in that order, pulse
 ``i`` taking output ``i`` of each stream whether or not its label uses it.
 The index selection and the two hash seeds read the outputs from ``5 N``
-on.  The label stage (``label_stage``) makes each stream a copy of the
-generator advanced to the stream's start, advances the generator past all
-five, and draws streams 0 and 1, the labels, which alone decide the
-``insufficient_pulses`` abort; the pulse stage then draws streams 2-4.
-Both walk the pulses in chunks of ``_CHUNK``.  Since a pulse's labels,
-bases and outcome depend only on its own five draws and its row of the
-Born-rule table, the chunked stages write the same bits as whole-array
-draws would, while their temporaries stay O(``_CHUNK``).
+on.  Each stream is drawn from a copy of the generator advanced to the
+stream's start: the label stage (``label_stage``) draws streams 0 and 1,
+the labels, which alone decide the ``insufficient_pulses`` abort and the
+index selection; the pulse stage then draws streams 2-4.  Both walk the
+pulses in chunks of ``_CHUNK``.  Since a pulse's labels, bases and outcome
+depend only on its own five draws and its row of the Born-rule table, the
+chunked stages write the same bits as whole-array draws would, while their
+temporaries stay O(``_CHUNK``).
 
-Outcomes are recorded as +-1; the per-round CHSH contribution is
-``r_A r_B`` negated when both parties measured x.  Runs are deterministic
-given (params, strategy, seed) and independent runs are embarrassingly
-parallel.
+A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
+``np.packbits`` of one bit per pulse, little-endian within each byte:
+``labels_a`` and ``labels_b`` (set for a sample candidate), ``bases_a``
+(Alice measured x), ``bases_b`` (Bob measured x; his basis code is his
+label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (the outcome
+was -1).  ``Transcript.pulses`` unpacks them.
+
+Outcomes are recorded as +-1, bit ``b`` standing for ``r = (-1)^b``; the
+per-round CHSH contribution is ``r_A r_B`` negated when both parties
+measured x.  Runs are deterministic given (params, strategy, seed) and
+independent runs are embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -72,10 +79,15 @@ _BASIS_TOKENS = {"bases_a": _json_tokens(ALICE_BASES), "bases_b": _json_tokens(B
 _TABLE_SPAN = 256
 
 # Pulses per step of the label and pulse stages, and trials per block of the
-# noise-gap experiment: their temporaries stay small and in cache.
+# noise-gap experiment: their temporaries stay small and in cache.  A multiple
+# of 8, so that each chunk of pulses packs into whole bytes of a bit plane.
 _CHUNK = 1 << 16
 # Per-pulse uniform streams of a run: two labels, two basis coins, the outcome.
 _STREAMS = 5
+# The per-pulse bit planes of a transcript, in field order.
+_PLANES = ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b")
+# Set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 ABORT_INSUFFICIENT = "insufficient_pulses"
 ABORT_CHSH = "chsh_failed"
@@ -221,24 +233,53 @@ def outcomes_from_uniforms(
     return codes
 
 
+def _plane(big_n: int) -> np.ndarray:
+    """An unfilled bit plane of ``big_n`` pulses."""
+    return np.empty(-(-big_n // 8), dtype=np.uint8)
+
+
+def _put(plane: np.ndarray, start: int, bits: np.ndarray) -> None:
+    """Pack a chunk's 0/1 values into ``plane`` from pulse ``start``, a multiple of 8."""
+    packed = np.packbits(bits, bitorder="little")
+    plane[start // 8 : start // 8 + len(packed)] = packed
+
+
+def _unpack(plane: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of a plane, one uint8 0/1 per pulse."""
+    return np.unpackbits(plane, count=count, bitorder="little")
+
+
+def _popcount(plane: np.ndarray) -> int:
+    # take() casts its indices to intp, so a whole plane at once would build
+    # a temporary of 8 bytes per plane byte; _CHUNK bytes at a time it stays small
+    chunks = (plane[i : i + _CHUNK] for i in range(0, len(plane), _CHUNK))
+    return sum(int(_POPCOUNT.take(chunk).sum()) for chunk in chunks)
+
+
 @dataclass
 class Transcript:
     """Complete record of one protocol run; immutable once returned.
 
-    Outcome arrays cover all N pulses.  ``abort`` is None for a completed
+    The six per-pulse fields are uint8 bit planes over all N pulses, bit
+    ``i`` of a plane (little-endian within each byte) standing for pulse
+    ``i``: ``labels_a``/``labels_b`` set for a sample candidate,
+    ``bases_a``/``bases_b`` set when the party measured x (Bob's basis code
+    is his label plus his bit), ``outcomes_a``/``outcomes_b`` set for the
+    outcome -1.  ``pulses`` unpacks them.  ``abort`` is None for a completed
     run, otherwise one of the abort reason codes.  Bit arrays use 0/1 with
-    the mapping ``r = (-1)^bit``.
+    the mapping ``r = (-1)^bit``; ``corrected_key`` is the read-only
+    ``sifted_key`` itself.
     """
 
     schema_version: int
     params: ProtocolParams
     strategy: dict
     seed: int
-    labels_a: np.ndarray  # True = sample candidate
+    labels_a: np.ndarray  # set = sample candidate
     labels_b: np.ndarray
-    bases_a: np.ndarray  # int8 indices into ALICE_BASES
-    bases_b: np.ndarray  # int8 indices into BOB_BASES
-    outcomes_a: np.ndarray  # +-1
+    bases_a: np.ndarray  # set = x
+    bases_b: np.ndarray  # set = x
+    outcomes_a: np.ndarray  # set = -1
     outcomes_b: np.ndarray
     i_smp: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     i_sif: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -257,18 +298,36 @@ class Transcript:
     secret_key_b: np.ndarray | None = None
     key_report: dict = field(default_factory=dict)
 
+    def pulses(self) -> dict:
+        """The six planes unpacked, one value per pulse, by field name.
+
+        Labels come as bool; basis codes (indices into ``ALICE_BASES`` and
+        ``BOB_BASES``) and +-1 outcomes as int8.  Each call unpacks afresh.
+        """
+        bits = {name: _unpack(getattr(self, name), self.params.pulse_pairs) for name in _PLANES}
+        return {
+            "labels_a": bits["labels_a"].view(bool),
+            "labels_b": bits["labels_b"].view(bool),
+            "bases_a": bits["bases_a"].view(np.int8),
+            "bases_b": (bits["labels_b"] + bits["bases_b"]).view(np.int8),
+            "outcomes_a": 1 - 2 * bits["outcomes_a"].view(np.int8),
+            "outcomes_b": 1 - 2 * bits["outcomes_b"].view(np.int8),
+        }
+
     def to_json(self) -> str:
         """``json.dumps`` of the field document, byte for byte.
 
         The document has one key per field, in field order: ``params`` as
-        its ``as_dict()``, arrays as lists (bools as 0/1) and basis codes as
-        their labels.  Arrays are spelled by numpy (``_json_list``) and every
-        other value by ``json.dumps``, joined with its ``", "`` and ``": "``
-        separators.
+        its ``as_dict()``, the pulse planes as their ``pulses()`` lists
+        (labels as 0/1, basis codes as their labels, outcomes as +-1) and
+        other arrays as lists.  Arrays are spelled by numpy (``_json_list``)
+        and every other value by ``json.dumps``, joined with its ``", "``
+        and ``": "`` separators.
         """
+        pulses = self.pulses()
         parts = []
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = pulses[f.name] if f.name in pulses else getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 text = _json_list(value, _BASIS_TOKENS.get(f.name))
             else:
@@ -345,10 +404,11 @@ def qber(u: np.ndarray, u_ref: np.ndarray) -> float:
     return float(np.mean(u != u_ref))
 
 
-# Sign lookup indexed by basis codes, generated from the shared convention so
-# the estimator cannot drift from the operator construction.
-_SIGN_TABLE = np.array(
-    [[(-1.0) ** t_sign(ca, cb) for cb in BOB_BASES] for ca in ALICE_BASES]
+# A sample round's value r_A r_B (-1)^t, indexed by whether r_A != r_B and then
+# by the two basis codes, generated from the shared convention so the
+# estimator cannot drift from the operator construction.
+_ROUND_VALUES = np.array(
+    [(-1.0) ** (flip + t_sign(ca, cb)) for flip in (0, 1) for ca in ALICE_BASES for cb in BOB_BASES]
 )
 
 
@@ -357,10 +417,13 @@ def estimate_chsh(transcript: Transcript) -> float:
     idx = transcript.i_smp
     if len(idx) == 0:
         raise ValueError("transcript has no sample rounds")
-    ra = transcript.outcomes_a[idx]
-    rb = transcript.outcomes_b[idx]
-    signs = _SIGN_TABLE[transcript.bases_a[idx], transcript.bases_b[idx]]
-    return float(np.mean(ra * rb * signs))
+    byte, shift = idx >> 3, (idx & 7).astype(np.uint8)
+    ra, rb, xa, lb, xb = (
+        (getattr(transcript, name).take(byte) >> shift) & 1
+        for name in ("outcomes_a", "outcomes_b", "bases_a", "labels_b", "bases_b")
+    )
+    rows = ((ra ^ rb) * len(ALICE_BASES) + xa) * len(BOB_BASES) + lb + xb
+    return float(np.mean(_ROUND_VALUES.take(rows)))
 
 
 def _pmf_table(source, pulses: slice) -> np.ndarray:
@@ -420,33 +483,68 @@ def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     return tag_a, tag_a.copy() if np.array_equal(a, b) else h(b)
 
 
-def label_stage(params: ProtocolParams, seed: int) -> tuple:
-    """The generator of run ``seed`` past its pulse streams, the streams, and both parties' labels.
+def _stream(seed: int, s: int, big_n: int) -> np.random.Generator:
+    """The generator of run ``seed`` advanced to the start of stream ``s``, ``s N`` draws on."""
+    return np.random.Generator(np.random.PCG64(seed).advance(s * big_n))
 
-    Stream ``s`` is the run's generator advanced by ``s N`` draws, and the
-    run's generator moves on past all five.  The labels, ``True`` for a
-    sample candidate, are drawn from streams 0 and 1.
+
+def label_stage(params: ProtocolParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both parties' label planes of run ``seed``, set for a sample candidate.
+
+    Alice's labels are drawn from stream 0, Bob's from stream 1; no other
+    stream is built.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     big_n = params.pulse_pairs
-    *streams, rng = (
-        np.random.Generator(np.random.PCG64(seed).advance(s * big_n)) for s in range(_STREAMS + 1)
-    )
-    labels = np.empty(big_n, dtype=bool), np.empty(big_n, dtype=bool)
+    labels = _plane(big_n), _plane(big_n)
+    streams = [_stream(seed, s, big_n) for s in range(len(labels))]
     buf = np.empty(min(_CHUNK, big_n))
     for start in range(0, big_n, _CHUNK):
         u = buf[: min(_CHUNK, big_n - start)]
-        for stream, out in zip(streams, labels):
-            np.less(stream.random(out=u), params.q, out=out[start : start + len(u)])
-    return rng, streams, *labels
+        for stream, plane in zip(streams, labels):
+            _put(plane, start, stream.random(out=u) < params.q)
+    return labels
 
 
 def insufficient_pulses(params: ProtocolParams, labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
-    """Whether fewer than ``l_smp`` pulses are sampled by both parties, or ``n`` by neither."""
-    both_smp = np.count_nonzero(labels_a & labels_b)
-    both_sif = len(labels_a) - np.count_nonzero(labels_a | labels_b)
+    """Whether fewer than ``l_smp`` pulses are sampled by both parties, or ``n`` by neither.
+
+    The labels are planes from ``label_stage``, whose padding bits are clear.
+    """
+    both_smp = _popcount(labels_a & labels_b)
+    both_sif = params.pulse_pairs - _popcount(labels_a | labels_b)
     return both_smp < params.l_smp or both_sif < params.n
+
+
+def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b) -> dict:
+    """The basis and outcome planes of run ``seed``, drawn from streams 2-4, by field name."""
+    coins_a, coins_b, uniforms = (_stream(seed, s, big_n) for s in (2, 3, 4))
+    planes = {name: _plane(big_n) for name in _PLANES[2:]}
+    # an i.i.d. table serves every chunk; a pulse-axis one is built per chunk
+    table = _pmf_table(strategy, slice(None)) if strategy.rho.ndim == 2 else None
+    buf = np.empty(min(_CHUNK, big_n))
+    for start in range(0, big_n, _CHUNK):
+        stop = min(start + _CHUNK, big_n)
+        u = buf[: stop - start]
+        la, lb = (
+            _unpack(p[start // 8 : (stop + 7) // 8], stop - start).view(bool)
+            for p in (labels_a, labels_b)
+        )
+        # One basis draw per pulse regardless of label: pulse i's draws are
+        # output i of each stream, whatever the chunk boundaries.
+        xa = coins_a.random(out=u) < 0.5
+        xa &= la
+        xb = coins_b.random(out=u) < 0.5
+        xb &= lb
+        chunk_table = _pmf_table(strategy, slice(start, stop)) if table is None else table
+        pmfs, rows = _chunk_rows(chunk_table, xa, np.add(lb, xb, dtype=np.int8))
+        codes = outcomes_from_uniforms(pmfs, uniforms.random(out=u), rows=rows)
+        # codes follow joint_outcome_pmf's order (+,+), (+,-), (-,+), (-,-):
+        # Alice's -1 is the high bit, Bob's the low one
+        for plane, bits in zip(planes.values(), (xa, xb, codes >= 2, codes & 1)):
+            _put(plane, start, bits)
+    return planes
 
 
 def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
@@ -461,31 +559,15 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     big_n = params.pulse_pairs
     if strategy.rho.shape[:-2] not in ((), (big_n,)):
         raise ValueError(f"custom strategy must supply exactly {big_n} pulses")
-    rng, streams, labels_a, labels_b = label_stage(params, seed)
-
-    bases_a = np.empty(big_n, dtype=np.int8)
-    bases_b = np.empty(big_n, dtype=np.int8)
-    outcomes_a = np.empty(big_n, dtype=np.int8)
-    outcomes_b = np.empty(big_n, dtype=np.int8)
-    # an i.i.d. table serves every chunk; a pulse-axis one is built per chunk
-    table = _pmf_table(strategy, slice(None)) if strategy.rho.ndim == 2 else None
-    buf = np.empty(min(_CHUNK, big_n))
-    for start in range(0, big_n, _CHUNK):
-        stop = min(start + _CHUNK, big_n)
-        u = buf[: stop - start]
-        la, lb = labels_a[start:stop], labels_b[start:stop]
-        ba, bb = bases_a[start:stop], bases_b[start:stop]
-        # One basis draw per pulse regardless of label: pulse i's draws are
-        # output i of each stream, whatever the chunk boundaries.
-        np.logical_and(la, streams[2].random(out=u) < 0.5, out=ba.view(bool))
-        np.add(lb, lb & (streams[3].random(out=u) < 0.5), out=bb, dtype=np.int8)
-        chunk_table = _pmf_table(strategy, slice(start, stop)) if table is None else table
-        pmfs, rows = _chunk_rows(chunk_table, ba, bb)
-        codes = outcomes_from_uniforms(pmfs, streams[4].random(out=u), rows=rows)
-        # codes follow joint_outcome_pmf's order (+,+), (+,-), (-,+), (-,-):
-        # Alice's sign is the high bit, Bob's the low one
-        outcomes_a[start:stop] = 1 - 2 * (codes >> 1)
-        outcomes_b[start:stop] = 1 - 2 * (codes & 1)
+    labels_a, labels_b = label_stage(params, seed)
+    short = insufficient_pulses(params, labels_a, labels_b)
+    if not short:
+        # The selection reads only the labels and the generator past the five
+        # pulse streams, so it is drawn before them; each candidate mask is
+        # unpacked only for its own draw.
+        rng = _stream(seed, _STREAMS, big_n)
+        i_smp = _sorted_sample(rng, _unpack(labels_a & labels_b, big_n).view(bool), params.l_smp)
+        i_sif = _sorted_sample(rng, _unpack(~(labels_a | labels_b), big_n).view(bool), params.n)
 
     t = Transcript(
         schema_version=1,
@@ -494,38 +576,32 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         seed=seed,
         labels_a=labels_a,
         labels_b=labels_b,
-        bases_a=bases_a,
-        bases_b=bases_b,
-        outcomes_a=outcomes_a,
-        outcomes_b=outcomes_b,
+        **_pulse_stage(strategy, seed, big_n, labels_a, labels_b),
     )
-
-    if insufficient_pulses(params, labels_a, labels_b):
+    if short:
         t.abort = ABORT_INSUFFICIENT
         return t
 
-    t.i_smp = _sorted_sample(rng, labels_a & labels_b, params.l_smp)
-    t.i_sif = _sorted_sample(rng, ~(labels_a | labels_b), params.n)
+    t.i_smp, t.i_sif = i_smp, i_sif
     t.s_est = estimate_chsh(t)
     if t.s_est < params.s0:
         t.abort = ABORT_CHSH
         return t
 
-    sifted = t.sifted_key = ((1 - t.outcomes_a[t.i_sif]) // 2).astype(np.uint8)
-    t.bob_raw = ((1 - t.outcomes_b[t.i_sif]) // 2).astype(np.uint8)
+    # Oracle error correction: Bob adopts Alice's string, the syndrome cost
+    # is charged; the budget is what the security formulas consume.
+    sifted = t.sifted_key = t.corrected_key = _unpack(t.outcomes_a, big_n)[i_sif]
+    sifted.flags.writeable = False
+    t.bob_raw = _unpack(t.outcomes_b, big_n)[i_sif]
 
     t.p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
     t.syndrome_bits_used = syndrome_budget(params.n, t.p_est, params.f_ec)
     t.syndrome_within_budget = t.syndrome_bits_used <= params.l_syn
 
-    # Oracle error correction: Bob adopts Alice's string, the syndrome cost
-    # is charged; the budget is what the security formulas consume.
-    corrected = t.corrected_key = sifted.copy()
-
     fcor_len = min(params.n, max(1, math.ceil(math.log2(1.0 / params.eps_cor))))
     fcor = ToeplitzHash.sample(params.n, fcor_len, seed=int(rng.integers(2**63)))
     t.fcor = fcor.to_json()
-    tag_a, tag_b = _hash_pair(fcor, sifted, corrected)
+    tag_a, tag_b = _hash_pair(fcor, sifted, t.corrected_key)
     t.fcor_match = bool(np.array_equal(tag_a, tag_b))
     if not t.fcor_match:
         t.abort = ABORT_VERIFY
@@ -535,7 +611,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     t.key_report = {"l": report.l, "reason": report.reason}
     if report.l > 0:
         fpa = ToeplitzHash.sample(params.n, report.l, seed=int(rng.integers(2**63)))
-        t.secret_key_a, t.secret_key_b = _hash_pair(fpa, sifted, corrected)
+        t.secret_key_a, t.secret_key_b = _hash_pair(fpa, sifted, t.corrected_key)
         t.fpa = fpa.to_json()
     else:
         t.secret_key_a = np.empty(0, dtype=np.uint8)

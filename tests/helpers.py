@@ -4,8 +4,9 @@ Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, hash regrowth from
 its JSON description, bit unpacking.  Reference forms of fast kernels: the
 hash diagonals through ``Generator.integers``, the raw-byte draw's; the
-protocol's pulse stage drawn whole-array, the chunked one's reference; and
-the transcript document through one ``json.dumps``, the numpy encoder's.
+protocol's pulse stage drawn whole-array, the chunked one's reference, and
+its arrays packed into transcript planes; and the transcript document
+through one ``json.dumps``, the numpy encoder's.
 """
 
 import json
@@ -124,15 +125,36 @@ def unchunked_pulse_stage(params, source, seed: int) -> dict:
     }
 
 
+def pack_pulses(labels_a, labels_b, bases_a, bases_b, outcomes_a, outcomes_b) -> dict:
+    """The ``Transcript`` bit planes of pulse arrays in ``Transcript.pulses`` form.
+
+    Labels are 0/1, basis codes index ``ALICE_BASES`` and ``BOB_BASES``, and
+    outcomes are +-1; Bob's plane holds whether he measured x.
+    """
+
+    def pack(bits) -> np.ndarray:
+        return np.packbits(np.asarray(bits), bitorder="little")
+
+    return {
+        "labels_a": pack(labels_a),
+        "labels_b": pack(labels_b),
+        "bases_a": pack(bases_a),
+        "bases_b": pack(np.asarray(bases_b) == BOB_BASES.index("x")),
+        "outcomes_a": pack(np.asarray(outcomes_a) < 0),
+        "outcomes_b": pack(np.asarray(outcomes_b) < 0),
+    }
+
+
 def reference_to_json(t: Transcript) -> str:
     """``Transcript.to_json`` as one ``json.dumps`` of the field document."""
     labels = {
         "bases_a": np.array(ALICE_BASES, dtype=object),
         "bases_b": np.array(BOB_BASES, dtype=object),
     }
+    pulses = t.pulses()
     doc = {}
     for f in fields(t):
-        value = getattr(t, f.name)
+        value = pulses.get(f.name, getattr(t, f.name))
         if f.name in labels:
             value = labels[f.name][value]
         elif isinstance(value, ProtocolParams):

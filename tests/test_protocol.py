@@ -23,6 +23,7 @@ from diqkd.protocol import (
     _json_list,
     _noise_gap_core,
     _pmf_table,
+    _popcount,
     _sorted_sample,
     depolarized_pair_state,
     estimate_chsh,
@@ -37,6 +38,7 @@ from diqkd.protocol import (
 )
 from diqkd.rates import ProtocolParams
 from helpers import (
+    pack_pulses,
     random_density,
     reference_to_json,
     toeplitz_from_json,
@@ -85,12 +87,7 @@ class TestEstimator:
             params=small_params(),
             strategy={"kind": "test"},
             seed=0,
-            labels_a=np.ones(n, bool),
-            labels_b=np.ones(n, bool),
-            bases_a=np.array(bases_a),
-            bases_b=np.array(bases_b),
-            outcomes_a=np.array(ra),
-            outcomes_b=np.array(rb),
+            **pack_pulses(np.ones(n, bool), np.ones(n, bool), bases_a, bases_b, ra, rb),
             i_smp=np.arange(n),
             i_sif=np.empty(0, dtype=int),
             s_est=None,
@@ -232,7 +229,8 @@ class TestRunProtocol:
             t = run_protocol(params, DepolarizingSource(0.05), seed=200 + s)
             assert t.abort is None
             assert t.fcor_match
-            assert np.array_equal(t.corrected_key, t.sifted_key)
+            # Bob's corrected string is Alice's, shared and read-only, not a copy
+            assert t.corrected_key is t.sifted_key and not t.sifted_key.flags.writeable
 
     def test_positive_key_run(self):
         t = run_protocol(POSITIVE_KEY, DepolarizingSource(0.0), seed=7)
@@ -454,9 +452,15 @@ def test_chunked_pulse_stage_equals_whole_array_draws(kind, offset):
     source = PULSE_SOURCES[kind](big_n)
     t = run_protocol(params, source, seed=7)
     ref = unchunked_pulse_stage(params, source, seed=7)
-    for name in ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b"):
+    pulses = t.pulses()
+    planes = pack_pulses(**{name: ref[name] for name in pulses})
+    for name, plane in planes.items():
+        # one bit per pulse: N/8 bytes rounded up, the last byte's padding clear
         got = getattr(t, name)
-        assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
+        assert got.dtype == np.uint8 and got.shape == (-(-big_n // 8),), name
+        assert np.array_equal(got, plane), name
+        assert pulses[name].dtype == ref[name].dtype, name
+        assert np.array_equal(pulses[name], ref[name]), name
     # the run's generator continues past all five streams: the whole-array
     # selection and the next draw, the correctness hash seed, agree with it
     rng = ref["rng"]
@@ -495,12 +499,13 @@ def test_masked_selection_equals_sorted_choice(case):
 
 
 def test_pulse_stage_memory_is_chunk_bounded():
-    # N = 2e6 pulses and l = 0 (s0 = 0 makes the entropy bound vacuous).  What
-    # stays is the six one-byte pulse arrays (12 MB), the sifted selection's
-    # index arrays (the sample mask is freed before it; 37.4 MB traced peak,
-    # 39.4 MB with the mask held) and the correctness hash's FFT groups, whose
-    # size does not grow with N; whole-array float64 draws and per-pulse
-    # thresholds (16 MB each) would not fit beside them.
+    # N = 2e6 pulses and l = 0 (s0 = 0 makes the entropy bound vacuous).  The
+    # peak is the sifted selection's: its unpacked candidate mask (2 MB) and
+    # index arrays, beside the two label planes (0.25 MB each; 25.1 MB traced
+    # in all).  The pulse stage runs after it, and the run keeps six one-bit
+    # planes (1.5 MB).  The six one-byte pulse arrays that a run held before (12 MB,
+    # 37.5 MB traced peak) would not fit under the bound, nor would
+    # whole-array float64 draws or per-pulse thresholds (16 MB each).
     params = ProtocolParams(
         n=1_216_000, q=0.2, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=10**6
     )
@@ -512,7 +517,7 @@ def test_pulse_stage_memory_is_chunk_bounded():
     finally:
         tracemalloc.stop()
     assert t.abort is None and t.key_report["l"] == 0
-    assert peak < 45e6, peak
+    assert peak < 30e6, peak
 
 
 def test_custom_source_memory_is_chunk_bounded():
@@ -646,9 +651,16 @@ def test_json_list_rejects_non_integer_or_multi_dim(a):
         _json_list(a, None)
 
 
+def test_popcount_counts_every_byte_value():
+    # every byte value once, and a plane that spans two chunks of bytes
+    long_plane = np.random.default_rng(3).integers(0, 256, _CHUNK + 1001, dtype=np.uint8)
+    for plane in (np.arange(256, dtype=np.uint8), long_plane):
+        assert _popcount(plane) == int(np.unpackbits(plane).sum())
+
+
 def label_abort(params, seed: int) -> bool:
     """Whether run ``seed`` aborts with ``insufficient_pulses``, from its label stage alone."""
-    return insufficient_pulses(params, *label_stage(params, seed)[2:])
+    return insufficient_pulses(params, *label_stage(params, seed))
 
 
 class TestAbortFrequency:
