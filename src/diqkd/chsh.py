@@ -46,9 +46,10 @@ BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 def t_sign(basis_a: str, basis_b: str) -> int:
     """Sign exponent of a CHSH round: 1 when both parties measured x, else 0.
 
-    This single definition is shared by the protocol simulator's estimator
-    (``protocol._ROUND_VALUES``) and by ``povm_equals_local_mixture``, which
-    checks it against the x-x minus sign that ``chsh_measurement`` writes out.
+    ``povm_equals_local_mixture`` checks it against the x-x minus sign that
+    ``chsh_measurement`` writes out; the protocol simulator's estimator reads
+    it as the AND of the two x bits of its sign plane
+    (``protocol.estimate_chsh``), which the tests check against this function.
     """
     return 1 if basis_a == "x" and basis_b == "x" else 0
 

@@ -46,6 +46,7 @@ from .protocol import (
 from .rates import (
     ProtocolParams,
     asymptotic_rate,
+    check_count,
     chernoff_abort_bound,
     device_dependent_rate,
     finite_key_length,
@@ -266,8 +267,7 @@ def _make_strategy(args):
 
 
 def cmd_simulate(args):
-    if args.runs < 1:
-        raise ValueError("runs must be at least 1")
+    check_count("runs", args.runs)
     params = _params_from_args(args)
     strategy = _make_strategy(args)
     rows = []
@@ -310,8 +310,7 @@ def cmd_simulate(args):
 
 
 def cmd_bounds_check(args):
-    if args.runs < 1:
-        raise ValueError("runs must be at least 1")
+    check_count("runs", args.runs)
     check_noise_experiment(args.trials, args.batch, args.deviation)
     params = _params_from_args(args)
     rho = depolarized_pair_state(args.p)

@@ -41,13 +41,12 @@ A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
 ``np.packbits`` of one bit per pulse, little-endian within each byte:
 ``labels_a`` and ``labels_b`` (set for a sample candidate), ``bases_a``
 (Alice measured x), ``bases_b`` (Bob measured x; his basis code is his
-label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (the outcome
-was -1).  ``Transcript.pulses`` unpacks them.
-
-Outcomes are recorded as +-1, bit ``b`` standing for ``r = (-1)^b``; the
-per-round CHSH contribution is ``r_A r_B`` negated when both parties
-measured x.  Runs are deterministic given (params, strategy, seed) and
-independent runs are embarrassingly parallel.
+label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (bit ``b``
+standing for the outcome ``r = (-1)^b``).  The CHSH estimate reads the
+planes as stored, the transcript writer spells their bits through token
+tables, and ``Transcript.pulses`` unpacks them to values.  Runs are
+deterministic given (params, strategy, seed) and independent runs are
+embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chsh import CHSHMeasurement, chsh_measurement, t_sign
+from .chsh import CHSHMeasurement, chsh_measurement
 from .hashing import ToeplitzHash
 from .linalg import SQRT2, generalized_x, identity, pauli, tensor, validate_density
-from .rates import ProtocolParams, azuma_tail, finite_key_length, syndrome_budget
+from .rates import ProtocolParams, azuma_tail, check_count, finite_key_length, syndrome_budget
 
 # Basis codes used in transcript arrays.
 ALICE_BASES = ("z", "x")  # sifting uses z
@@ -73,11 +72,6 @@ def _json_tokens(values) -> np.ndarray:
     return np.array([json.dumps(v) + ", " for v in values], dtype=bytes)
 
 
-# Token tables that spell basis codes as their labels in a transcript.
-_BASIS_TOKENS = {"bases_a": _json_tokens(ALICE_BASES), "bases_b": _json_tokens(BOB_BASES)}
-# Arrays whose max - min is below this are spelled from a token table (uint8 codes).
-_TABLE_SPAN = 256
-
 # Pulses per step of the label and pulse stages, and trials per block of the
 # noise-gap experiment: their temporaries stay small and in cache.  A multiple
 # of 8, so that each chunk of pulses packs into whole bytes of a bit plane.
@@ -86,6 +80,12 @@ _CHUNK = 1 << 16
 _STREAMS = 5
 # The per-pulse bit planes of a transcript, in field order.
 _PLANES = ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b")
+# Each plane's JSON spelling of a pulse code (``Transcript._codes``): labels and
+# key bits as 0/1, basis codes as their labels, outcome bits as +-1.
+_BIT_TOKENS, _SIGN_TOKENS = _json_tokens((0, 1)), _json_tokens((1, -1))
+_PLANE_TOKENS = dict(
+    zip(_PLANES, (_BIT_TOKENS, _BIT_TOKENS, _json_tokens(ALICE_BASES), _json_tokens(BOB_BASES)))
+) | dict.fromkeys(_PLANES[4:], _SIGN_TOKENS)
 # Set bits of each byte value.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -260,15 +260,11 @@ def _popcount(plane: np.ndarray) -> int:
 class Transcript:
     """Complete record of one protocol run; immutable once returned.
 
-    The six per-pulse fields are uint8 bit planes over all N pulses, bit
-    ``i`` of a plane (little-endian within each byte) standing for pulse
-    ``i``: ``labels_a``/``labels_b`` set for a sample candidate,
-    ``bases_a``/``bases_b`` set when the party measured x (Bob's basis code
-    is his label plus his bit), ``outcomes_a``/``outcomes_b`` set for the
-    outcome -1.  ``pulses`` unpacks them.  ``abort`` is None for a completed
-    run, otherwise one of the abort reason codes.  Bit arrays use 0/1 with
-    the mapping ``r = (-1)^bit``; ``corrected_key`` is the read-only
-    ``sifted_key`` itself.
+    The six per-pulse fields are the bit planes of the module docstring,
+    each a uint8 array of ``ceil(N / 8)`` bytes (``ValueError`` otherwise);
+    ``pulses`` unpacks them.  ``abort`` is None for a completed run,
+    otherwise one of the abort reason codes.  Key bits are 0/1;
+    ``corrected_key`` is the read-only ``sifted_key`` itself.
     """
 
     schema_version: int
@@ -298,68 +294,67 @@ class Transcript:
     secret_key_b: np.ndarray | None = None
     key_report: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        size = -(-self.params.pulse_pairs // 8)
+        for name in _PLANES:
+            plane = getattr(self, name)
+            if getattr(plane, "dtype", None) != np.uint8 or np.shape(plane) != (size,):
+                got = f"{getattr(plane, 'dtype', type(plane).__name__)} {np.shape(plane)}"
+                raise ValueError(f"{name} must be a uint8 plane of {size} bytes, got {got}")
+
+    def _codes(self) -> dict:
+        """The planes unpacked, a uint8 code per pulse: its bit, or Bob's basis label plus bit."""
+        codes = {name: _unpack(getattr(self, name), self.params.pulse_pairs) for name in _PLANES}
+        codes["bases_b"] += codes["labels_b"]
+        return codes
+
     def pulses(self) -> dict:
         """The six planes unpacked, one value per pulse, by field name.
 
         Labels come as bool; basis codes (indices into ``ALICE_BASES`` and
         ``BOB_BASES``) and +-1 outcomes as int8.  Each call unpacks afresh.
         """
-        bits = {name: _unpack(getattr(self, name), self.params.pulse_pairs) for name in _PLANES}
+        codes = self._codes()
         return {
-            "labels_a": bits["labels_a"].view(bool),
-            "labels_b": bits["labels_b"].view(bool),
-            "bases_a": bits["bases_a"].view(np.int8),
-            "bases_b": (bits["labels_b"] + bits["bases_b"]).view(np.int8),
-            "outcomes_a": 1 - 2 * bits["outcomes_a"].view(np.int8),
-            "outcomes_b": 1 - 2 * bits["outcomes_b"].view(np.int8),
+            "labels_a": codes["labels_a"].view(bool),
+            "labels_b": codes["labels_b"].view(bool),
+            "bases_a": codes["bases_a"].view(np.int8),
+            "bases_b": codes["bases_b"].view(np.int8),
+            "outcomes_a": 1 - 2 * codes["outcomes_a"].view(np.int8),
+            "outcomes_b": 1 - 2 * codes["outcomes_b"].view(np.int8),
         }
 
     def to_json(self) -> str:
         """``json.dumps`` of the field document, byte for byte.
 
-        The document has one key per field, in field order: ``params`` as
-        its ``as_dict()``, the pulse planes as their ``pulses()`` lists
-        (labels as 0/1, basis codes as their labels, outcomes as +-1) and
-        other arrays as lists.  Arrays are spelled by numpy (``_json_list``)
-        and every other value by ``json.dumps``, joined with its ``", "``
-        and ``": "`` separators.
+        One key per field, in field order: ``params`` as its ``as_dict()``,
+        the pulse planes as ``pulses()`` lists (labels as 0/1, basis codes as
+        their labels, outcomes as +-1), other arrays as lists of non-negative
+        integers (``TypeError`` if not 1-d bool or integer, ``ValueError`` if
+        negative).  Numpy spells each array value as a token table or
+        ``_digit_rows`` row, ``json.dumps`` the rest; one join copies it all.
         """
-        pulses = self.pulses()
+        codes = self._codes()
         parts = []
         for f in fields(self):
-            value = pulses[f.name] if f.name in pulses else getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                text = _json_list(value, _BASIS_TOKENS.get(f.name))
+            value = getattr(self, f.name)
+            if f.name in codes:
+                text = _join_rows(_PLANE_TOKENS[f.name].take(codes[f.name]))
+            elif isinstance(value, np.ndarray):
+                text = _json_naturals(value)
             else:
                 text = json.dumps(value.as_dict() if isinstance(value, ProtocolParams) else value)
-            parts.append(f"{json.dumps(f.name)}: {text}")
-        return "{" + ", ".join(parts) + "}"
+            parts += [", " if parts else "{", json.dumps(f.name), ": ", text]
+        return "".join(parts + ["}"])
 
 
-def _json_list(a: np.ndarray, tokens: np.ndarray | None) -> str:
-    """``json.dumps(a.tolist())`` of a 1-d bool or integer array, spelled by numpy.
-
-    With ``tokens`` (a ``_json_tokens`` table), value ``c`` is spelled
-    ``tokens[c]``.  Otherwise a span below ``_TABLE_SPAN`` is looked up in
-    the table of ``min(a)..max(a)``, and a wider one is spelled digit by
-    digit (``_digit_rows``).  Each value becomes one NUL-padded row of
-    ``"<json>, "``, so dropping the NULs and the last separator of the rows'
-    bytes leaves the body of the list.
-    """
+def _json_naturals(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())`` of a 1-d bool or non-negative integer array (keys, indices)."""
     if a.ndim != 1 or a.dtype.kind not in "biu":
         raise TypeError(f"expected a 1-d bool or integer array, got {a.dtype} {a.shape}")
-    if len(a) == 0:
-        return "[]"
-    if tokens is None:
-        lo, hi = int(a.min()), int(a.max())
-        if hi - lo >= _TABLE_SPAN:
-            return _join_rows(_digit_rows(a))
-        tokens = _json_tokens(range(lo, hi + 1))
-        # a - lo, computed mod 256 in uint8: exact since every code is below
-        # 256, and free of overflow whatever a's dtype
-        a = a.astype(np.uint8)
-        a -= np.uint8(lo % 256)
-    return _join_rows(tokens.take(a))
+    if a.min(initial=0) < 0:
+        raise ValueError(f"expected non-negative integers, got {a.min()}")
+    return _join_rows(_BIT_TOKENS.take(a) if a.max(initial=0) <= 1 else _digit_rows(a))
 
 
 def _join_rows(rows: np.ndarray) -> str:
@@ -367,29 +362,23 @@ def _join_rows(rows: np.ndarray) -> str:
 
 
 def _digit_rows(a: np.ndarray) -> np.ndarray:
-    """One NUL-padded row of ``"<decimal>, "`` bytes per value of an integer array.
+    """One NUL-padded row of ``"<decimal>, "`` bytes per value of a non-negative integer array.
 
     The rows are built column by column, units digit first: ``q % 10 + 48``
-    while the rest ``q`` of the magnitude is positive, NUL once it is not;
-    a negative value then gets a ``-`` in the column before its first digit.
+    while the rest ``q`` of the value is positive, NUL once it is not.
     """
-    neg = a < 0
-    # two's complement negation in uint64 is exact, |INT64_MIN| = 2**63 included
-    q = a.astype(np.uint64)
-    np.negative(q, out=q, where=neg)
-    width = len(str(int(q.max())))
+    width = len(str(int(a.max(initial=0))))
     # column-major, so that each column is written in one contiguous pass
-    cols = np.zeros((width + 3, len(a)), dtype=np.uint8)
+    cols = np.zeros((width + 2, len(a)), dtype=np.uint8)
     cols[-2:] = np.frombuffer(b", ", dtype=np.uint8)[:, None]
-    for col in range(width, 0, -1):
+    q = a
+    for col in range(width - 1, -1, -1):
         rest = q // 10  # floor division by a constant is fast, unlike np.remainder
         np.subtract(q, 10 * rest, out=cols[col], casting="unsafe")
         cols[col] += 48
-        if col < width:
+        if col < width - 1:
             cols[col] *= q > 0
         q = rest
-    digits = np.count_nonzero(cols[1 : width + 1], axis=0)
-    cols[width - digits[neg], neg] = 45
     return np.ascontiguousarray(cols.T)
 
 
@@ -404,26 +393,19 @@ def qber(u: np.ndarray, u_ref: np.ndarray) -> float:
     return float(np.mean(u != u_ref))
 
 
-# A sample round's value r_A r_B (-1)^t, indexed by whether r_A != r_B and then
-# by the two basis codes, generated from the shared convention so the
-# estimator cannot drift from the operator construction.
-_ROUND_VALUES = np.array(
-    [(-1.0) ** (flip + t_sign(ca, cb)) for flip in (0, 1) for ca in ALICE_BASES for cb in BOB_BASES]
-)
-
-
 def estimate_chsh(transcript: Transcript) -> float:
-    """CHSH average ``mean(r_A r_B (-1)^t)`` of a transcript's sample rounds."""
-    idx = transcript.i_smp
+    """CHSH average ``mean(r_A r_B (-1)^t)`` of a transcript's sample rounds.
+
+    A round is -1 where the sign plane ``outcomes_a ^ outcomes_b ^ (bases_a &
+    bases_b)`` is set (``t = chsh.t_sign`` is 1 when both measured x), so
+    ``neg`` of ``k`` rounds give the exact ``(k - 2 neg) / k``.
+    """
+    t, idx = transcript, transcript.i_smp
     if len(idx) == 0:
         raise ValueError("transcript has no sample rounds")
-    byte, shift = idx >> 3, (idx & 7).astype(np.uint8)
-    ra, rb, xa, lb, xb = (
-        (getattr(transcript, name).take(byte) >> shift) & 1
-        for name in ("outcomes_a", "outcomes_b", "bases_a", "labels_b", "bases_b")
-    )
-    rows = ((ra ^ rb) * len(ALICE_BASES) + xa) * len(BOB_BASES) + lb + xb
-    return float(np.mean(_ROUND_VALUES.take(rows)))
+    sign = t.outcomes_a ^ t.outcomes_b ^ (t.bases_a & t.bases_b)
+    neg = np.count_nonzero((sign.take(idx >> 3) >> (idx & 7).astype(np.uint8)) & 1)
+    return (len(idx) - 2 * int(neg)) / len(idx)
 
 
 def _pmf_table(source, pulses: slice) -> np.ndarray:
@@ -680,11 +662,9 @@ def _noise_gap_core(
 
 def check_noise_experiment(trials: int, batch_size: int, deviation: float) -> None:
     """Raise ValueError unless ``povm_noise_experiment`` accepts these sizes and deviation."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    check_count("trials", trials)
     # so that a batch's counts stay exact in float64, and twice its +1 count in int64
-    if not 1 <= batch_size <= 2**53:
-        raise ValueError(f"batch must be from 1 to 2**53, got {batch_size!r}")
+    check_count("batch", batch_size)
     if not 0.0 <= deviation < math.inf:
         raise ValueError(f"deviation must be finite and non-negative, got {deviation!r}")
 

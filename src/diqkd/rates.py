@@ -138,6 +138,12 @@ def _ceil_tol(x: float, name: str) -> int:
     return int(math.ceil(x - 1e-9))
 
 
+def check_count(name: str, value: int) -> None:
+    """Raise ValueError unless ``value`` is from 1 to 2**53, where float64 holds every count."""
+    if not 1 <= value <= 2**53:
+        raise ValueError(f"{name} must be from 1 to 2**53, got {value!r}")
+
+
 def syndrome_budget(n: int, p_est: float, f_ec: float) -> int:
     """Conventional syndrome length ``ceil(f_ec n h(p_est))``."""
     _require_f_ec(f_ec)
@@ -347,6 +353,7 @@ __all__ = [
     "azuma_tail",
     "binary_entropy",
     "chernoff_abort_bound",
+    "check_count",
     "chsh_test_deviation",
     "device_dependent_rate",
     "finite_key_length",

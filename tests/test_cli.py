@@ -566,6 +566,10 @@ NON_FINITE = {
     "bounds-check-deviation-negative": (BOUNDS + ("--deviation=-0.5",), "deviation"),
     # a batch whose counts a float64 cannot hold exactly
     "bounds-check-batch-huge": (BOUNDS + ("--batch", "99999999999999999999"), "batch"),
+    # counts past 2**53, which would run until killed, stop before the first draw
+    "bounds-check-runs-huge": (BOUNDS + ("--runs", str(10**20)), "runs"),
+    "bounds-check-trials-huge": (BOUNDS + ("--trials", str(10**20)), "trials"),
+    "simulate-runs-huge": (MISALIGNED + ("--runs", str(10**20)), "runs"),
     "bounds-check-p-out-of-range": (BOUNDS + ("--p", "0.7"), "p"),
     "simulate-p-nan": (MISALIGNED + ("--p", "nan"), "p"),
     "keylength-p-est-nan": (KEYLENGTH + ("--p-est", "nan"), "p_est"),

@@ -1,7 +1,8 @@
-"""The package imports numpy and the standard library, nothing else."""
+"""The package imports numpy and the standard library, nothing else, and uses every private name."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import diqkd
@@ -26,3 +27,38 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert "numpy" in found["linalg.py"]  # the walk sees the imports
     outside = {name: sorted(mods - ALLOWED) for name, mods in found.items() if mods - ALLOWED}
     assert outside == {}
+
+
+def private_definitions(tree: ast.Module):
+    """``(name, node)`` for each private name a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and name[1] != "_")
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or an attribute."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+    return found
+
+
+def test_every_private_name_is_used_in_the_package():
+    files = sorted(Path(diqkd.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    defined = [(f, name, node) for f, t in trees.items() for name, node in private_definitions(t)]
+    assert any(name == "_CHUNK" for _, name, _ in defined)  # the walk sees the definitions
+    # a reference inside its own definition (a recursive call) does not count
+    unused = [f"{f}:{name}" for f, name, node in defined if used[name] <= references(node)[name]]
+    assert unused == []

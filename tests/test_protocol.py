@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from diqkd.chsh import chsh_measurement
+from diqkd.chsh import chsh_measurement, t_sign
 from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import identity
 from diqkd.protocol import (
@@ -16,11 +19,13 @@ from diqkd.protocol import (
     DepolarizingSource,
     MisalignedSource,
     Transcript,
-    _BASIS_TOKENS,
     _CHUNK,
+    _PLANE_TOKENS,
     _chunk_rows,
+    _digit_rows,
     _hash_pair,
-    _json_list,
+    _join_rows,
+    _json_naturals,
     _noise_gap_core,
     _pmf_table,
     _popcount,
@@ -81,18 +86,48 @@ class TestQber:
 
 class TestEstimator:
     def build(self, bases_a, bases_b, ra, rb):
-        n = len(ra)
+        """A transcript of ``small_params()`` whose first pulses are these sample rounds.
+
+        Bob's label is set unless he measured z'; the other pulses are
+        unlabeled, in z and z', with outcome +1.
+        """
+        n, big_n = len(ra), small_params().pulse_pairs
+        rounds = (np.ones(n, bool), np.not_equal(bases_b, 0), bases_a, bases_b, ra, rb)
+        padded = [np.concatenate([a, np.zeros(big_n - n, np.asarray(a).dtype)]) for a in rounds]
         return Transcript(
             schema_version=1,
             params=small_params(),
             strategy={"kind": "test"},
             seed=0,
-            **pack_pulses(np.ones(n, bool), np.ones(n, bool), bases_a, bases_b, ra, rb),
+            **pack_pulses(*padded),
             i_smp=np.arange(n),
-            i_sif=np.empty(0, dtype=int),
-            s_est=None,
-            abort=None,
         )
+
+    def test_plane_of_too_few_pulses_rejected(self):
+        # 3 pulses under small_params(), which has 5,443: unpacking would pad them with zeros
+        ones = np.ones(3, bool)
+        planes = pack_pulses(ones, ones, [0, 1, 0], [1, 2, 0], [1, -1, 1], [1, 1, -1])
+        with pytest.raises(ValueError, match="labels_a must be a uint8 plane of 681 bytes"):
+            Transcript(1, small_params(), {"kind": "test"}, 0, **planes)
+
+    @pytest.mark.parametrize(
+        "name, plane",
+        [("bases_b", np.zeros(681, dtype=np.int8)), ("outcomes_a", np.zeros((681, 1), np.uint8))],
+        ids=["int8", "2-d"],
+    )
+    def test_plane_of_other_dtype_or_shape_rejected(self, name, plane):
+        t = self.build([0], [1], [1], [1])
+        planes = {p: getattr(t, p) for p in _PLANE_TOKENS} | {name: plane}
+        with pytest.raises(ValueError, match=f"{name} must be a uint8 plane"):
+            Transcript(1, t.params, t.strategy, 0, **planes)
+
+    @pytest.mark.parametrize("ra, rb", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("cb", range(len(BOB_BASES)))
+    @pytest.mark.parametrize("ca", range(len(ALICE_BASES)))
+    def test_one_round_sign_convention(self, ca, cb, ra, rb):
+        t = self.build([ca], [cb], [ra], [rb])
+        assert [t.pulses()[name][0] for name in _PLANE_TOKENS] == [1, cb > 0, ca, cb, ra, rb]
+        assert estimate_chsh(t) == ra * rb * (-1) ** t_sign(ALICE_BASES[ca], BOB_BASES[cb])
 
     def test_all_agree_zz(self):
         # basis codes: alice z=0, x=1; bob zp=0, z=1, x=2
@@ -599,56 +634,64 @@ JSON_LISTS = {
     "empty": np.array([], dtype=np.int64),
     "empty-bool": np.array([], dtype=bool),
     "single": np.array([7], dtype=np.int64),
-    "single-negative": np.array([-12345678901], dtype=np.int64),
     "bool": np.array([True, False, False, True]),
-    "plus-minus-one": np.array([1, -1, -1, 1, 1], dtype=np.int8),
     "uint8-0-255": np.array([0, 255, 255, 0, 17], dtype=np.uint8),
-    "int8-all": np.arange(-128, 128, dtype=np.int8)[::-1],
     "powers-of-ten": np.array(
         [v for x in POWERS for v in (x - 1, x, x + 1)], dtype=np.int64
     ),
-    "negative-powers-of-ten": np.array(
-        [v for x in POWERS for v in (1 - x, -x, -x - 1)], dtype=np.int64
-    ),
-    "small-span-at-ten": np.array([9, 10, 11, -9, -10, -11], dtype=np.int16),
-    "int64-min-max": np.array([INT64.max, INT64.min, 0, -1, 1], dtype=np.int64),
-    "int64-min": np.array([INT64.min, INT64.min + 3], dtype=np.int64),
     "int64-max": np.array([INT64.max - 3, INT64.max], dtype=np.int64),
     "uint64-max": np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64),
 }
-# spans max - min either side of the token table's limit, from a negative minimum
-for span in (255, 256, 257):
-    JSON_LISTS[f"span-{span}"] = np.concatenate(
-        [[-37, span - 37], np.random.default_rng(span).integers(-37, span - 37, 500)]
-    )
 
 
 @pytest.mark.parametrize("case", sorted(JSON_LISTS))
 def test_json_list_equals_json_dumps(case):
     a = JSON_LISTS[case]
     expected = json.dumps((a.view(np.int8) if a.dtype == bool else a).tolist())
-    assert _json_list(a, None) == expected
+    assert _json_naturals(a) == expected
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
 def test_json_list_random_values(dtype):
+    # from 0: the arrays a transcript holds beside its planes are key bits and indices
     info = np.iinfo(dtype)
-    a = np.random.default_rng(5).integers(info.min, info.max, 2000, dtype=dtype, endpoint=True)
-    assert _json_list(a, None) == json.dumps(a.tolist())
+    a = np.random.default_rng(5).integers(0, info.max, 2000, dtype=dtype, endpoint=True)
+    assert _json_naturals(a) == json.dumps(a.tolist())
+
+
+def int64_examples(test):
+    """``test`` with the int64 cases above as examples: empty, 0, 10^k +- 1, 2^63 - 1."""
+    for a in JSON_LISTS.values():
+        test = example(a)(test) if a.dtype == np.int64 else test
+    return test
+
+
+@int64_examples
+@settings(deadline=None)
+@given(hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, INT64.max)))
+def test_digit_rows_equals_json_dumps(a):
+    assert _join_rows(_digit_rows(a)) == json.dumps(a.tolist())
 
 
 def test_json_list_spells_basis_labels():
-    codes = np.random.default_rng(6).integers(0, 3, 1000).astype(np.int8)
-    assert _json_list(codes, _BASIS_TOKENS["bases_b"]) == json.dumps(
+    codes = np.random.default_rng(6).integers(0, 3, 1000).astype(np.uint8)
+    assert _join_rows(_PLANE_TOKENS["bases_b"].take(codes)) == json.dumps(
         [BOB_BASES[c] for c in codes]
     )
-    assert _json_list(codes[:0], _BASIS_TOKENS["bases_a"]) == "[]"
+    assert _join_rows(_PLANE_TOKENS["bases_a"].take(codes[:0])) == "[]"
 
 
 @pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 2), dtype=np.int8)], ids=["float", "2-d"])
 def test_json_list_rejects_non_integer_or_multi_dim(a):
     with pytest.raises(TypeError):
-        _json_list(a, None)
+        _json_naturals(a)
+
+
+def test_to_json_rejects_negative_index():
+    t = run_protocol(small_params(), DepolarizingSource(0.05), seed=0)
+    t.i_sif = np.array([3, -1])
+    with pytest.raises(ValueError, match="non-negative"):
+        t.to_json()
 
 
 def test_popcount_counts_every_byte_value():
