@@ -10,32 +10,44 @@ universal hash, and compress with privacy amplification.
 The adversary model is observational: a strategy (source) fixes the
 two-qubit state and the detector operators, and no quantum side information
 is tracked.  Every source holds ``rho``, a ``(4, 4)`` density matrix, and
-``alice_ops``/``bob_ops``, dicts from each label of ``ALICE_BASES`` and
+``alice_ops``/``bob_ops``, mappings from each label of ``ALICE_BASES`` and
 ``BOB_BASES`` to a ``(2, 2)`` +-1-valued observable; a source that changes
 from pulse to pulse (``CustomSource``) gives any of them a leading pulse
 axis of length N.  The Born-rule table is one broadcasting
-``joint_outcome_pmf`` call over the six pairs of bases: once per run for an
-i.i.d. source, once per chunk of pulses (below) over the chunk's slice of
-the pulse axis otherwise.  A pulse's outcome depends only on its row of
-that table and its own uniform draw, so the detectors are memoryless by
+``joint_outcome_pmf`` call over the six pairs of bases: once, at
+construction, for the two i.i.d. sources, which keep its integer form in
+``outcome_tables`` and are fixed from then on; once per chunk of pulses
+(below) over the chunk's slice of the pulse axis for a source without such
+tables.  A pulse's outcome depends only on its row of
+that table and its own random word, so the detectors are memoryless by
 construction.  Error correction is an accounting model: Bob's corrected key
 is Alice's key by construction while the syndrome cost is charged against
 the budget, since only the syndrome length enters the security formulas.
 
-Random stream layout: a run's generator is ``default_rng(seed)`` (PCG64),
-and each uniform double takes one 64-bit output.  Outputs ``[s N, (s+1) N)``
-form per-pulse stream ``s``: Alice's labels, Bob's labels, Alice's basis
-coins, Bob's basis coins and the outcome uniforms, in that order, pulse
-``i`` taking output ``i`` of each stream whether or not its label uses it.
-The index selection and the two hash seeds read the outputs from ``5 N``
-on.  Each stream is drawn from a copy of the generator advanced to the
-stream's start: the label stage (``label_stage``) draws streams 0 and 1,
-the labels, which alone decide the ``insufficient_pulses`` abort and the
-index selection; the pulse stage then draws streams 2-4.  Both walk the
-pulses in chunks of ``_CHUNK``.  Since a pulse's labels, bases and outcome
-depend only on its own five draws and its row of the Born-rule table, the
-chunked stages write the same bits as whole-array draws would, while their
-temporaries stay O(``_CHUNK``).
+Random stream layout: every per-pulse draw is one 64-bit word ``w`` of
+``PCG64(seed).random_raw``.  Words ``[s N, (s+1) N)`` form per-pulse stream
+``s``: Alice's labels, Bob's labels, Alice's basis coins, Bob's basis coins
+and the outcome words, pulse ``i`` taking word ``i`` of each stream whether
+or not its label uses it.  Three rules read them, in exact integer
+arithmetic:
+
+- a label is set (a sample candidate) when ``w < ceil(q 2^53) 2^11``;
+- a basis coin picks x when ``w < 2^63``;
+- the outcome code is ``#{k : (w >> 11) >= T[row, k]}`` for the threshold
+  table ``T = ceil(cumsum(pmf)[:, :3] 2^53)``, clipped at 2^53.
+
+For an integer ``m``, ``m 2^-53 < c`` exactly when ``m < ceil(c 2^53)``, so
+these are the float rules ``u < q``, ``u < 1/2`` and ``#{k : u >=
+cumsum(pmf)[row, k]}`` on ``Generator.random``'s ``u = (w >> 11) 2^-53``,
+bit for bit.  The index selection (``Generator.choice``) and the two hash
+seeds (``Generator.integers``) read the generator from word ``5 N`` on.
+Each stream is read from a copy of the bit generator advanced to its
+start: the label stage (``label_stage``) reads streams 0 and 1, the labels,
+which alone decide the ``insufficient_pulses`` abort and the index
+selection; the pulse stage then reads streams 2-4.  Both walk the pulses in
+chunks of ``_CHUNK``.  A pulse's bits depend only on its own five words and
+its row of the Born-rule table, so the chunked stages write the bits of
+whole-array draws with O(``_CHUNK``) temporaries.
 
 A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
 ``np.packbits`` of one bit per pulse, little-endian within each byte:
@@ -53,7 +65,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,8 +90,12 @@ def _json_tokens(values) -> np.ndarray:
 # noise-gap experiment: their temporaries stay small and in cache.  A multiple
 # of 8, so that each chunk of pulses packs into whole bytes of a bit plane.
 _CHUNK = 1 << 16
-# Per-pulse uniform streams of a run: two labels, two basis coins, the outcome.
+# Per-pulse word streams of a run: two labels, two basis coins, the outcome.
 _STREAMS = 5
+# The outcome words are bucketed by their top bits (``outcomes_from_uniforms``).
+_BUCKET_BITS = 12
+# The bucket-table entry of a bucket that a threshold splits.
+_SPLIT = np.uint8(255)
 # The per-pulse bit planes of a transcript, in field order.
 _PLANES = ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b")
 # Each plane's JSON spelling of a pulse code (``Transcript._codes``): labels and
@@ -86,6 +104,8 @@ _BIT_TOKENS, _SIGN_TOKENS = _json_tokens((0, 1)), _json_tokens((1, -1))
 _PLANE_TOKENS = dict(
     zip(_PLANES, (_BIT_TOKENS, _BIT_TOKENS, _json_tokens(ALICE_BASES), _json_tokens(BOB_BASES)))
 ) | dict.fromkeys(_PLANES[4:], _SIGN_TOKENS)
+# A basis coin picks x when its word is below this bound: ``u < 1/2``.
+_COIN = np.uint64(1 << 63)
 # Set bits of each byte value.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -119,7 +139,28 @@ def depolarized_pair_state(p: float) -> np.ndarray:
     return _depolarize(ideal_pair_state(), p)
 
 
-class DepolarizingSource:
+class _FixedSource:
+    """An i.i.d. source, fixed once built, since its ``outcome_tables`` derive from its arrays.
+
+    ``_fix`` makes those arrays read-only and the operator dicts read-only
+    views, builds the tables, and from then on no attribute may be rebound.
+    """
+
+    def _fix(self) -> None:
+        for m in (self.rho, *self.alice_ops.values(), *self.bob_ops.values()):
+            m.flags.writeable = False
+        self.alice_ops = MappingProxyType(self.alice_ops)
+        self.bob_ops = MappingProxyType(self.bob_ops)
+        thresholds = _thresholds(_pmf_table(self, slice(None)))
+        self.outcome_tables = thresholds, _bucket_table(thresholds)
+
+    def __setattr__(self, name: str, value) -> None:
+        if "outcome_tables" in vars(self):
+            raise AttributeError(f"{type(self).__name__} is fixed once built; build a new source")
+        super().__setattr__(name, value)
+
+
+class DepolarizingSource(_FixedSource):
     """I.i.d. depolarizing source measured in the calibrated frames.
 
     Alice samples with ``{Z, X}``; Bob's sampling bases are rotated 45
@@ -134,6 +175,7 @@ class DepolarizingSource:
         z, x = pauli("z"), pauli("x")
         self.alice_ops = {"z": z, "x": x}
         self.bob_ops = {"zp": z, "z": (z - x) / SQRT2, "x": (z + x) / SQRT2}
+        self._fix()
 
     def describe(self) -> dict:
         return {"kind": "depolarizing", "p": self.p}
@@ -143,7 +185,7 @@ class DepolarizingSource:
         return self.rho
 
 
-class MisalignedSource:
+class MisalignedSource(_FixedSource):
     """Constant detector misalignment in the reduced qubit picture.
 
     Alice measures ``{Z, X_alpha}``, Bob ``{Z, X_beta}`` for sampling and
@@ -161,6 +203,7 @@ class MisalignedSource:
         z = pauli("z")
         self.alice_ops = {"z": z, "x": generalized_x(self.alpha)}
         self.bob_ops = {"zp": z, "z": z, "x": generalized_x(self.beta)}
+        self._fix()
 
     def describe(self) -> dict:
         return {
@@ -214,22 +257,38 @@ def joint_outcome_pmf(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> np
 
 
 def outcomes_from_uniforms(
-    pmfs: np.ndarray, uniforms: np.ndarray, *, rows: np.ndarray
+    thresholds: np.ndarray, words: np.ndarray, *, rows: np.ndarray, buckets=None
 ) -> np.ndarray:
-    """Map per-pulse uniforms through per-pulse outcome distributions.
+    """Map per-pulse random words through per-pulse outcome distributions.
 
-    Pulse ``i`` uses the distribution ``pmfs[rows[i]]`` and gets the int8
-    outcome code of its uniform draw.
-    Pure kernel of the measurement step: the row alone fully determines
-    outcome ``i`` given ``uniforms[i]``, so permuting rows and uniforms
-    together permutes the outcomes identically.  This is the memorylessness
-    of the detectors, by construction.
+    Pulse ``i`` gets the uint8 outcome code ``#{k : (words[i] >> 11) >= t[k]}``
+    of its row ``t`` of a ``_thresholds`` table: ``thresholds[rows[i]]`` of an
+    i.i.d. ``(6, 3)`` table, ``thresholds[i, rows[i]]`` of a ``(P, 6, 3)`` one
+    with a pulse axis.  The row alone determines outcome ``i`` given
+    ``words[i]``, so permuting rows and words together permutes the outcomes
+    identically: the detectors are memoryless by construction.
+
+    ``buckets``, the ``_bucket_table`` of an i.i.d. table, short-cuts the
+    comparison.  Entry ``[row, w >> (64 - _BUCKET_BITS)]`` covers the 2^41
+    values of ``w >> 11`` that share the word's top bits.  The code never
+    falls as ``w`` grows, so where both ends of a bucket give the same code
+    every word in it does, and the entry is that code.  A bucket that a
+    threshold splits holds ``_SPLIT``, and only its pulses (a few per chunk)
+    are compared exactly; without ``buckets`` every pulse is.
     """
-    # one contiguous row of thresholds per outcome, gathered by np.take
-    cum = np.cumsum(pmfs, axis=1).T.copy()
-    codes = np.zeros(len(uniforms), dtype=np.int8)
-    for col in cum[:3]:
-        codes += uniforms >= col.take(rows)
+    if buckets is None:
+        codes = np.empty(len(words), dtype=np.uint8)
+        exact = np.arange(len(words))
+    else:
+        # row and top bits in one uint16 key; the shift runs on uint64, then narrows
+        key = np.empty(len(words), dtype=np.uint16)
+        np.right_shift(words, np.uint64(64 - _BUCKET_BITS), out=key, casting="unsafe")
+        key |= np.left_shift(rows, _BUCKET_BITS, dtype=np.uint16)
+        codes = buckets.take(key)
+        exact = np.flatnonzero(codes == _SPLIT)
+    row = rows[exact]
+    t = thresholds[row] if thresholds.ndim == 2 else thresholds[exact, row]
+    codes[exact] = (words[exact, None] >> np.uint64(11) >= t).sum(axis=-1, dtype=np.uint8)
     return codes
 
 
@@ -429,21 +488,39 @@ def _pmf_table(source, pulses: slice) -> np.ndarray:
     return table.reshape(pairs, 4)
 
 
-def _chunk_rows(table, bases_a, bases_b) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows of a chunk of pulses, and each pulse's row in them.
+def _thresholds(pmfs: np.ndarray) -> np.ndarray:
+    """The uint64 threshold table ``ceil(cumsum(pmf)[..., :3] 2^53)``, clipped at 2^53.
 
-    A pulse's pair row is ``bases_a * len(BOB_BASES) + bases_b``; a table
-    with a pulse axis holds the chunk's pulses only, and the row is offset
-    by six rows per pulse.
+    ``c 2^53`` is exact in float64, so a word's ``m = w >> 11`` reaches a
+    threshold exactly when ``m 2^-53 >= c``; ``m`` stays below 2^53, so a
+    cumulative sum rounded above 1 is never reached.
     """
-    rows = bases_a.astype(np.intp)
-    rows *= len(BOB_BASES)
-    rows += bases_b
-    if table.ndim == 2:
-        return table, rows
-    pmfs = table.reshape(-1, 4)
-    rows += np.arange(0, len(pmfs), table.shape[1])
-    return pmfs, rows
+    cum = np.cumsum(pmfs, axis=-1)[..., :3]
+    return np.minimum(np.ceil(cum * 2.0**53), 2.0**53).astype(np.uint64)
+
+
+def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
+    """The uint8 ``(6, 2^_BUCKET_BITS)`` bucket table of an i.i.d. threshold table.
+
+    Entry ``[row, b]`` is the outcome code of ``m = w >> 11`` at both ends of
+    bucket ``b``, ``b 2^41`` and ``(b + 1) 2^41 - 1``, where they agree, and
+    ``_SPLIT`` where they differ (``outcomes_from_uniforms``).
+    """
+    width = 1 << (53 - _BUCKET_BITS)
+    lo = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) * np.uint64(width)
+    # thresholds on the middle axis, so the sum adds whole contiguous rows
+    first, last = (
+        (m >= thresholds[:, :, None]).sum(axis=1, dtype=np.uint8)
+        for m in (lo, lo + np.uint64(width - 1))
+    )
+    return np.where(first == last, first, _SPLIT)
+
+
+def _below(p) -> np.uint64:
+    """The word bound ``ceil(p 2^53) 2^11`` of ``u < p``, exact for any real ``p`` in [0, 1/2]."""
+    rational = isinstance(p, numbers.Rational)
+    num, den = (p.numerator, p.denominator) if rational else p.as_integer_ratio()
+    return np.uint64(-((-num << 53) // den) << 11)
 
 
 def _sorted_sample(rng: np.random.Generator, cand: np.ndarray, k: int) -> np.ndarray:
@@ -462,18 +539,18 @@ def _sorted_sample(rng: np.random.Generator, cand: np.ndarray, k: int) -> np.nda
 def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(h(a), h(b))``, hashing ``b`` only if it differs from ``a`` (hashing is pure)."""
     tag_a = h(a)
-    return tag_a, tag_a.copy() if np.array_equal(a, b) else h(b)
+    return tag_a, tag_a.copy() if b is a or np.array_equal(a, b) else h(b)
 
 
-def _stream(seed: int, s: int, big_n: int) -> np.random.Generator:
-    """The generator of run ``seed`` advanced to the start of stream ``s``, ``s N`` draws on."""
-    return np.random.Generator(np.random.PCG64(seed).advance(s * big_n))
+def _stream(seed: int, s: int, big_n: int) -> np.random.PCG64:
+    """The bit generator of run ``seed`` advanced to the start of stream ``s``, ``s N`` words on."""
+    return np.random.PCG64(seed).advance(s * big_n)
 
 
 def label_stage(params: ProtocolParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Both parties' label planes of run ``seed``, set for a sample candidate.
 
-    Alice's labels are drawn from stream 0, Bob's from stream 1; no other
+    Alice's labels are read from stream 0, Bob's from stream 1; no other
     stream is built.
     """
     if seed < 0:
@@ -481,11 +558,10 @@ def label_stage(params: ProtocolParams, seed: int) -> tuple[np.ndarray, np.ndarr
     big_n = params.pulse_pairs
     labels = _plane(big_n), _plane(big_n)
     streams = [_stream(seed, s, big_n) for s in range(len(labels))]
-    buf = np.empty(min(_CHUNK, big_n))
+    bound = _below(params.q)
     for start in range(0, big_n, _CHUNK):
-        u = buf[: min(_CHUNK, big_n - start)]
         for stream, plane in zip(streams, labels):
-            _put(plane, start, stream.random(out=u) < params.q)
+            _put(plane, start, stream.random_raw(min(_CHUNK, big_n - start)) < bound)
     return labels
 
 
@@ -500,28 +576,30 @@ def insufficient_pulses(params: ProtocolParams, labels_a: np.ndarray, labels_b: 
 
 
 def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b) -> dict:
-    """The basis and outcome planes of run ``seed``, drawn from streams 2-4, by field name."""
-    coins_a, coins_b, uniforms = (_stream(seed, s, big_n) for s in (2, 3, 4))
+    """The basis and outcome planes of run ``seed``, read from streams 2-4, by field name."""
+    coins_a, coins_b, outcome_words = (_stream(seed, s, big_n) for s in (2, 3, 4))
     planes = {name: _plane(big_n) for name in _PLANES[2:]}
-    # an i.i.d. table serves every chunk; a pulse-axis one is built per chunk
-    table = _pmf_table(strategy, slice(None)) if strategy.rho.ndim == 2 else None
-    buf = np.empty(min(_CHUNK, big_n))
+    tables = getattr(strategy, "outcome_tables", None)
     for start in range(0, big_n, _CHUNK):
         stop = min(start + _CHUNK, big_n)
-        u = buf[: stop - start]
         la, lb = (
             _unpack(p[start // 8 : (stop + 7) // 8], stop - start).view(bool)
             for p in (labels_a, labels_b)
         )
-        # One basis draw per pulse regardless of label: pulse i's draws are
-        # output i of each stream, whatever the chunk boundaries.
-        xa = coins_a.random(out=u) < 0.5
+        # One coin per pulse regardless of label: pulse i's words are word i
+        # of each stream, whatever the chunk boundaries.
+        xa = coins_a.random_raw(stop - start) < _COIN
         xa &= la
-        xb = coins_b.random(out=u) < 0.5
+        xb = coins_b.random_raw(stop - start) < _COIN
         xb &= lb
-        chunk_table = _pmf_table(strategy, slice(start, stop)) if table is None else table
-        pmfs, rows = _chunk_rows(chunk_table, xa, np.add(lb, xb, dtype=np.int8))
-        codes = outcomes_from_uniforms(pmfs, uniforms.random(out=u), rows=rows)
+        rows = xa * np.uint8(len(BOB_BASES))
+        rows += lb
+        rows += xb
+        # a source without tables has its Born-rule rows built per chunk
+        chunk = slice(start, stop)
+        thresholds, buckets = tables or (_thresholds(_pmf_table(strategy, chunk)), None)
+        words = outcome_words.random_raw(stop - start)
+        codes = outcomes_from_uniforms(thresholds, words, rows=rows, buckets=buckets)
         # codes follow joint_outcome_pmf's order (+,+), (+,-), (-,+), (-,-):
         # Alice's -1 is the high bit, Bob's the low one
         for plane, bits in zip(planes.values(), (xa, xb, codes >= 2, codes & 1)):
@@ -547,7 +625,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         # The selection reads only the labels and the generator past the five
         # pulse streams, so it is drawn before them; each candidate mask is
         # unpacked only for its own draw.
-        rng = _stream(seed, _STREAMS, big_n)
+        rng = np.random.Generator(_stream(seed, _STREAMS, big_n))
         i_smp = _sorted_sample(rng, _unpack(labels_a & labels_b, big_n).view(bool), params.l_smp)
         i_sif = _sorted_sample(rng, _unpack(~(labels_a | labels_b), big_n).view(bool), params.n)
 

@@ -4,8 +4,9 @@ Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, hash regrowth from
 its JSON description, bit unpacking.  Reference forms of fast kernels: the
 hash diagonals through ``Generator.integers``, the raw-byte draw's; the
-protocol's pulse stage drawn whole-array, the chunked one's reference, and
-its arrays packed into transcript planes; and the transcript document
+protocol's pulse stage drawn whole-array from ``Generator.random`` floats,
+the chunked word kernel's reference, and its arrays packed into transcript
+planes; and the transcript document
 through one ``json.dumps``, the numpy encoder's.
 """
 
@@ -22,7 +23,6 @@ from diqkd.protocol import (
     BOB_BASES,
     Transcript,
     joint_outcome_pmf,
-    outcomes_from_uniforms,
 )
 from diqkd.rates import ProtocolParams
 from diqkd.squash import (
@@ -93,12 +93,25 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
     return bits[:n_bits].copy()
 
 
+def reference_outcomes(pmfs: np.ndarray, uniforms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Float outcome codes: how many cumulative sums of ``pmfs[rows[i]]`` uniform ``i`` reaches.
+
+    The inverse CDF of the per-pulse distributions that
+    ``diqkd.protocol.outcomes_from_uniforms`` computes on integer words.
+    """
+    cum = np.cumsum(pmfs, axis=1).T.copy()
+    codes = np.zeros(len(uniforms), dtype=np.int8)
+    for col in cum[:3]:
+        codes += uniforms >= col.take(rows)
+    return codes
+
+
 def unchunked_pulse_stage(params, source, seed: int) -> dict:
     """Pulse arrays of ``run_protocol`` from five whole-array draws, and the generator after them.
 
     The draws come in stream order (Alice's and Bob's labels, their basis
     coins, the outcome uniforms), each ``rng.random(N)`` in one piece, and
-    one ``outcomes_from_uniforms`` call maps all N pulses.
+    one ``reference_outcomes`` call maps all N pulses.
     """
     rng = np.random.default_rng(seed)
     big_n = params.pulse_pairs
@@ -113,7 +126,7 @@ def unchunked_pulse_stage(params, source, seed: int) -> dict:
     rows = bases_a * len(BOB_BASES) + bases_b
     if source.rho.ndim == 3:
         rows = rows * np.int64(big_n) + np.arange(big_n)
-    codes = outcomes_from_uniforms(table, uniforms, rows=rows)
+    codes = reference_outcomes(table, uniforms, rows)
     return {
         "labels_a": labels_a,
         "labels_b": labels_b,

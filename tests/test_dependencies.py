@@ -1,9 +1,14 @@
-"""The package imports numpy and the standard library, nothing else, and uses every private name."""
+"""The package imports numpy and the standard library, nothing else, and uses every private name.
+
+It also draws random numbers only as the protocol module documents.
+"""
 
 import ast
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import diqkd
 
@@ -62,3 +67,44 @@ def test_every_private_name_is_used_in_the_package():
     # a reference inside its own definition (a recursive call) does not count
     unused = [f"{f}:{name}" for f, name, node in defined if used[name] <= references(node)[name]]
     assert unused == []
+
+
+# The methods through which numpy draws: every public Generator method, and
+# the bit generators' raw words.
+DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+DRAWS = DRAWS - {"bit_generator", "spawn"} | {"random_raw"}
+
+
+def draw_calls(tree: ast.Module) -> Counter:
+    """How often each top-level function or method calls each draw method, ``np.<name>`` aside."""
+    found = Counter()
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in (d for d in defs if isinstance(d, ast.FunctionDef)):
+            for sub in ast.walk(fn):
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                    on_np = isinstance(sub.func.value, ast.Name) and sub.func.value.id == "np"
+                    if sub.func.attr in DRAWS and not on_np:
+                        found[(fn.name, sub.func.attr)] += 1
+    return found
+
+
+def test_draws_are_raw_words_but_the_documented_generator_calls():
+    # every per-pulse and hash-diagonal draw reads random_raw words; the
+    # Generator algorithms (which numpy may change between versions) are
+    # left only to the selection, the two hash seeds and the noise-gap counts
+    files = sorted(Path(diqkd.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    found = {name: draw_calls(tree) for name, tree in trees.items()}
+    assert {name: dict(calls) for name, calls in found.items() if calls} == {
+        "hashing.py": {("sample", "random_raw"): 1},
+        "protocol.py": {
+            ("label_stage", "random_raw"): 1,
+            ("_pulse_stage", "random_raw"): 3,
+            ("_sorted_sample", "choice"): 1,
+            ("run_protocol", "integers"): 2,
+            ("_noise_gap_core", "multinomial"): 1,
+            ("_noise_gap_core", "binomial"): 1,
+        },
+    }
+    assert not [path.name for path in files if ".random(" in path.read_text()]

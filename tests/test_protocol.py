@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +21,12 @@ from diqkd.protocol import (
     DepolarizingSource,
     MisalignedSource,
     Transcript,
+    _BUCKET_BITS,
     _CHUNK,
     _PLANE_TOKENS,
-    _chunk_rows,
+    _SPLIT,
+    _below,
+    _bucket_table,
     _digit_rows,
     _hash_pair,
     _join_rows,
@@ -30,6 +35,7 @@ from diqkd.protocol import (
     _pmf_table,
     _popcount,
     _sorted_sample,
+    _thresholds,
     depolarized_pair_state,
     estimate_chsh,
     ideal_pair_state,
@@ -45,6 +51,7 @@ from diqkd.rates import ProtocolParams
 from helpers import (
     pack_pulses,
     random_density,
+    reference_outcomes,
     reference_to_json,
     toeplitz_from_json,
     unchunked_pulse_stage,
@@ -341,6 +348,21 @@ class TestHashPair:
         assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, tag_a)
         assert tag_b is not tag_a and not np.shares_memory(tag_a, tag_b)
 
+    def test_one_object_hashed_once_without_comparing(self, monkeypatch):
+        # run_protocol passes the sifted key as both strings: it is not compared with itself
+        h, calls, counted = self.hashed()
+        a = np.random.default_rng(14).integers(0, 2, 500, dtype=np.uint8)
+
+        def refuse(*args):
+            raise AssertionError("a string was compared with itself")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", refuse)
+            tag_a, tag_b = _hash_pair(counted, a, a)
+        assert len(calls) == 1
+        assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, tag_a)
+        assert tag_b is not tag_a and not np.shares_memory(tag_a, tag_b)
+
     def test_differing_string_hashed_on_its_own(self):
         # Bob's tag comes from Bob's string, so a failed verification stays reachable
         h, calls, counted = self.hashed()
@@ -356,23 +378,31 @@ class TestHashPair:
 class TestMemorylessness:
     def test_measurement_kernel_commutes_with_permutation(self):
         rng = np.random.default_rng(10)
-        pmfs = rng.dirichlet(np.ones(4), size=500)
-        uniforms = rng.random(500)
-        rows = np.arange(500)
-        base = outcomes_from_uniforms(pmfs, uniforms, rows=rows)
+        words = np.random.PCG64(10).random_raw(500)
+        rows = rng.integers(0, 6, 500).astype(np.uint8)
         perm = rng.permutation(500)
-        permuted = outcomes_from_uniforms(pmfs[perm], uniforms[perm], rows=rows)
+        # a pulse-axis table (every pulse compared exactly), and an i.i.d. one through its buckets
+        per_pulse = _thresholds(rng.dirichlet(np.ones(4), size=(500, 6)))
+        base = outcomes_from_uniforms(per_pulse, words, rows=rows)
+        permuted = outcomes_from_uniforms(per_pulse[perm], words[perm], rows=rows[perm])
+        assert np.array_equal(permuted, base[perm])
+        iid = _thresholds(rng.dirichlet(np.ones(4), size=6))
+        buckets = _bucket_table(iid)
+        base = outcomes_from_uniforms(iid, words, rows=rows, buckets=buckets)
+        permuted = outcomes_from_uniforms(iid, words[perm], rows=rows[perm], buckets=buckets)
         assert np.array_equal(permuted, base[perm])
 
     def test_row_index_matches_gathered_table(self):
         rng = np.random.default_rng(12)
-        table = rng.dirichlet(np.ones(4), size=6)
-        r = rng.integers(0, 6, 500)
-        u = rng.random(500)
-        assert np.array_equal(
-            outcomes_from_uniforms(table, u, rows=r),
-            outcomes_from_uniforms(table[r], u, rows=np.arange(500)),
-        )
+        pmfs = rng.dirichlet(np.ones(4), size=6)
+        table = _thresholds(pmfs)
+        r = rng.integers(0, 6, 500).astype(np.uint8)
+        words = np.random.PCG64(12).random_raw(500)
+        got = outcomes_from_uniforms(table, words, rows=r, buckets=_bucket_table(table))
+        # each pulse's own row gathered into a pulse-axis table of one row per pulse
+        gathered = outcomes_from_uniforms(table[r][:, None], words, rows=np.zeros(500, np.uint8))
+        assert got.dtype == np.uint8 and np.array_equal(got, gathered)
+        assert np.array_equal(got, reference_outcomes(pmfs, uniforms(words), r))
 
     def test_shuffled_custom_source_same_statistics(self):
         rng = np.random.default_rng(11)
@@ -413,17 +443,31 @@ IID_SOURCES = {
 def test_six_row_table_equals_per_pair_calls(kind):
     # the stacked Born-rule call runs the same code as its 0-d calls, so every float agrees
     src = IID_SOURCES[kind]()
-    bases_a = np.repeat(np.arange(2, dtype=np.int8), 3)
-    bases_b = np.tile(np.arange(3, dtype=np.int8), 2)
     table = _pmf_table(src, slice(None))
     assert table.shape == (6, 4)
     # an i.i.d. table ignores the pulse slice and serves every chunk whole
     assert np.array_equal(_pmf_table(src, slice(12345, 20000)), table)
-    pmfs, rows = _chunk_rows(table, bases_a, bases_b)
-    assert pmfs is table and rows.dtype == np.intp and rows.tolist() == list(range(6))
     for r, (ca, cb) in enumerate((ca, cb) for ca in ALICE_BASES for cb in BOB_BASES):
         pmf = joint_outcome_pmf(src.rho, src.alice_ops[ca], src.bob_ops[cb])
         assert np.array_equal(table[r], pmf), (ca, cb)
+    # the source built its integer tables from that table once, at construction
+    thresholds, buckets = src.outcome_tables
+    assert thresholds.dtype == np.uint64 and np.array_equal(thresholds, _thresholds(table))
+    assert buckets.dtype == np.uint8 and np.array_equal(buckets, _bucket_table(thresholds))
+    assert buckets.shape == (6, 1 << _BUCKET_BITS)
+
+
+@pytest.mark.parametrize("kind", sorted(IID_SOURCES))
+def test_iid_source_is_fixed_once_built(kind):
+    # its tables are built once from rho and the operators, so none of them may change
+    src = IID_SOURCES[kind]()
+    for m in (src.rho, *src.alice_ops.values(), *src.bob_ops.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.5
+    with pytest.raises(TypeError):
+        src.bob_ops["x"] = src.bob_ops["z"]
+    with pytest.raises(AttributeError, match="fixed once built"):
+        src.rho = depolarized_pair_state(0.5)
 
 
 def test_custom_table_equals_per_pulse_calls():
@@ -435,6 +479,7 @@ def test_custom_table_equals_per_pulse_calls():
     src = CustomSource(states, alphas, betas)
     bases_a = rng.integers(0, 2, pulses).astype(np.int8)
     bases_b = rng.integers(0, 3, pulses).astype(np.int8)
+    rows = bases_a * len(BOB_BASES) + bases_b
     whole = _pmf_table(src, slice(None))
     assert whole.shape == (pulses, 6, 4)
     # the whole run as one chunk, and chunks that start inside it: a chunk's
@@ -442,20 +487,122 @@ def test_custom_table_equals_per_pulse_calls():
     for start, stop in ((0, pulses), (17, 37), (37, pulses)):
         table = _pmf_table(src, slice(start, stop))
         assert np.array_equal(table, whole[start:stop])
-        pmfs, rows = _chunk_rows(table, bases_a[start:stop], bases_b[start:stop])
-        assert pmfs.shape == (6 * (stop - start), 4) and rows.dtype == np.intp
         for i in range(start, stop):
             # the z operators are shared by every pulse, the x operators are per pulse
             op_a = np.broadcast_to(src.alice_ops[ALICE_BASES[bases_a[i]]], (pulses, 2, 2))[i]
             op_b = np.broadcast_to(src.bob_ops[BOB_BASES[bases_b[i]]], (pulses, 2, 2))[i]
             pmf = joint_outcome_pmf(states[i], op_a, op_b)
-            assert np.array_equal(pmfs[rows[i - start]], pmf), (start, i)
+            assert np.array_equal(table[i - start, rows[i]], pmf), (start, i)
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles of raw words, ``(w >> 11) 2^-53``."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+# values of w >> 11 per bucket of the bucket table
+BUCKET = 1 << (53 - _BUCKET_BITS)
+
+
+def pmfs_of(cums) -> np.ndarray:
+    """Rows of four probabilities whose cumulative sums are ``cums``, multiples of 2^-53, exactly."""
+    cums = np.asarray(cums, dtype=float)
+    return np.diff(cums, axis=1, prepend=0.0, append=1.0)
+
+
+def edge_pmfs() -> np.ndarray:
+    """Six rows of thresholds: on bucket edges, a word below and above them,
+    at 0 and between two words, past 1, and all three in one bucket."""
+    edges = np.array([5, 100, 4000]) * BUCKET
+    return np.concatenate(
+        [
+            pmfs_of([edges * 2.0**-53, (edges - 1) * 2.0**-53, (edges + 1) * 2.0**-53]),
+            pmfs_of([[0.0, 0.1, 0.5]]),
+            [[0.5, 0.25, 0.25 + 3 * 2.0**-54, 0.0]],  # the last cumulative sum rounds to 1 + 2^-52
+            pmfs_of([np.array([7 * BUCKET + 3, 7 * BUCKET + 1000, 8 * BUCKET - 1]) * 2.0**-53]),
+        ]
+    )
+
+
+def test_edge_pmfs_have_the_intended_cumulative_sums():
+    cum = np.cumsum(edge_pmfs(), axis=1)
+    assert np.array_equal(cum[1, :3] * 2.0**53, np.array([5, 100, 4000]) * BUCKET - 1)
+    assert cum[3, :3].tolist() == [0.0, 0.1, 0.5] and cum[4, 2] > 1.0 and cum[:, 3].min() >= 1.0
+    assert cum[3, 1] * 2.0**53 % 1 != 0  # 0.1 lies between two words
+    assert len(set((cum[5, :3] * 2.0**53 // BUCKET).tolist())) == 1  # all three in one bucket
+    thresholds = _thresholds(edge_pmfs())
+    assert thresholds[4, 2] == 2**53 and thresholds[3, 0] == 0  # clipped, and at 0
+
+
+def test_word_kernel_on_bucket_edges():
+    pmfs = edge_pmfs()
+    thresholds = _thresholds(pmfs)
+    buckets = _bucket_table(thresholds)
+    # the values of w >> 11 next to every threshold and at both ends of its
+    # bucket, below 2^53, each under one of every row
+    t = thresholds.astype(np.int64).ravel()
+    starts = t // BUCKET * BUCKET
+    m = np.concatenate([t - 2, t - 1, t, t + 1, starts, starts + BUCKET - 1])
+    m = np.unique(np.clip(m, 0, 2**53 - 1))
+    rng = np.random.default_rng(16)
+    words = (m.astype(np.uint64) << np.uint64(11)) | rng.integers(0, 2**11, len(m), dtype=np.uint64)
+    words, rows = np.repeat(words, 6), np.tile(np.arange(6, dtype=np.uint8), len(m))
+    expected = reference_outcomes(pmfs, uniforms(words), rows)
+    # the exact path runs, on words in every split bucket of the table
+    top = (words >> np.uint64(64 - _BUCKET_BITS)).astype(np.intp)
+    keys = rows.astype(np.intp) * (1 << _BUCKET_BITS) + top
+    split = np.flatnonzero(buckets == _SPLIT)
+    assert len(split) > 0 and np.array_equal(np.intersect1d(keys, split), split)
+    got = outcomes_from_uniforms(thresholds, words, rows=rows, buckets=buckets)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(outcomes_from_uniforms(thresholds, words, rows=rows), expected)
+
+
+@pytest.mark.parametrize("kind", ["edges"] + sorted(IID_SOURCES))
+def test_bucket_table_exhaustive(kind):
+    # every entry is the exact count at both ends of its bucket where they
+    # agree, and the sentinel where they differ
+    pmfs = edge_pmfs() if kind == "edges" else _pmf_table(IID_SOURCES[kind](), slice(None))
+    buckets = _bucket_table(_thresholds(pmfs))
+    lo = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) * np.uint64(BUCKET)
+    rows = np.repeat(np.arange(6), len(lo))
+    first, last = (
+        reference_outcomes(pmfs, uniforms(np.tile(m << np.uint64(11), 6)), rows).reshape(6, -1)
+        for m in (lo, lo + np.uint64(BUCKET - 1))
+    )
+    assert np.array_equal(buckets == _SPLIT, first != last)
+    assert np.array_equal(buckets[first == last], first[first == last])
+    assert 0 < (buckets == _SPLIT).sum() <= 18  # three thresholds per row
+
+
+BELOW_CASES = {
+    "float": 0.3,
+    "fraction": Fraction(3, 10),
+    "float32": np.float32(0.3),
+    "half": 0.5,
+    "past-a-double": Fraction(2702159776422297, 2**53) + Fraction(1, 10**30),
+    "tiny": 5e-324,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BELOW_CASES))
+def test_label_bound_is_exact(case):
+    # w < bound exactly when (w >> 11) 2^-53 < q, in rational arithmetic, for every real q
+    q = BELOW_CASES[case]
+    exact = Fraction(*q.as_integer_ratio())
+    ceil = math.ceil(exact * 2**53)
+    bound = _below(q)
+    assert bound.dtype == np.uint64 and int(bound) == ceil << 11
+    for m in (ceil - 1, ceil):
+        for low in (0, 2**11 - 1):
+            w = np.uint64(m << 11 | low)
+            assert bool(w < bound) == (Fraction(m, 2**53) < exact), (m, low)
 
 
 def pulse_params(big_n: int, q: float = 0.2) -> ProtocolParams:
     """Parameters of exactly ``big_n`` pulses with wide label margins; the run completes."""
-    n = round(0.7 * big_n * (1 - q) ** 2)
-    delta = 1 - n / ((big_n - 0.5) * (1 - q) ** 2)
+    n = round(0.7 * big_n * (1 - float(q)) ** 2)
+    delta = 1 - n / ((big_n - 0.5) * (1 - float(q)) ** 2)
     params = ProtocolParams(n=n, q=q, delta=delta, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=n)
     assert params.pulse_pairs == big_n
     return params
@@ -479,11 +626,23 @@ PULSE_SOURCES = {
 }
 
 
-@pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 7)], ids=["C-1", "C", "C+1", "2C+7"])
-@pytest.mark.parametrize("kind", sorted(PULSE_SOURCES))
-def test_chunked_pulse_stage_equals_whole_array_draws(kind, offset):
+OFFSETS = {"C-1": (1, -1), "C": (1, 0), "C+1": (1, 1), "2C+7": (2, 7)}
+# every source at every chunk edge, and labels at q = 3/10 given exactly and as a float32
+PULSE_CASES = {
+    f"{kind}-{edge}": (kind, edge, 0.2) for kind in sorted(PULSE_SOURCES) for edge in OFFSETS
+}
+PULSE_CASES |= {
+    "depolarizing-C+1-q=3/10": ("depolarizing", "C+1", Fraction(3, 10)),
+    "custom-2C+7-q=float32": ("custom", "2C+7", np.float32(0.3)),
+}
+
+
+@pytest.mark.parametrize("case", PULSE_CASES)
+def test_chunked_pulse_stage_equals_whole_array_draws(case):
+    kind, edge, q = PULSE_CASES[case]
+    offset = OFFSETS[edge]
     big_n = offset[0] * _CHUNK + offset[1]
-    params = pulse_params(big_n)
+    params = pulse_params(big_n, q)
     source = PULSE_SOURCES[kind](big_n)
     t = run_protocol(params, source, seed=7)
     ref = unchunked_pulse_stage(params, source, seed=7)
