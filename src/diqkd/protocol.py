@@ -56,9 +56,18 @@ A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
 label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (bit ``b``
 standing for the outcome ``r = (-1)^b``).  The CHSH estimate reads the
 planes as stored, the transcript writer spells their bits through token
-tables, and ``Transcript.pulses`` unpacks them to values.  Runs are
-deterministic given (params, strategy, seed) and independent runs are
-embarrassingly parallel.
+tables, and ``Transcript.pulses`` unpacks them to values.
+
+The sample and sifted selections are drawn from the label planes before the
+pulse stage (``_select``), and a run holds each one as two bytes per chosen
+pulse: per chunk of ``_CHUNK`` pulses, their uint16 offsets within it.  While
+``Generator.choice`` draws, only its own arrays grow with the candidate
+count.  The sifted strings are gathered through the offsets, and the
+transcript's int64 index lists are built from them last: ``i_smp`` before
+the CHSH estimate, ``i_sif`` after both hashes (or at the CHSH or
+verification abort), so that no 8 bytes per sifted bit are held beside the
+hashes.  Runs are deterministic given (params, strategy, seed) and
+independent runs are embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -88,7 +97,8 @@ def _json_tokens(values) -> np.ndarray:
 
 # Pulses per step of the label and pulse stages, and trials per block of the
 # noise-gap experiment: their temporaries stay small and in cache.  A multiple
-# of 8, so that each chunk of pulses packs into whole bytes of a bit plane.
+# of 8, so that each chunk of pulses packs into whole bytes of a bit plane, and
+# at most 2^16, so that a pulse's offset within its chunk fits in a uint16.
 _CHUNK = 1 << 16
 # Per-pulse word streams of a run: two labels, two basis coins, the outcome.
 _STREAMS = 5
@@ -106,8 +116,6 @@ _PLANE_TOKENS = dict(
 ) | dict.fromkeys(_PLANES[4:], _SIGN_TOKENS)
 # A basis coin picks x when its word is below this bound: ``u < 1/2``.
 _COIN = np.uint64(1 << 63)
-# Set bits of each byte value.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 ABORT_INSUFFICIENT = "insufficient_pulses"
 ABORT_CHSH = "chsh_failed"
@@ -308,11 +316,17 @@ def _unpack(plane: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(plane, count=count, bitorder="little")
 
 
+def _chunks(plane: np.ndarray, big_n: int):
+    """``(start, bits)`` for each chunk of ``_CHUNK`` of a plane's ``big_n`` pulses, unpacked."""
+    for start in range(0, big_n, _CHUNK):
+        stop = min(start + _CHUNK, big_n)
+        yield start, _unpack(plane[start // 8 : (stop + 7) // 8], stop - start)
+
+
 def _popcount(plane: np.ndarray) -> int:
-    # take() casts its indices to intp, so a whole plane at once would build
-    # a temporary of 8 bytes per plane byte; _CHUNK bytes at a time it stays small
+    # the bits are unpacked _CHUNK bytes at a time, so that they stay small
     chunks = (plane[i : i + _CHUNK] for i in range(0, len(plane), _CHUNK))
-    return sum(int(_POPCOUNT.take(chunk).sum()) for chunk in chunks)
+    return sum(np.count_nonzero(np.unpackbits(chunk)) for chunk in chunks)
 
 
 @dataclass
@@ -523,17 +537,58 @@ def _below(p) -> np.uint64:
     return np.uint64(-((-num << 53) // den) << 11)
 
 
-def _sorted_sample(rng: np.random.Generator, cand: np.ndarray, k: int) -> np.ndarray:
-    """``np.sort(rng.choice(np.flatnonzero(cand), k, replace=False))``, by mask.
+def _select(rng: np.random.Generator, cand: np.ndarray, big_n: int, k: int) -> list[np.ndarray]:
+    """``k`` pulses drawn without replacement from those set in plane ``cand``, chunk by chunk.
 
-    ``choice`` of an array draws the same indices as ``choice`` of its
-    length and then gathers them, so the draws and the chosen set are the
-    same; selecting by mask keeps the candidates' order, so no sort is
-    needed, and the candidates' indices are built only after the draw.
+    The pulses are ``rng.choice(np.flatnonzero(bits), k, replace=False)``
+    for ``bits`` the first ``big_n`` bits of ``cand`` (its padding bits are
+    no candidates), by the same single draw: ``choice`` of an array draws
+    the same ordinals as ``choice`` of its length and then gathers them.  A
+    mask over the candidates marks the chosen ordinals, and each chunk of
+    ``_CHUNK`` pulses takes its share, so no candidate index array is built
+    and no array of N bytes or more is held while ``choice`` runs.  The
+    selection is a list with one array per chunk: the uint16 offsets of its
+    chosen pulses within the chunk, ascending.
     """
-    sel = np.zeros(np.count_nonzero(cand), dtype=bool)
-    sel[rng.choice(len(sel), size=k, replace=False)] = True
-    return np.flatnonzero(cand)[sel]
+    # the padding bits are the top bits of the last byte past pulse big_n - 1
+    count = _popcount(cand) - bin(int(cand[-1]) >> (big_n % 8 or 8)).count("1")
+    chosen = rng.choice(count, size=k, replace=False)
+    picks = np.zeros(count, dtype=bool)
+    picks[chosen] = True
+    del chosen  # 8 bytes per pick, not held beside the offsets
+    sel, done = [], 0
+    for _, bits in _chunks(cand, big_n):
+        here = np.flatnonzero(bits.view(bool))
+        sel.append(here[picks[done : done + len(here)]].astype(np.uint16))
+        done += len(here)
+    return sel
+
+
+def _indices(sel: list[np.ndarray]) -> np.ndarray:
+    """The int64 pulse indices of a ``_select`` selection, ascending."""
+    out, done = np.empty(sum(map(len, sel)), dtype=np.int64), 0
+    for c, offsets in enumerate(sel):
+        # an int64 chunk start, so that the sum is formed in int64, not uint16
+        np.add(offsets, np.int64(c * _CHUNK), out=out[done : done + len(offsets)])
+        done += len(offsets)
+    return out
+
+
+def _sift(t: Transcript, sel: list[np.ndarray]) -> None:
+    """Gather ``sifted_key`` and ``bob_raw``, the outcome bits of the pulses of ``sel``."""
+    big_n = t.params.pulse_pairs
+    keys = np.empty(t.params.n, dtype=np.uint8), np.empty(t.params.n, dtype=np.uint8)
+    done = 0
+    for offsets, (_, out_a), (_, out_b) in zip(
+        sel, _chunks(t.outcomes_a, big_n), _chunks(t.outcomes_b, big_n)
+    ):
+        here = offsets.astype(np.intp)
+        for key, out in zip(keys, (out_a, out_b)):
+            out.take(here, out=key[done : done + len(here)])
+        done += len(here)
+    t.sifted_key = t.corrected_key = keys[0]
+    t.sifted_key.flags.writeable = False
+    t.bob_raw = keys[1]
 
 
 def _hash_pair(h: ToeplitzHash, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,12 +635,9 @@ def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b) -> dict:
     coins_a, coins_b, outcome_words = (_stream(seed, s, big_n) for s in (2, 3, 4))
     planes = {name: _plane(big_n) for name in _PLANES[2:]}
     tables = getattr(strategy, "outcome_tables", None)
-    for start in range(0, big_n, _CHUNK):
-        stop = min(start + _CHUNK, big_n)
-        la, lb = (
-            _unpack(p[start // 8 : (stop + 7) // 8], stop - start).view(bool)
-            for p in (labels_a, labels_b)
-        )
+    for (start, la), (_, lb) in zip(_chunks(labels_a, big_n), _chunks(labels_b, big_n)):
+        stop = start + len(la)
+        la, lb = la.view(bool), lb.view(bool)
         # One coin per pulse regardless of label: pulse i's words are word i
         # of each stream, whatever the chunk boundaries.
         xa = coins_a.random_raw(stop - start) < _COIN
@@ -623,11 +675,10 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     short = insufficient_pulses(params, labels_a, labels_b)
     if not short:
         # The selection reads only the labels and the generator past the five
-        # pulse streams, so it is drawn before them; each candidate mask is
-        # unpacked only for its own draw.
+        # pulse streams, so it is drawn before them.
         rng = np.random.Generator(_stream(seed, _STREAMS, big_n))
-        i_smp = _sorted_sample(rng, _unpack(labels_a & labels_b, big_n).view(bool), params.l_smp)
-        i_sif = _sorted_sample(rng, _unpack(~(labels_a | labels_b), big_n).view(bool), params.n)
+        sel_smp = _select(rng, labels_a & labels_b, big_n, params.l_smp)
+        sel_sif = _select(rng, ~(labels_a | labels_b), big_n, params.n)
 
     t = Transcript(
         schema_version=1,
@@ -642,17 +693,18 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         t.abort = ABORT_INSUFFICIENT
         return t
 
-    t.i_smp, t.i_sif = i_smp, i_sif
+    # The int64 index lists are built last, i_sif only after both hashes, so
+    # that its 8 bytes per sifted bit are never held beside them.
+    t.i_smp = _indices(sel_smp)
     t.s_est = estimate_chsh(t)
     if t.s_est < params.s0:
         t.abort = ABORT_CHSH
+        t.i_sif = _indices(sel_sif)
         return t
 
     # Oracle error correction: Bob adopts Alice's string, the syndrome cost
     # is charged; the budget is what the security formulas consume.
-    sifted = t.sifted_key = t.corrected_key = _unpack(t.outcomes_a, big_n)[i_sif]
-    sifted.flags.writeable = False
-    t.bob_raw = _unpack(t.outcomes_b, big_n)[i_sif]
+    _sift(t, sel_sif)
 
     t.p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
     t.syndrome_bits_used = syndrome_budget(params.n, t.p_est, params.f_ec)
@@ -661,21 +713,23 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     fcor_len = min(params.n, max(1, math.ceil(math.log2(1.0 / params.eps_cor))))
     fcor = ToeplitzHash.sample(params.n, fcor_len, seed=int(rng.integers(2**63)))
     t.fcor = fcor.to_json()
-    tag_a, tag_b = _hash_pair(fcor, sifted, t.corrected_key)
+    tag_a, tag_b = _hash_pair(fcor, t.sifted_key, t.corrected_key)
     t.fcor_match = bool(np.array_equal(tag_a, tag_b))
     if not t.fcor_match:
         t.abort = ABORT_VERIFY
+        t.i_sif = _indices(sel_sif)
         return t
 
     report = finite_key_length(params)
     t.key_report = {"l": report.l, "reason": report.reason}
     if report.l > 0:
         fpa = ToeplitzHash.sample(params.n, report.l, seed=int(rng.integers(2**63)))
-        t.secret_key_a, t.secret_key_b = _hash_pair(fpa, sifted, t.corrected_key)
+        t.secret_key_a, t.secret_key_b = _hash_pair(fpa, t.sifted_key, t.corrected_key)
         t.fpa = fpa.to_json()
     else:
         t.secret_key_a = np.empty(0, dtype=np.uint8)
         t.secret_key_b = np.empty(0, dtype=np.uint8)
+    t.i_sif = _indices(sel_sif)
     return t
 
 

@@ -162,7 +162,10 @@ class ProtocolParams:
     correction efficiency, ``l_syn`` syndrome bit budget.  The pulse-pair
     count and sample count are derived: ``N = ceil(n / ((1-delta)(1-q)^2))``
     and ``l_smp = ceil(n (q / (1-q))^2)``, both rounded up (more pulses and
-    more samples never weaken the preconditions of the bounds).
+    more samples never weaken the preconditions of the bounds).  They are
+    computed in float64 from the values of ``q`` and ``delta`` whatever
+    their real type, so a float32 ``q`` derives the counts of its own value;
+    the fields keep the values given, a ``Fraction`` ``q`` exactly.
     """
 
     n: int
@@ -210,12 +213,14 @@ class ProtocolParams:
     @property
     def pulse_pairs(self) -> int:
         """Number of pulse pairs N the source must emit."""
-        return _ceil_tol(self.n / (1.0 - self.delta) / (1.0 - self.q) ** 2, "pulse_pairs")
+        q, delta = float(self.q), float(self.delta)
+        return _ceil_tol(self.n / (1.0 - delta) / (1.0 - q) ** 2, "pulse_pairs")
 
     @property
     def l_smp(self) -> int:
         """Number of sample pairs consumed by the CHSH test."""
-        return _ceil_tol(self.n * (self.q / (1.0 - self.q)) ** 2, "l_smp")
+        q = float(self.q)
+        return _ceil_tol(self.n * (q / (1.0 - q)) ** 2, "l_smp")
 
 
 @dataclass
@@ -318,7 +323,8 @@ class AbortBoundReport:
 
 def chernoff_abort_bound(params: ProtocolParams) -> AbortBoundReport:
     """Bounds on the probability that pulse selection aborts the protocol."""
-    nominal = 2.0 * math.exp(-((params.delta * params.q) ** 2) / 2.0)
+    q, delta = float(params.q), float(params.delta)
+    nominal = 2.0 * math.exp(-((delta * q) ** 2) / 2.0)
 
     big_n = params.pulse_pairs
 
@@ -328,8 +334,8 @@ def chernoff_abort_bound(params: ProtocolParams) -> AbortBoundReport:
         gap = 1.0 - need / mean
         return math.exp(-mean * gap * gap / 2.0)
 
-    sif_term = lower_tail(big_n * (1.0 - params.q) ** 2, params.n)
-    smp_term = lower_tail(big_n * params.q**2, params.l_smp)
+    sif_term = lower_tail(big_n * (1.0 - q) ** 2, params.n)
+    smp_term = lower_tail(big_n * q**2, params.l_smp)
     return AbortBoundReport(
         nominal_bound=nominal,
         corrected_bound=min(1.0, sif_term + smp_term),

@@ -101,7 +101,7 @@ def test_draws_are_raw_words_but_the_documented_generator_calls():
         "protocol.py": {
             ("label_stage", "random_raw"): 1,
             ("_pulse_stage", "random_raw"): 3,
-            ("_sorted_sample", "choice"): 1,
+            ("_select", "choice"): 1,
             ("run_protocol", "integers"): 2,
             ("_noise_gap_core", "multinomial"): 1,
             ("_noise_gap_core", "binomial"): 1,

@@ -29,12 +29,13 @@ from diqkd.protocol import (
     _bucket_table,
     _digit_rows,
     _hash_pair,
+    _indices,
     _join_rows,
     _json_naturals,
     _noise_gap_core,
     _pmf_table,
     _popcount,
-    _sorted_sample,
+    _select,
     _thresholds,
     depolarized_pair_state,
     estimate_chsh,
@@ -47,7 +48,7 @@ from diqkd.protocol import (
     qber,
     run_protocol,
 )
-from diqkd.rates import ProtocolParams
+from diqkd.rates import ProtocolParams, syndrome_budget
 from helpers import (
     pack_pulses,
     random_density,
@@ -677,29 +678,48 @@ SELECTIONS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SELECTIONS))
-def test_masked_selection_equals_sorted_choice(case):
-    size, k = SELECTIONS[case]
-    pop = np.flatnonzero(np.random.default_rng(size).random(3 * size) < 0.5)[:size]
-    assert len(pop) == size
-    cand = np.zeros(3 * size, dtype=bool)
-    cand[pop] = True
+# candidate planes from a run's labels, ~(labels_a | labels_b), whose padding
+# bits are set: N % 8 = 3 in one chunk, and N % 8 = 5 over four chunks
+LABEL_SELECTIONS = {"padding": 1003, "four-chunks": 3 * _CHUNK + 5}
+
+
+def selection_cases():
+    for case in sorted(SELECTIONS):
+        size, k = SELECTIONS[case]
+        pop = np.flatnonzero(np.random.default_rng(size).random(3 * size) < 0.5)[:size]
+        assert len(pop) == size
+        cand = np.zeros(3 * size, dtype=bool)
+        cand[pop] = True
+        yield pytest.param(np.packbits(cand, bitorder="little"), 3 * size, k, id=case)
+    for case, big_n in LABEL_SELECTIONS.items():
+        params = pulse_params(big_n)
+        labels_a, labels_b = label_stage(params, seed=big_n)
+        yield pytest.param(~(labels_a | labels_b), big_n, params.n, id=case)
+
+
+@pytest.mark.parametrize("cand, big_n, k", selection_cases())
+def test_masked_selection_equals_sorted_choice(cand, big_n, k):
+    pop = np.flatnonzero(np.unpackbits(cand, count=big_n, bitorder="little"))
     for seed in range(3):
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = np.sort(rng_ref.choice(pop, size=k, replace=False))
-        got = _sorted_sample(rng, cand, k)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        sel = _select(rng, cand, big_n, k)
+        # one array of uint16 offsets per chunk of pulses, the padding bits never chosen
+        assert len(sel) == -(-big_n // _CHUNK) and all(a.dtype == np.uint16 for a in sel)
+        got = _indices(sel)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_pulse_stage_memory_is_chunk_bounded():
     # N = 2e6 pulses and l = 0 (s0 = 0 makes the entropy bound vacuous).  The
-    # peak is the sifted selection's: its unpacked candidate mask (2 MB) and
-    # index arrays, beside the two label planes (0.25 MB each; 25.1 MB traced
-    # in all).  The pulse stage runs after it, and the run keeps six one-bit
-    # planes (1.5 MB).  The six one-byte pulse arrays that a run held before (12 MB,
-    # 37.5 MB traced peak) would not fit under the bound, nor would
-    # whole-array float64 draws or per-pulse thresholds (16 MB each).
+    # peak is Generator.choice's own while it draws the sifted pulses (20.0 MB
+    # for 1.28e6 candidates), beside the label and candidate planes (0.25 MB
+    # each; 20.9 MB traced in all).  An unpacked candidate mask and int64
+    # candidate indices beside the draw gave 24.4 MB.  The pulse stage runs
+    # after it, and the run keeps six one-bit planes (1.5 MB).  The six one-byte
+    # pulse arrays that a run held before (12 MB) would not fit under the bound,
+    # nor would whole-array float64 draws or per-pulse thresholds (16 MB each).
     params = ProtocolParams(
         n=1_216_000, q=0.2, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=10**6
     )
@@ -711,7 +731,32 @@ def test_pulse_stage_memory_is_chunk_bounded():
     finally:
         tracemalloc.stop()
     assert t.abort is None and t.key_report["l"] == 0
-    assert peak < 30e6, peak
+    assert peak < 23e6, peak
+
+
+def test_key_run_memory_is_the_sifted_draw():
+    # n = 1e6 with a 17,015-bit key.  The traced peak is Generator.choice's
+    # own while it draws the sifted pulses: an int64 arange of the candidates
+    # and a copy of its chosen tail, at most 16 bytes per candidate (16.2 MB
+    # here).  Beside it the run holds the label and candidate planes (0.2 MB
+    # each) and the sample selection: 16.8 MB traced in all.  Holding the
+    # unpacked candidate mask across the draw, the candidates' int64 indices
+    # after it, and the int64 i_sif through both hashes gave 19.6 MB.
+    n = 1_000_000
+    params = ProtocolParams(
+        n=n, q=0.2, delta=0.01, s0=0.69, eps=1e-3, eps_cor=1e-3, l_syn=syndrome_budget(n, 0.005, 1)
+    )
+    labels_a, labels_b = label_stage(params, seed=0)
+    candidates = params.pulse_pairs - _popcount(labels_a | labels_b)
+    tracemalloc.start()
+    try:
+        t = run_protocol(params, DepolarizingSource(0.002), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.abort is None and t.key_report["l"] > 0
+    # 2 MB of slack: the planes, the sample selection and the chunk temporaries
+    assert peak < 16 * candidates + 2e6, peak
 
 
 def test_custom_source_memory_is_chunk_bounded():

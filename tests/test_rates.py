@@ -153,6 +153,13 @@ class TestProtocolParams:
         p = ProtocolParams(n=46550, q=0.3, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9)
         assert p.pulse_pairs == 100_000
         assert p.l_smp == 8550
+        # a float32 q or delta gives the counts of its own value, derived in float64
+        f32 = np.float32(0.3), np.float32(0.01)
+        p32 = make_params(3_000_000, f32[0], 0.69, delta=f32[1])
+        p64 = make_params(3_000_000, float(f32[0]), 0.69, delta=float(f32[1]))
+        assert (p32.pulse_pairs, p32.l_smp) == (p64.pulse_pairs, p64.l_smp) == (6_184_293, 551_021)
+        assert chernoff_abort_bound(p32) == chernoff_abort_bound(p64)
+        assert p32.q is f32[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
