@@ -568,8 +568,7 @@ def _indices(sel: list[np.ndarray]) -> np.ndarray:
     """The int64 pulse indices of a ``_select`` selection, ascending."""
     out, done = np.empty(sum(map(len, sel)), dtype=np.int64), 0
     for c, offsets in enumerate(sel):
-        # an int64 chunk start, so that the sum is formed in int64, not uint16
-        np.add(offsets, np.int64(c * _CHUNK), out=out[done : done + len(offsets)])
+        np.add(offsets, c * _CHUNK, out=out[done : done + len(offsets)], dtype=np.int64)
         done += len(offsets)
     return out
 
