@@ -13,25 +13,8 @@ These are the bits ``default_rng(seed).integers(0, 2, len(d),
 dtype=np.uint8)`` returns (a range-2 draw takes one byte per value and
 keeps its top bit), read straight from the stream.
 
-Two kernels compute the product; ``apply`` picks one from ``out_len``.
-
-Short outputs, ``out_len <= 64`` (the correctness hash): packed words.
-With ``r = d[::-1]``, ``y[out_len - 1 - s] = sum_j r[s + j] x[j] mod 2``
-for ``0 <= s < out_len``.  ``x`` and ``r`` are packed little-endian into
-zero-padded uint64 words, so bit ``b`` of word ``w`` is entry ``64 w + b``,
-and the 64 entries of ``r`` from ``64 w + s`` on form the window
-``(r_w >> s) | (r_{w+1} << (64 - s))``.  At ``s = 0`` the window is
-``r_w`` alone; a 64-bit shift by 64 is undefined in C, so the high part is
-shifted by 1 and then by ``63 - s``, which gives 0 there.  ANDing each
-window with ``x``'s word and XOR-ing the products over all words leaves,
-for each ``s``, one 64-bit word whose parity is the output bit; XOR-folding
-the word onto its lowest bit takes that parity.  Everything is integer
-arithmetic, so the result is exact.  The words are streamed in groups of
-``_GROUP_WORDS``, so one apply holds ``O(out_len * _GROUP_WORDS)`` words
-beyond the packed operands and one reversed copy of the diagonals, however
-long its input is.
-
-Long outputs (privacy amplification): tiled, blocked FFT.  The product
+One kernel, a tiled, blocked FFT, serves every output length: the
+correctness hash and privacy amplification alike.  The product
 ``y[i] = sum_j d[i - j + in_len - 1] x[j] mod 2`` is computed as integer
 convolutions with FFTs of bounded size (overlap-add; compare Hayashi and
 Tsurumaru, IEEE TIT 2016).  ``_plan`` fixes three sizes from the input
@@ -80,9 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-# Words per group of the packed kernel; bounds the memory of one apply.
-_GROUP_WORDS = 1 << 12
 
 # Longest output tile of the FFT kernel; bounds its FFT size and memory.
 _MAX_TILE = 1 << 22
@@ -140,37 +120,6 @@ def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> n
     return y
 
 
-def _words(bits: np.ndarray, n_words: int) -> np.ndarray:
-    """``bits`` packed little-endian into ``n_words`` zero-padded uint64 words."""
-    buf = np.zeros(8 * n_words, dtype=np.uint8)
-    packed = np.packbits(bits, bitorder="little")
-    buf[: len(packed)] = packed
-    return buf.view("<u8").astype(np.uint64, copy=False)
-
-
-def _gf2_toeplitz_apply_packed(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
-    """Toeplitz matrix-vector product over GF(2) for ``out_len <= 64``, on packed words.
-
-    See the module docstring for the windows and the grouping.
-    """
-    n_words = -(-len(x) // 64)
-    x_words = _words(x, n_words)
-    # packbits is several times slower on a reversed view than on a copy
-    r_words = _words(diagonals[::-1].copy(), n_words + 1)
-    s = np.arange(out_len, dtype=np.uint64)[:, None]
-    rest = np.uint64(63) - s
-    acc = np.zeros(out_len, dtype=np.uint64)
-    for start in range(0, n_words, _GROUP_WORDS):
-        stop = min(start + _GROUP_WORDS, n_words)
-        windows = r_words[start:stop] >> s
-        windows |= (r_words[start + 1 : stop + 1] << np.uint64(1)) << rest
-        windows &= x_words[start:stop]
-        acc ^= np.bitwise_xor.reduce(windows, axis=1)
-    for shift in (32, 16, 8, 4, 2, 1):
-        acc ^= acc >> np.uint64(shift)
-    return (acc[::-1] & np.uint64(1)).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class ToeplitzHash:
     """One member of the Toeplitz universal_2 family, reproducible from its seed."""
@@ -208,8 +157,7 @@ class ToeplitzHash:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Hash a bit vector of length ``in_len`` down to ``out_len`` bits.
 
-        Outputs of at most 64 bits run on packed words, longer ones as
-        tiled, blocked FFTs; both give the same bits.
+        Every output length runs through the one tiled, blocked FFT kernel.
         """
         x = np.asarray(x)
         if x.shape != (self.in_len,):
@@ -218,8 +166,6 @@ class ToeplitzHash:
         # a cast from a wider type can wrap a value to a bit (256 -> 0)
         if bits.max() > 1 or (bits is not x and not np.array_equal(bits, x)):
             raise ValueError("input must hold only the bits 0 and 1")
-        if self.out_len <= 64:
-            return _gf2_toeplitz_apply_packed(self.diagonals, bits, self.out_len)
         return _gf2_toeplitz_apply(self.diagonals, bits, self.out_len)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

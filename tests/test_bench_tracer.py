@@ -33,7 +33,7 @@ def test_every_traced_entry_point_resolves_on_its_owner():
 
 def test_traced_pass_counts(tmp_path):
     # every wrapper and hook runs on real calls: the outcome hook unpacks the
-    # positional (pmfs, uniforms) of outcomes_from_uniforms, and the counts are exact
+    # positional (thresholds, words) of outcomes_from_uniforms, and the counts are exact
     import numpy as np
 
     from diqkd import cli, protocol
@@ -42,6 +42,10 @@ def test_traced_pass_counts(tmp_path):
     tracing = load_tracing()
     params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
     pulses = params.pulse_pairs
+    # the shape of test_protocol's POSITIVE_KEY: a 4,474-bit key, so one apply
+    keyed = ProtocolParams(
+        n=200_000, q=0.1827, delta=0.01, s0=0.70, eps=0.5, eps_cor=0.5, f_ec=1.0, l_syn=0
+    )
     rng = np.random.default_rng(3)
     custom = protocol.CustomSource(
         [protocol.depolarized_pair_state(p) for p in rng.uniform(0, 0.2, pulses)],
@@ -51,19 +55,22 @@ def test_traced_pass_counts(tmp_path):
     with tracing.traced(tracing.Tracer()) as tracer:
         for source in (protocol.DepolarizingSource(0.05), custom):
             assert protocol.run_protocol(params, source, seed=1).abort is None
+        keyed_run = protocol.run_protocol(keyed, protocol.DepolarizingSource(0.0), seed=7)
+        assert keyed_run.abort is None and keyed_run.key_report["l"] > 0
         assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
         cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
     metrics = tracing.layer_metrics(tracer)
     # one stacked Born-rule call per run, one CHSH measurement for the whole 4x4
-    # verify-squash grid (one block of rows), one fcor hash per run (Bob's string
-    # equals Alice's, so it is hashed once; l = 0)
+    # verify-squash grid (one block of rows), and one apply in all: the keyed
+    # run's privacy amplification (the correctness hash is drawn, not applied,
+    # and the two runs at params have l = 0)
     assert {name: metrics[name] for name in EXACT} == {
-        "protocol.joint_outcome_pmf.calls": 2,
-        "protocol.pulses": 2 * pulses,
+        "protocol.joint_outcome_pmf.calls": 3,
+        "protocol.pulses": 2 * pulses + keyed.pulse_pairs,
         "protocol.completed_frac": 1.0,
-        "hashing.apply.calls": 2,
-        "hashing.apply.in_bits": 2 * params.n,
-        "rates.finite_key_length.calls": 2,
+        "hashing.apply.calls": 1,
+        "hashing.apply.in_bits": keyed.n,
+        "rates.finite_key_length.calls": 3,
         "chsh.chsh_measurement.calls": 1,
         "squash.verify_squash_conditions.calls": 1,
         "linalg.min_eigenvalue.calls": 3,

@@ -6,15 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diqkd import hashing
-from diqkd.hashing import (
-    _GROUP_WORDS,
-    ToeplitzHash,
-    _gf2_toeplitz_apply,
-    _gf2_toeplitz_apply_packed,
-    _plan,
-    _smooth_size,
-    pack_bits,
-)
+from diqkd.hashing import ToeplitzHash, _plan, _smooth_size, pack_bits
 from helpers import reference_diagonals, toeplitz_from_json, unpack_bits
 
 
@@ -51,10 +43,9 @@ FORMER_EDGE_SHAPES = {
 }
 
 # Input lengths on both sides of the first FFT block boundary, and past three
-# balanced blocks with a short first one.  Outputs of 65 bits run the FFT
-# kernel with blocks of at most 3 * 4096 + 1 bits, 5000 bits with blocks of
-# at most 3 * 5000 + 1; outputs of 1 and 30 bits run the packed kernel at the
-# same lengths.
+# balanced blocks with a short first one.  Outputs of 1, 30 and 65 bits run
+# with blocks of at most 3 * 4096 + 1 bits, 5000 bits with blocks of at most
+# 3 * 5000 + 1.
 EDGE_SHAPES = sorted(
     {(n, out) for out in (1, 30, 65, 5000) for n in straddling(block_len(out)) if n >= out}
     | FORMER_EDGE_SHAPES
@@ -68,8 +59,8 @@ def long_len(out_len: int) -> int:
 
 # Inputs of about a million bits: 85 FFT blocks at 65 output bits, a bit
 # either side of a block boundary and twice that plus 7 bits; and the shapes
-# at the edges of the former groups of about 2^20 FFT points, which run the
-# packed kernel over several of its groups at 1 and 30 output bits.
+# at the edges of the former groups of about 2^20 FFT points, at 1, 30 and
+# 65 output bits.
 LONG_SHAPES = sorted(
     {(n, 65) for n in (*around(long_len(65)), 2 * long_len(65) + 7)}
     | {
@@ -90,10 +81,10 @@ TILE_SHAPES = sorted(
 )
 
 
-# Packed kernel: input lengths on both sides of word boundaries and of its
-# group boundaries (the last one needing a third, partial group), at outputs
-# of 1 to 64 bits, and every square hash up to 64 bits.
-PACKED_GROUP_BITS = 64 * _GROUP_WORDS
+# Outputs of 1 to 64 bits, the correctness hash's range: input lengths on
+# both sides of 64-bit word boundaries, long inputs of about 2^18 and 2^19
+# bits at 64 output bits, and every square hash up to 64 bits.
+LONG_INPUT_BITS = 1 << 18
 PACKED_SHAPES = sorted(
     {
         (n, out)
@@ -101,7 +92,7 @@ PACKED_SHAPES = sorted(
         for n in around(64) + around(128) + around(320)
         if n >= out
     }
-    | {(n, 64) for n in around(PACKED_GROUP_BITS) + (2 * PACKED_GROUP_BITS + 7,)}
+    | {(n, 64) for n in around(LONG_INPUT_BITS) + (2 * LONG_INPUT_BITS + 7,)}
     | {(n, n) for n in range(1, 65)}
 )
 
@@ -141,7 +132,7 @@ def test_rejects_wrong_input_length():
 @pytest.mark.parametrize("in_len, out_len", [(64, 16), (200, 65)])
 @pytest.mark.parametrize("bad", [np.uint8(2), np.int64(256)])
 def test_rejects_non_bit_input(in_len, out_len, bad):
-    # one shape per kernel; 256 would wrap to 0 in a cast to uint8
+    # 256 would wrap to 0 in a cast to uint8
     h = ToeplitzHash.sample(in_len, out_len, seed=2)
     x = np.zeros(in_len, dtype=np.asarray(bad).dtype)
     x[3] = bad
@@ -212,22 +203,17 @@ def test_matches_dense_reference_at_tile_edges(in_len, out_len, monkeypatch):
     assert_matches_dense_reference(in_len, out_len)
 
 
+# These two tests are named after the former packed kernel for outputs of at
+# most 64 bits; they now check apply at its shapes.
 @pytest.mark.parametrize("in_len, out_len", PACKED_SHAPES)
 def test_packed_kernel_matches_dense_reference_and_fft_kernel(in_len, out_len):
-    seeds = 20 if in_len < PACKED_GROUP_BITS else 3
-    assert_matches_dense_reference(in_len, out_len, seeds)
-    rng = np.random.default_rng(in_len)
-    for seed in range(seeds):
-        h = ToeplitzHash.sample(in_len, out_len, seed=seed)
-        x = rng.integers(0, 2, in_len, dtype=np.uint8)
-        packed = _gf2_toeplitz_apply_packed(h.diagonals, x, out_len)
-        assert np.array_equal(packed, _gf2_toeplitz_apply(h.diagonals, x, out_len))
+    assert_matches_dense_reference(in_len, out_len, 20 if in_len < LONG_INPUT_BITS else 3)
 
 
 def test_packed_window_at_offset_zero():
-    # A one-bit output reads only the window at offset s = 0, which must take
-    # no bit from the next word.  Here y[0] = r[0] x[0] = d[64] = 0, while the
-    # next word holds r[64] = d[0] = 1, so a window of r_0 | r_1 would give 1.
+    # A one-bit output is y[0] = sum_j d[64 - j] x[j] = d[64] x[0] = 0 here,
+    # while the one set diagonal, d[0] = 1, meets only x[64] = 0: a kernel
+    # that read d[0] in place of d[64] would give 1.
     diagonals = np.zeros(65, dtype=np.uint8)
     diagonals[0] = 1
     h = ToeplitzHash(in_len=65, out_len=1, diagonals=diagonals, seed=0)
@@ -237,9 +223,10 @@ def test_packed_window_at_offset_zero():
     assert np.array_equal(h(x), [0])
 
 
-def test_packed_apply_memory_is_bounded_by_the_group():
-    # the keygen-3e6 correctness hash shape; windowing all 46,875 words at
-    # once peaked at 24 MB, and groups of 4096 words measure 4.1 MB
+def test_short_output_apply_memory_is_bounded():
+    # the keygen-3e6 correctness hash shape: 245 blocks at L = 12,288 measure
+    # 0.5 MB; the former packed kernel measured 4.1 MB, and 24 MB when it
+    # windowed all 46,875 words at once
     in_len, out_len = 3_000_000, 30
     h = ToeplitzHash.sample(in_len, out_len, seed=8)
     x = np.random.default_rng(8).integers(0, 2, in_len, dtype=np.uint8)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diqkd.chsh import chsh_measurement, t_sign
-from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import identity
 from diqkd.protocol import (
     ABORT_CHSH,
@@ -27,8 +26,8 @@ from diqkd.protocol import (
     _SPLIT,
     _below,
     _bucket_table,
+    _candidates,
     _digit_rows,
-    _hash_pair,
     _indices,
     _join_rows,
     _json_naturals,
@@ -271,7 +270,9 @@ class TestRunProtocol:
         for s in range(10):
             t = run_protocol(params, DepolarizingSource(0.05), seed=200 + s)
             assert t.abort is None
-            assert t.fcor_match
+            # the model's verdict; the hash is drawn from the stream and not applied
+            assert t.fcor_match is True
+            assert (t.fcor["in_len"], t.fcor["out_len"]) == (params.n, 8)  # eps_cor = 2^-8
             # Bob's corrected string is Alice's, shared and read-only, not a copy
             assert t.corrected_key is t.sifted_key and not t.sifted_key.flags.writeable
 
@@ -279,7 +280,8 @@ class TestRunProtocol:
         t = run_protocol(POSITIVE_KEY, DepolarizingSource(0.0), seed=7)
         assert t.abort is None
         assert len(t.secret_key_a) == t.key_report["l"] > 0
-        assert np.array_equal(t.secret_key_a, t.secret_key_b)
+        # Bob's key is Alice's, shared and read-only: the sifted key is hashed once
+        assert t.secret_key_b is t.secret_key_a and not t.secret_key_a.flags.writeable
 
     def test_syndrome_budget_accounting(self):
         params = small_params(l_syn=50)
@@ -327,53 +329,6 @@ class TestCorrectness:
         p = 2.0**-8
         sigma = np.sqrt(p * (1 - p) / trials)
         assert missed / trials <= p + 3 * sigma
-
-
-class TestHashPair:
-    def hashed(self):
-        """A 40-bit hash and a wrapper that records each input it hashes."""
-        h = ToeplitzHash.sample(500, 40, seed=11)
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return h(x)
-
-        return h, calls, counted
-
-    def test_equal_strings_hashed_once(self):
-        h, calls, counted = self.hashed()
-        a = np.random.default_rng(12).integers(0, 2, 500, dtype=np.uint8)
-        tag_a, tag_b = _hash_pair(counted, a, a.copy())
-        assert len(calls) == 1
-        assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, tag_a)
-        assert tag_b is not tag_a and not np.shares_memory(tag_a, tag_b)
-
-    def test_one_object_hashed_once_without_comparing(self, monkeypatch):
-        # run_protocol passes the sifted key as both strings: it is not compared with itself
-        h, calls, counted = self.hashed()
-        a = np.random.default_rng(14).integers(0, 2, 500, dtype=np.uint8)
-
-        def refuse(*args):
-            raise AssertionError("a string was compared with itself")
-
-        with monkeypatch.context() as m:
-            m.setattr(np, "array_equal", refuse)
-            tag_a, tag_b = _hash_pair(counted, a, a)
-        assert len(calls) == 1
-        assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, tag_a)
-        assert tag_b is not tag_a and not np.shares_memory(tag_a, tag_b)
-
-    def test_differing_string_hashed_on_its_own(self):
-        # Bob's tag comes from Bob's string, so a failed verification stays reachable
-        h, calls, counted = self.hashed()
-        a = np.random.default_rng(13).integers(0, 2, 500, dtype=np.uint8)
-        b = a.copy()
-        b[123] ^= 1
-        tag_a, tag_b = _hash_pair(counted, a, b)
-        assert len(calls) == 2
-        assert np.array_equal(tag_a, h(a)) and np.array_equal(tag_b, h(b))
-        assert not np.array_equal(tag_a, tag_b)
 
 
 class TestMemorylessness:
@@ -678,8 +633,8 @@ SELECTIONS = {
 }
 
 
-# candidate planes from a run's labels, ~(labels_a | labels_b), whose padding
-# bits are set: N % 8 = 3 in one chunk, and N % 8 = 5 over four chunks
+# the sifted candidate plane of a run's labels, ~(labels_a | labels_b) with its
+# padding bits cleared: N % 8 = 3 in one chunk, and N % 8 = 5 over four chunks
 LABEL_SELECTIONS = {"padding": 1003, "four-chunks": 3 * _CHUNK + 5}
 
 
@@ -690,21 +645,23 @@ def selection_cases():
         assert len(pop) == size
         cand = np.zeros(3 * size, dtype=bool)
         cand[pop] = True
-        yield pytest.param(np.packbits(cand, bitorder="little"), 3 * size, k, id=case)
+        yield pytest.param(np.packbits(cand, bitorder="little"), size, 3 * size, k, id=case)
     for case, big_n in LABEL_SELECTIONS.items():
         params = pulse_params(big_n)
-        labels_a, labels_b = label_stage(params, seed=big_n)
-        yield pytest.param(~(labels_a | labels_b), big_n, params.n, id=case)
+        _, sifted = _candidates(params, *label_stage(params, seed=big_n))
+        yield pytest.param(*sifted, big_n, params.n, id=case)
 
 
-@pytest.mark.parametrize("cand, big_n, k", selection_cases())
-def test_masked_selection_equals_sorted_choice(cand, big_n, k):
+@pytest.mark.parametrize("cand, count, big_n, k", selection_cases())
+def test_masked_selection_equals_sorted_choice(cand, count, big_n, k):
     pop = np.flatnonzero(np.unpackbits(cand, count=big_n, bitorder="little"))
+    # the count is the plane's popcount: no padding bit is set
+    assert len(pop) == count == np.count_nonzero(np.unpackbits(cand))
     for seed in range(3):
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = np.sort(rng_ref.choice(pop, size=k, replace=False))
-        sel = _select(rng, cand, big_n, k)
-        # one array of uint16 offsets per chunk of pulses, the padding bits never chosen
+        sel = _select(rng, cand, count, big_n, k)
+        # one array of uint16 offsets per chunk of pulses
         assert len(sel) == -(-big_n // _CHUNK) and all(a.dtype == np.uint16 for a in sel)
         got = _indices(sel)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
