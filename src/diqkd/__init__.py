@@ -16,7 +16,7 @@ from .chsh import (
     povm_equals_local_mixture,
     t_sign,
 )
-from .hashing import ToeplitzHash, pack_bits
+from .hashing import ToeplitzHash
 from .linalg import (
     QuantumChannel,
     adjoint_apply,

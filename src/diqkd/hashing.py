@@ -7,11 +7,13 @@ family is universal_2: any two distinct inputs collide with probability at
 most ``2^-out_len`` over the choice of ``d``, and hashing is GF(2)-linear.
 
 Diagonals.  ``d[k]`` is the top bit of byte ``k`` of the PCG64 stream of
-``numpy.random.default_rng(seed)``: the first ``ceil(len(d) / 8)`` outputs
-of ``bit_generator.random_raw``, each read as eight little-endian bytes.
-These are the bits ``default_rng(seed).integers(0, 2, len(d),
-dtype=np.uint8)`` returns (a range-2 draw takes one byte per value and
-keeps its top bit), read straight from the stream.
+``numpy.random.default_rng(seed)``: the outputs of ``random_raw``, each
+read as eight little-endian bytes.  These are the bits
+``default_rng(seed).integers(0, 2, len(d), dtype=np.uint8)`` returns (a
+range-2 draw takes one byte per value and keeps its top bit), read straight
+from the stream.  A hash holds only its seed and lengths: ``window`` draws
+any stretch of ``d`` from ``PCG64(seed)`` advanced to its first word, and
+the kernel draws each window as it reads it, so no diagonal string is held.
 
 One kernel, a tiled, blocked FFT, serves every output length: the
 correctness hash and privacy amplification alike.  The product
@@ -36,7 +38,7 @@ block.  The loop runs over tiles, and within a tile over blocks: the
 running spectrum of ``L/2 + 1`` points, and one ``irfft`` of size ``L`` per
 tile gives the convolution summed over all blocks.  The blocks' spectra are
 recomputed for each tile.  An apply therefore holds ``O(L)`` floats, about
-``32 L`` bytes, plus the bit arrays, and since ``t <= _MAX_TILE`` and
+``32 L`` bytes, plus a window and the bits, and since ``t <= _MAX_TILE`` and
 ``B <= 3 max(t, 4096) + 1``, ``L`` stays near ``4 _MAX_TILE`` (2^24 points,
 about 0.5 GB) however long the input and output are.
 
@@ -53,13 +55,14 @@ error of 0.8 lands 0.2 from the wrong integer and passes.  An a-priori
 error bound is ROADMAP item 4.
 
 Bit strings are numpy uint8 arrays of 0/1; the serialized byte form packs
-bits little-endian within each byte.  Hash objects are frozen, with
-read-only diagonals, and hashing is pure.
+bits little-endian within each byte.  Hash objects are frozen records of
+three ints, windows are read-only, and hashing is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -85,21 +88,22 @@ def _plan(in_len: int, out_len: int) -> tuple[int, int, int]:
     return tile, block, _smooth_size(tile + block - 1)
 
 
-def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
+def _gf2_toeplitz_apply(window, x: np.ndarray, out_len: int) -> np.ndarray:
     """Toeplitz matrix-vector product over GF(2) by tiled, blocked FFT convolution.
 
-    See the module docstring for the plan and the exactness argument.
+    ``window(start, stop)`` gives the diagonals ``[start, stop)`` cut at the end
+    of ``d``; the module docstring has the plan and the exactness argument.
     """
     n = len(x)
     tile, block, size = _plan(n, out_len)
-    window = tile + block - 1
+    width = tile + block - 1
     y = np.empty(out_len, dtype=np.uint8)
     for first in range(0, out_len, tile):
         total = np.zeros(size // 2 + 1, dtype=complex)
         # blocks end at n, n - B, ...; the first block of x is the short one
         for end in range(n, 0, -block):
             start = n - end + first
-            spectrum = np.fft.rfft(diagonals[start : start + window], size)
+            spectrum = np.fft.rfft(window(start, start + width), size)
             bits = x[max(end - block, 0) : end]
             if len(bits) < block:
                 bits = np.concatenate([np.zeros(block - len(bits), dtype=np.uint8), bits])
@@ -120,45 +124,43 @@ def _gf2_toeplitz_apply(diagonals: np.ndarray, x: np.ndarray, out_len: int) -> n
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ToeplitzHash:
-    """One member of the Toeplitz universal_2 family, reproducible from its seed."""
+    """One member of the Toeplitz universal_2 family, held as its seed and lengths."""
 
+    seed: int
     in_len: int
     out_len: int
-    diagonals: np.ndarray
-    seed: int
 
     def __post_init__(self):
-        diagonals = np.asarray(self.diagonals, dtype=np.uint8).view()
-        if diagonals.shape != (self.in_len + self.out_len - 1,):
-            raise ValueError(f"need in_len + out_len - 1 diagonals, got {diagonals.shape}")
-        diagonals.flags.writeable = False
-        object.__setattr__(self, "diagonals", diagonals)
+        for name in ("seed", "in_len", "out_len"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if not 0 < self.out_len <= self.in_len:
+            raise ValueError("need 0 < out_len <= in_len")
 
     @classmethod
     def sample(cls, in_len: int, out_len: int, seed: int) -> "ToeplitzHash":
-        """Draw the diagonals uniformly from a 64-bit seed; deterministic in seed.
+        """The member of 64-bit seed ``seed``; deterministic in seed, and draws nothing."""
+        return cls(seed=seed, in_len=in_len, out_len=out_len)
 
-        ``diagonals[k]`` is the top bit of byte ``k`` of the PCG64 stream of
-        ``np.random.default_rng(seed)``, its 64-bit outputs read as
-        little-endian bytes: the bits that ``default_rng(seed).integers(0,
-        2, size, dtype=np.uint8)`` returns.
-        """
-        if out_len <= 0 or out_len > in_len:
-            raise ValueError("need 0 < out_len <= in_len")
-        seed = int(seed)
-        size = in_len + out_len - 1
-        raw = np.random.default_rng(seed).bit_generator.random_raw(-(-size // 8))
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Read-only diagonals ``[start, min(stop, in_len + out_len - 1))``, drawn from the seed."""
+        stop = min(stop, self.in_len + self.out_len - 1)
+        first = start // 8
+        raw = np.random.PCG64(self.seed).advance(first).random_raw(-(-stop // 8) - first)
         stream = raw.astype("<u8", copy=False).view(np.uint8)
         stream >>= 7
-        return cls(in_len=in_len, out_len=out_len, diagonals=stream[:size], seed=seed)
+        bits = stream[start - 8 * first : stop - 8 * first]
+        bits.flags.writeable = False
+        return bits
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """The whole read-only string of ``in_len + out_len - 1`` diagonals, regrown."""
+        return self.window(0, self.in_len + self.out_len - 1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Hash a bit vector of length ``in_len`` down to ``out_len`` bits.
-
-        Every output length runs through the one tiled, blocked FFT kernel.
-        """
+        """Hash a bit vector of length ``in_len`` down to ``out_len`` bits by the one FFT kernel."""
         x = np.asarray(x)
         if x.shape != (self.in_len,):
             raise ValueError(f"input must have length {self.in_len}, got {x.shape}")
@@ -166,19 +168,14 @@ class ToeplitzHash:
         # a cast from a wider type can wrap a value to a bit (256 -> 0)
         if bits.max() > 1 or (bits is not x and not np.array_equal(bits, x)):
             raise ValueError("input must hold only the bits 0 and 1")
-        return _gf2_toeplitz_apply(self.diagonals, bits, self.out_len)
+        return _gf2_toeplitz_apply(self.window, bits, self.out_len)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
     def to_json(self) -> dict:
-        """Serializable description; the diagonals regrow from the seed."""
-        return {"seed": self.seed, "in_len": self.in_len, "out_len": self.out_len}
+        """The record ``{seed, in_len, out_len}``; ``ToeplitzHash(**record)`` regrows the hash."""
+        return asdict(self)
 
 
-def pack_bits(bits: np.ndarray) -> bytes:
-    """Pack a 0/1 vector into bytes, little-endian bit order within each byte."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
-
-
-__all__ = ["ToeplitzHash", "pack_bits"]
+__all__ = ["ToeplitzHash"]

@@ -24,9 +24,9 @@ construction.  Error correction is an accounting model: Bob's corrected key
 is Alice's key by construction while the syndrome cost is charged against
 the budget, since only the syndrome length enters the security formulas.
 The verification tags cannot differ, so the correctness hash ``fcor`` is
-drawn and recorded but not applied (``fcor_match`` is the model's verdict),
-and privacy amplification hashes the one key; if real error correction is
-modelled later, the verification apply comes back with it.
+recorded (its seed and lengths; no diagonal is drawn) but not applied, and
+``fcor_match`` is the model's verdict; privacy amplification hashes the one
+key.  A model of real error correction would bring the verification apply back.
 
 Random stream layout: every per-pulse draw is one 64-bit word ``w`` of
 ``PCG64(seed).random_raw``.  Words ``[s N, (s+1) N)`` form per-pulse stream
@@ -689,7 +689,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         schema_version=1,
         params=params,
         strategy=strategy.describe(),
-        seed=seed,
+        seed=int(seed),
         labels_a=labels_a,
         labels_b=labels_b,
         **_pulse_stage(strategy, seed, big_n, labels_a, labels_b),
@@ -712,16 +712,16 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
 
     t.p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
     t.syndrome_bits_used = syndrome_budget(params.n, t.p_est, params.f_ec)
-    t.syndrome_within_budget = t.syndrome_bits_used <= params.l_syn
+    t.syndrome_within_budget = bool(t.syndrome_bits_used <= params.l_syn)
 
     fcor_len = min(params.n, max(1, math.ceil(math.log2(1.0 / params.eps_cor))))
-    t.fcor = ToeplitzHash.sample(params.n, fcor_len, seed=int(rng.integers(2**63))).to_json()
+    t.fcor = ToeplitzHash.sample(params.n, fcor_len, seed=rng.integers(2**63)).to_json()
     t.fcor_match = True  # the corrected key is the sifted key: equal tags
 
     report = finite_key_length(params)
     t.key_report = {"l": report.l, "reason": report.reason}
     if report.l > 0:
-        fpa = ToeplitzHash.sample(params.n, report.l, seed=int(rng.integers(2**63)))
+        fpa = ToeplitzHash.sample(params.n, report.l, seed=rng.integers(2**63))
         t.secret_key_a = fpa(t.sifted_key)
         t.fpa = fpa.to_json()
     else:

@@ -207,8 +207,10 @@ class ProtocolParams:
             raise ValueError(f"l_syn must be nonnegative, got {self.l_syn!r}")
 
     def as_dict(self) -> dict:
-        """The eight fields, then ``pulse_pairs`` and ``l_smp``: the order of every output record."""
-        return {**asdict(self), "pulse_pairs": self.pulse_pairs, "l_smp": self.l_smp}
+        """The fields as ints or floats, then ``pulse_pairs`` and ``l_smp``: every record's order."""
+        fields = asdict(self).items()
+        native = {k: int(v) if isinstance(v, numbers.Integral) else float(v) for k, v in fields}
+        return {**native, "pulse_pairs": self.pulse_pairs, "l_smp": self.l_smp}
 
     @property
     def pulse_pairs(self) -> int:

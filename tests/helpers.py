@@ -1,13 +1,12 @@
 """Objects and maps that only the tests use.
 
 Random and trivial quantum objects to feed the library, and the inverse
-maps that check its outputs: Choi matrix, partial trace, hash regrowth from
-its JSON description, bit unpacking.  Reference forms of fast kernels: the
-hash diagonals through ``Generator.integers``, the raw-byte draw's; the
-protocol's pulse stage drawn whole-array from ``Generator.random`` floats,
-the chunked word kernel's reference, and its arrays packed into transcript
-planes; and the transcript document
-through one ``json.dumps``, the numpy encoder's.
+maps that check its outputs: Choi matrix, partial trace, bit packing and
+unpacking.  Reference forms of fast kernels: the hash diagonals through
+``Generator.integers``, the raw-byte draw's; the protocol's pulse stage
+drawn whole-array from ``Generator.random`` floats, the chunked word
+kernel's reference, and its arrays packed into transcript planes; and the
+transcript document through one ``json.dumps``, the numpy encoder's.
 """
 
 import json
@@ -16,7 +15,6 @@ from dataclasses import fields
 import numpy as np
 
 from diqkd import squash
-from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import QuantumChannel, identity, require_hermitian
 from diqkd.protocol import (
     ALICE_BASES,
@@ -75,18 +73,18 @@ def partial_trace_out(matrix: np.ndarray, in_dim: int, out_dim: int) -> np.ndarr
     return np.trace(t, axis1=1, axis2=3)
 
 
-def toeplitz_from_json(data: dict) -> ToeplitzHash:
-    """Regrow a hash from its ``ToeplitzHash.to_json`` description."""
-    return ToeplitzHash.sample(data["in_len"], data["out_len"], data["seed"])
-
-
 def reference_diagonals(size: int, seed: int) -> np.ndarray:
     """``ToeplitzHash`` diagonals drawn through ``Generator.integers``."""
     return np.random.default_rng(seed).integers(0, 2, size, dtype=np.uint8)
 
 
+def pack_bits(bits: np.ndarray) -> bytes:
+    """Pack a 0/1 vector into bytes, little-endian bit order within each byte."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
+
+
 def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
-    """Inverse of ``diqkd.hashing.pack_bits``."""
+    """Inverse of ``pack_bits``."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     if n_bits > len(bits):
         raise ValueError("byte string too short for requested bit count")

@@ -20,7 +20,7 @@ import pytest
 
 from diqkd import hashing
 from diqkd.cli import main
-from diqkd.hashing import ToeplitzHash, pack_bits
+from diqkd.hashing import ToeplitzHash
 from diqkd.protocol import (
     CustomSource,
     DepolarizingSource,
@@ -29,6 +29,7 @@ from diqkd.protocol import (
     run_protocol,
 )
 from diqkd.rates import ProtocolParams, syndrome_budget
+from helpers import pack_bits
 
 
 def sha256(data) -> str:

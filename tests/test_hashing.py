@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,17 +7,17 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diqkd import hashing
-from diqkd.hashing import ToeplitzHash, _plan, _smooth_size, pack_bits
-from helpers import reference_diagonals, toeplitz_from_json, unpack_bits
+from diqkd.hashing import ToeplitzHash, _gf2_toeplitz_apply, _plan, _smooth_size
+from helpers import pack_bits, reference_diagonals, unpack_bits
 
 
-def toeplitz_matrix(h: ToeplitzHash) -> np.ndarray:
+def toeplitz_matrix(diagonals: np.ndarray, in_len: int) -> np.ndarray:
     """Dense reference T[i, j] = d[i - j + in_len - 1], as a read-only view.
 
     Row ``i`` is ``d[i + in_len - 1], ..., d[i]``: window ``out_len - 1 - i``
     of the reversed diagonals.
     """
-    return sliding_window_view(h.diagonals[::-1], h.in_len)[::-1]
+    return sliding_window_view(diagonals[::-1], in_len)[::-1]
 
 
 def around(length: int) -> tuple[int, ...]:
@@ -144,11 +145,56 @@ def test_hash_is_immutable():
     h = ToeplitzHash.sample(64, 16, seed=2)
     with pytest.raises(ValueError):
         h.diagonals[:] ^= 1
+    with pytest.raises(ValueError):
+        h.window(3, 20)[0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.out_len = 8
-    built = ToeplitzHash(in_len=64, out_len=16, diagonals=h.diagonals.copy(), seed=2)
-    with pytest.raises(ValueError):
-        built.diagonals[0] = 1
+
+
+def test_hash_is_three_ints():
+    h = ToeplitzHash.sample(np.int64(64), np.int32(16), seed=np.uint64(2**63 + 5))
+    assert vars(h) == {"seed": 2**63 + 5, "in_len": 64, "out_len": 16}
+    assert all(type(v) is int for v in vars(h).values())
+    with pytest.raises(TypeError):
+        ToeplitzHash(seed=1, in_len=64, out_len=16, diagonals=h.diagonals)
+    with pytest.raises(TypeError):
+        ToeplitzHash(1, 64, 16)
+
+
+WINDOW_SIZES = (1, 7, 8, 9, 64, 65, 139, 3_000_029)
+
+
+@pytest.mark.parametrize("size", WINDOW_SIZES)
+def test_windows_are_slices_of_the_diagonals(size):
+    # starts and stops on both sides of every byte-of-word boundary near the
+    # ends of the string, and stops past its end, where a window is cut short
+    h = ToeplitzHash.sample(size, 1, seed=size)
+    d = h.diagonals
+    edges = sorted({e for k in (0, 8, 16, size - 9, size - 8, size - 1) for e in (k - 1, k, k + 1)})
+    for start in (e for e in edges if 0 <= e < size):
+        for stop in (start + 1, start + 8, start + 9, size - 1, size, size + 5):
+            if stop > start:
+                w = h.window(start, stop)
+                assert w.dtype == np.uint8 and not w.flags.writeable
+                assert np.array_equal(w, d[start:stop]), (start, stop)
+
+
+def test_hash_holds_no_diagonals():
+    # a hash is its seed and lengths: at 1e7 -> 30 bits the diagonal string
+    # that a hash held before was 10.0 MB; an apply holds one window of
+    # 12,315 diagonals and its FFT arrays at L = 12,500 (0.5 MB traced)
+    in_len, out_len = 10**7, 30
+    x = np.random.default_rng(10).integers(0, 2, in_len, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        h = ToeplitzHash.sample(in_len, out_len, seed=10)
+        held = tracemalloc.get_traced_memory()[0]
+        h(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 1e3, held
+    assert peak < 2e6, peak
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 12345678901234])
@@ -166,7 +212,7 @@ def test_zero_maps_to_zero():
 
 def test_dense_reference_matches_definition():
     h = ToeplitzHash.sample(9, 4, seed=7)
-    t = toeplitz_matrix(h)
+    t = toeplitz_matrix(h.diagonals, 9)
     for i in range(4):
         for j in range(9):
             assert t[i, j] == h.diagonals[i - j + 8]
@@ -176,7 +222,7 @@ def assert_matches_dense_reference(in_len: int, out_len: int, seeds: int = 20) -
     rng = np.random.default_rng(3)
     for seed in range(seeds):
         h = ToeplitzHash.sample(in_len, out_len, seed=seed)
-        t = toeplitz_matrix(h)
+        t = toeplitz_matrix(h.diagonals, in_len)
         x = rng.integers(0, 2, in_len, dtype=np.uint8)
         # uint8 sums wrap modulo 256, which keeps their parity
         assert np.array_equal(h(x), (t @ x) % 2)
@@ -213,14 +259,15 @@ def test_packed_kernel_matches_dense_reference_and_fft_kernel(in_len, out_len):
 def test_packed_window_at_offset_zero():
     # A one-bit output is y[0] = sum_j d[64 - j] x[j] = d[64] x[0] = 0 here,
     # while the one set diagonal, d[0] = 1, meets only x[64] = 0: a kernel
-    # that read d[0] in place of d[64] would give 1.
+    # that read d[0] in place of d[64] would give 1.  The crafted diagonals
+    # reach the kernel through an array-backed window.
     diagonals = np.zeros(65, dtype=np.uint8)
     diagonals[0] = 1
-    h = ToeplitzHash(in_len=65, out_len=1, diagonals=diagonals, seed=0)
     x = np.zeros(65, dtype=np.uint8)
     x[0] = 1
-    assert np.array_equal(h(x), toeplitz_matrix(h) @ x % 2)
-    assert np.array_equal(h(x), [0])
+    y = _gf2_toeplitz_apply(lambda start, stop: diagonals[start:stop], x, 1)
+    assert np.array_equal(y, toeplitz_matrix(diagonals, 65) @ x % 2)
+    assert np.array_equal(y, [0])
 
 
 def test_short_output_apply_memory_is_bounded():
@@ -380,9 +427,10 @@ def test_single_bit_difference_collision_bound():
 
 def test_serialization_roundtrip():
     h = ToeplitzHash.sample(40, 10, seed=99)
-    h2 = toeplitz_from_json(h.to_json())
-    assert np.array_equal(h.diagonals, h2.diagonals)
+    h2 = ToeplitzHash(**h.to_json())
+    assert h2 == h and np.array_equal(h.diagonals, h2.diagonals)
     assert h.to_json() == {"seed": 99, "in_len": 40, "out_len": 10}
+    assert json.loads(json.dumps(ToeplitzHash.sample(40, 10, np.int64(99)).to_json())) == h.to_json()
 
 
 def test_pack_unpack_little_endian():

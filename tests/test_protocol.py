@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diqkd.chsh import chsh_measurement, t_sign
+from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import identity
 from diqkd.protocol import (
     ABORT_CHSH,
@@ -53,7 +54,6 @@ from helpers import (
     random_density,
     reference_outcomes,
     reference_to_json,
-    toeplitz_from_json,
     unchunked_pulse_stage,
 )
 
@@ -321,7 +321,7 @@ class TestCorrectness:
             assert t.abort is None
             assert t.fcor_match
             assert np.array_equal(t.secret_key_a, t.secret_key_b)
-            fcor = toeplitz_from_json(t.fcor)
+            fcor = ToeplitzHash(**t.fcor)
             corrupted = t.corrected_key.copy()
             flips = rng.integers(0, params.n, size=3)
             corrupted[np.unique(flips)] ^= 1
@@ -776,7 +776,26 @@ ENCODER_RUNS = {
         False,
     ),
     "custom": (custom_run, None, False),
+    "numpy-inputs": (
+        lambda: run_protocol(
+            small_params(n=np.int64(2000), q=np.float32(0.25), l_syn=np.int64(2000)),
+            DepolarizingSource(0.05),
+            seed=np.int64(21),
+        ),
+        None,
+        False,
+    ),
+    "fraction-q": (
+        lambda: run_protocol(small_params(q=Fraction(1, 4)), DepolarizingSource(0.05), seed=21),
+        None,
+        False,
+    ),
 }
+
+
+def python_typed_run() -> Transcript:
+    """The run of the numpy-inputs and fraction-q cases, given as Python ints and floats."""
+    return run_protocol(small_params(q=0.25), DepolarizingSource(0.05), seed=21)
 
 
 @pytest.mark.parametrize("case", sorted(ENCODER_RUNS))
@@ -786,7 +805,13 @@ def test_to_json_equals_one_json_dumps(case):
     assert t.abort == abort
     if abort is None:
         assert (t.key_report["l"] > 0) == keyed == (t.fpa is not None)
-    assert t.to_json() == reference_to_json(t)
+    text = t.to_json()
+    assert text == reference_to_json(t)
+    # the records are JSON-native whatever numeric types the inputs had
+    doc = json.loads(text)
+    assert doc["seed"] == t.seed and doc["params"]["q"] == float(t.params.q)
+    if case in ("numpy-inputs", "fraction-q"):
+        assert text == python_typed_run().to_json()
 
 
 INT64 = np.iinfo(np.int64)
