@@ -133,8 +133,14 @@ class ToeplitzHash:
     out_len: int
 
     def __post_init__(self):
+        # a record read back through ToeplitzHash(**record) is outside input
         for name in ("seed", "in_len", "out_len"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be an integer, not the bool {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit seed in [0, 2^64), got {self.seed}")
         if not 0 < self.out_len <= self.in_len:
             raise ValueError("need 0 < out_len <= in_len")
 

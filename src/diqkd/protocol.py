@@ -13,14 +13,13 @@ is tracked.  Every source holds ``rho``, a ``(4, 4)`` density matrix, and
 ``alice_ops``/``bob_ops``, mappings from each label of ``ALICE_BASES`` and
 ``BOB_BASES`` to a ``(2, 2)`` +-1-valued observable; a source that changes
 from pulse to pulse (``CustomSource``) gives any of them a leading pulse
-axis of length N.  The Born-rule table is one broadcasting
-``joint_outcome_pmf`` call over the six pairs of bases: once, at
-construction, for the two i.i.d. sources, which keep its integer form in
-``outcome_tables`` and are fixed from then on; once per chunk of pulses
-(below) over the chunk's slice of the pulse axis for a source without such
-tables.  A pulse's outcome depends only on its row of
-that table and its own random word, so the detectors are memoryless by
-construction.  Error correction is an accounting model: Bob's corrected key
+axis of length N.  The Born-rule table is six ``joint_outcome_pmf``
+calls, one per pair of bases: at construction for the two i.i.d. sources,
+which keep its integer form in ``outcome_tables`` and are fixed from then
+on; per chunk of pulses (below), over the chunk's slice of the pulse axis,
+for a source without such tables.  A pulse's outcome depends only on its
+row of that table and its own random word, so the detectors are memoryless
+by construction.  Error correction is an accounting model: Bob's corrected key
 is Alice's key by construction while the syndrome cost is charged against
 the budget, since only the syndrome length enters the security formulas.
 The verification tags cannot differ, so the correctness hash ``fcor`` is
@@ -59,19 +58,21 @@ A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
 (Alice measured x), ``bases_b`` (Bob measured x; his basis code is his
 label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (bit ``b``
 standing for the outcome ``r = (-1)^b``).  The CHSH estimate reads the
-planes as stored, the transcript writer spells their bits through token
-tables, and ``Transcript.pulses`` unpacks them to values.
+planes as stored, and the transcript writer spells their bits through
+token tables.
 
 The sample and sifted selections are drawn from the candidate planes
 (``_candidates``) before the pulse stage (``_select``), and a run holds each
 one as two bytes per chosen pulse: per chunk of ``_CHUNK`` pulses, their
 uint16 offsets within it.  While ``Generator.choice`` draws, only its own
-arrays grow with the candidate count.  The sifted strings are gathered
-through the offsets, and the transcript's int64 index lists are built from
-them last: ``i_smp`` before the CHSH estimate, ``i_sif`` after the
-privacy-amplification hash (or at the CHSH abort), so that no 8 bytes per
-sifted bit are held beside the hash.  Runs are deterministic given (params,
-strategy, seed) and independent runs are embarrassingly parallel.
+arrays grow with the candidate count.  The pulse stage gathers the sifted
+strings through the offsets as it draws each chunk's outcomes, so no
+outcome plane is walked again.  The transcript's int64 index lists are
+built from the offsets last: ``i_smp`` before the CHSH estimate, ``i_sif``
+after the privacy-amplification hash (or at the CHSH abort), so that no 8
+bytes per sifted bit are held beside the hash.  Runs are deterministic
+given (params, strategy, seed) and independent runs are embarrassingly
+parallel.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ _BUCKET_BITS = 12
 _SPLIT = np.uint8(255)
 # The per-pulse bit planes of a transcript, in field order.
 _PLANES = ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b")
-# Each plane's JSON spelling of a pulse code (``Transcript._codes``): labels and
-# key bits as 0/1, basis codes as their labels, outcome bits as +-1.
+# Each plane's JSON spelling of a pulse code (``Transcript.to_json``): labels
+# and key bits as 0/1, basis codes as their labels, outcome bits as +-1.
 _BIT_TOKENS, _SIGN_TOKENS = _json_tokens((0, 1)), _json_tokens((1, -1))
 _PLANE_TOKENS = dict(
     zip(_PLANES, (_BIT_TOKENS, _BIT_TOKENS, _json_tokens(ALICE_BASES), _json_tokens(BOB_BASES)))
@@ -337,10 +338,10 @@ class Transcript:
     """Complete record of one protocol run; immutable once returned.
 
     The six per-pulse fields are the bit planes of the module docstring,
-    each a uint8 array of ``ceil(N / 8)`` bytes (``ValueError`` otherwise);
-    ``pulses`` unpacks them.  ``abort`` is None for a completed run,
-    otherwise one of the abort reason codes.  Key bits are 0/1; the read-only
-    ``corrected_key`` and ``secret_key_b`` are ``sifted_key`` and ``secret_key_a``.
+    each a uint8 array of ``ceil(N / 8)`` bytes (``ValueError`` otherwise).
+    ``abort`` is None for a completed run, otherwise one of the abort reason
+    codes.  Key bits are 0/1; the read-only ``corrected_key`` and
+    ``secret_key_b`` are ``sifted_key`` and ``secret_key_a``.
     """
 
     schema_version: int
@@ -378,39 +379,20 @@ class Transcript:
                 got = f"{getattr(plane, 'dtype', type(plane).__name__)} {np.shape(plane)}"
                 raise ValueError(f"{name} must be a uint8 plane of {size} bytes, got {got}")
 
-    def _codes(self) -> dict:
-        """The planes unpacked, a uint8 code per pulse: its bit, or Bob's basis label plus bit."""
-        codes = {name: _unpack(getattr(self, name), self.params.pulse_pairs) for name in _PLANES}
-        codes["bases_b"] += codes["labels_b"]
-        return codes
-
-    def pulses(self) -> dict:
-        """The six planes unpacked, one value per pulse, by field name.
-
-        Labels come as bool; basis codes (indices into ``ALICE_BASES`` and
-        ``BOB_BASES``) and +-1 outcomes as int8.  Each call unpacks afresh.
-        """
-        codes = self._codes()
-        return {
-            "labels_a": codes["labels_a"].view(bool),
-            "labels_b": codes["labels_b"].view(bool),
-            "bases_a": codes["bases_a"].view(np.int8),
-            "bases_b": codes["bases_b"].view(np.int8),
-            "outcomes_a": 1 - 2 * codes["outcomes_a"].view(np.int8),
-            "outcomes_b": 1 - 2 * codes["outcomes_b"].view(np.int8),
-        }
-
     def to_json(self) -> str:
         """``json.dumps`` of the field document, byte for byte.
 
         One key per field, in field order: ``params`` as its ``as_dict()``,
-        the pulse planes as ``pulses()`` lists (labels as 0/1, basis codes as
-        their labels, outcomes as +-1), other arrays as lists of non-negative
-        integers (``TypeError`` if not 1-d bool or integer, ``ValueError`` if
-        negative).  Numpy spells each array value as a token table or
-        ``_digit_rows`` row, ``json.dumps`` the rest; one join copies it all.
+        the pulse planes as lists of one value per pulse (labels as 0/1,
+        basis codes as their labels, outcomes as +-1), other arrays as lists
+        of non-negative integers (``TypeError`` if not 1-d bool or integer,
+        ``ValueError`` if negative).  Each plane is unpacked to a uint8 code
+        per pulse (its bit, or Bob's basis label plus bit).  Numpy spells
+        each array value as a token table or ``_digit_rows`` row,
+        ``json.dumps`` the rest; one join copies it all.
         """
-        codes = self._codes()
+        codes = {name: _unpack(getattr(self, name), self.params.pulse_pairs) for name in _PLANES}
+        codes["bases_b"] += codes["labels_b"]
         parts = []
         for f in fields(self):
             value = getattr(self, f.name)
@@ -485,24 +467,26 @@ def estimate_chsh(transcript: Transcript) -> float:
 
 
 def _pmf_table(source, pulses: slice) -> np.ndarray:
-    """Outcome distributions of every pair of bases, in one stacked Born-rule call.
+    """Outcome distributions of every pair of bases, one Born-rule call per pair.
 
     Row ``bases_a * len(BOB_BASES) + bases_b`` of the ``(6, 4)`` table holds
-    a pair's distribution.  A source with a pulse axis gives a ``(P, 6, 4)``
-    table for its ``pulses`` (P of them), that block of six rows once per
-    pulse; an i.i.d. source ignores ``pulses``.
+    a pair's distribution.  A source with a pulse axis gives a C-contiguous
+    ``(P, 6, 4)`` table for its ``pulses`` (P of them), that block of six
+    rows once per pulse; an i.i.d. source ignores ``pulses``.  Each call
+    holds the 4x4 products of its own pair of bases only, so the table's
+    peak is about 1.2 KB per pulse.
     """
 
     def cut(m: np.ndarray) -> np.ndarray:
         return m[pulses] if m.ndim == 3 else m
 
-    ops_a = np.stack(np.broadcast_arrays(*(cut(source.alice_ops[c]) for c in ALICE_BASES)))
-    ops_b = np.stack(np.broadcast_arrays(*(cut(source.bob_ops[c]) for c in BOB_BASES)))
-    table = joint_outcome_pmf(cut(source.rho), ops_a[:, None], ops_b[None, :])
-    pairs = len(ALICE_BASES) * len(BOB_BASES)
-    if source.rho.ndim == 3:
-        return np.ascontiguousarray(np.moveaxis(table.reshape(pairs, -1, 4), 1, 0))
-    return table.reshape(pairs, 4)
+    rho = cut(source.rho)
+    pmfs = [
+        joint_outcome_pmf(rho, cut(source.alice_ops[a]), cut(source.bob_ops[b]))
+        for a in ALICE_BASES
+        for b in BOB_BASES
+    ]
+    return np.stack(pmfs, axis=-2)
 
 
 def _thresholds(pmfs: np.ndarray) -> np.ndarray:
@@ -573,23 +557,6 @@ def _indices(sel: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _sift(t: Transcript, sel: list[np.ndarray]) -> None:
-    """Gather ``sifted_key`` and ``bob_raw``, the outcome bits of the pulses of ``sel``."""
-    big_n = t.params.pulse_pairs
-    keys = np.empty(t.params.n, dtype=np.uint8), np.empty(t.params.n, dtype=np.uint8)
-    done = 0
-    for offsets, (_, out_a), (_, out_b) in zip(
-        sel, _chunks(t.outcomes_a, big_n), _chunks(t.outcomes_b, big_n)
-    ):
-        here = offsets.astype(np.intp)
-        for key, out in zip(keys, (out_a, out_b)):
-            out.take(here, out=key[done : done + len(here)])
-        done += len(here)
-    t.sifted_key = t.corrected_key = keys[0]
-    t.sifted_key.flags.writeable = False
-    t.bob_raw = keys[1]
-
-
 def _stream(seed: int, s: int, big_n: int) -> np.random.PCG64:
     """The bit generator of run ``seed`` advanced to the start of stream ``s``, ``s N`` words on."""
     return np.random.PCG64(seed).advance(s * big_n)
@@ -634,11 +601,20 @@ def insufficient_pulses(params: ProtocolParams, labels_a: np.ndarray, labels_b: 
     return _candidates(params, labels_a, labels_b) is None
 
 
-def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b) -> dict:
-    """The basis and outcome planes of run ``seed``, read from streams 2-4, by field name."""
+def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b, sel) -> tuple:
+    """The basis and outcome planes of run ``seed`` by field name, and its two sifted strings.
+
+    The planes are read from streams 2-4.  ``sel`` is the sifted selection
+    (``_select``), or None for a run that its labels abort.  As each chunk's
+    outcome codes are drawn, the codes at its offsets ``sel[c]`` give Alice's
+    and Bob's sifted bits in order: the two rows of n bytes of the strings,
+    None without ``sel``.
+    """
     coins_a, coins_b, outcome_words = (_stream(seed, s, big_n) for s in (2, 3, 4))
     planes = {name: _plane(big_n) for name in _PLANES[2:]}
+    keys = None if sel is None else np.empty((2, sum(map(len, sel))), dtype=np.uint8)
     tables = getattr(strategy, "outcome_tables", None)
+    done = 0
     for (start, la), (_, lb) in zip(_chunks(labels_a, big_n), _chunks(labels_b, big_n)):
         stop = start + len(la)
         la, lb = la.view(bool), lb.view(bool)
@@ -660,7 +636,11 @@ def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b) -> dict:
         # Alice's -1 is the high bit, Bob's the low one
         for plane, bits in zip(planes.values(), (xa, xb, codes >= 2, codes & 1)):
             _put(plane, start, bits)
-    return planes
+        if keys is not None:
+            here = codes.take(sel[start // _CHUNK])
+            keys[:, done : done + len(here)] = here >> 1, here & 1
+            done += len(here)
+    return planes, keys
 
 
 def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
@@ -677,6 +657,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         raise ValueError(f"custom strategy must supply exactly {big_n} pulses")
     labels_a, labels_b = label_stage(params, seed)
     candidates = _candidates(params, labels_a, labels_b)
+    sel_sif = None
     if candidates is not None:
         # The selection reads only the labels and the generator past the five
         # pulse streams, so it is drawn before them.
@@ -685,6 +666,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         sel_smp = _select(rng, *candidates.pop(0), big_n, params.l_smp)
         sel_sif = _select(rng, *candidates.pop(0), big_n, params.n)
 
+    planes, keys = _pulse_stage(strategy, seed, big_n, labels_a, labels_b, sel_sif)
     t = Transcript(
         schema_version=1,
         params=params,
@@ -692,7 +674,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
         seed=int(seed),
         labels_a=labels_a,
         labels_b=labels_b,
-        **_pulse_stage(strategy, seed, big_n, labels_a, labels_b),
+        **planes,
     )
     if candidates is None:
         t.abort = ABORT_INSUFFICIENT
@@ -708,7 +690,9 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
 
     # Oracle error correction: Bob adopts Alice's string, the syndrome cost
     # is charged; the budget is what the security formulas consume.
-    _sift(t, sel_sif)
+    t.sifted_key = t.corrected_key = keys[0]
+    t.sifted_key.flags.writeable = False
+    t.bob_raw = keys[1]
 
     t.p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))
     t.syndrome_bits_used = syndrome_budget(params.n, t.p_est, params.f_ec)

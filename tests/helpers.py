@@ -2,7 +2,8 @@
 
 Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, bit packing and
-unpacking.  Reference forms of fast kernels: the hash diagonals through
+unpacking, and a transcript's bit planes unpacked to pulse values.
+Reference forms of fast kernels: the hash diagonals through
 ``Generator.integers``, the raw-byte draw's; the protocol's pulse stage
 drawn whole-array from ``Generator.random`` floats, the chunked word
 kernel's reference, and its arrays packed into transcript planes; and the
@@ -17,6 +18,7 @@ import numpy as np
 from diqkd import squash
 from diqkd.linalg import QuantumChannel, identity, require_hermitian
 from diqkd.protocol import (
+    _PLANES,
     ALICE_BASES,
     BOB_BASES,
     Transcript,
@@ -91,6 +93,28 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
     return bits[:n_bits].copy()
 
 
+def pulses(t: Transcript) -> dict:
+    """A transcript's six bit planes unpacked, one value per pulse, by field name.
+
+    Labels come as bool; basis codes (indices into ``ALICE_BASES`` and
+    ``BOB_BASES``; Bob's is his label plus his plane's bit) and +-1
+    outcomes as int8.
+    """
+    bits = {
+        name: np.unpackbits(getattr(t, name), count=t.params.pulse_pairs, bitorder="little")
+        for name in _PLANES
+    }
+    bits["bases_b"] += bits["labels_b"]
+    return {
+        "labels_a": bits["labels_a"].view(bool),
+        "labels_b": bits["labels_b"].view(bool),
+        "bases_a": bits["bases_a"].view(np.int8),
+        "bases_b": bits["bases_b"].view(np.int8),
+        "outcomes_a": 1 - 2 * bits["outcomes_a"].view(np.int8),
+        "outcomes_b": 1 - 2 * bits["outcomes_b"].view(np.int8),
+    }
+
+
 def reference_outcomes(pmfs: np.ndarray, uniforms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Float outcome codes: how many cumulative sums of ``pmfs[rows[i]]`` uniform ``i`` reaches.
 
@@ -137,7 +161,7 @@ def unchunked_pulse_stage(params, source, seed: int) -> dict:
 
 
 def pack_pulses(labels_a, labels_b, bases_a, bases_b, outcomes_a, outcomes_b) -> dict:
-    """The ``Transcript`` bit planes of pulse arrays in ``Transcript.pulses`` form.
+    """The ``Transcript`` bit planes of pulse arrays in ``pulses`` form.
 
     Labels are 0/1, basis codes index ``ALICE_BASES`` and ``BOB_BASES``, and
     outcomes are +-1; Bob's plane holds whether he measured x.
@@ -162,10 +186,10 @@ def reference_to_json(t: Transcript) -> str:
         "bases_a": np.array(ALICE_BASES, dtype=object),
         "bases_b": np.array(BOB_BASES, dtype=object),
     }
-    pulses = t.pulses()
+    values = pulses(t)
     doc = {}
     for f in fields(t):
-        value = pulses.get(f.name, getattr(t, f.name))
+        value = values.get(f.name, getattr(t, f.name))
         if f.name in labels:
             value = labels[f.name][value]
         elif isinstance(value, ProtocolParams):

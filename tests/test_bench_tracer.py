@@ -60,12 +60,14 @@ def test_traced_pass_counts(tmp_path):
         assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
         cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
     metrics = tracing.layer_metrics(tracer)
-    # one stacked Born-rule call per run, one CHSH measurement for the whole 4x4
-    # verify-squash grid (one block of rows), and one apply in all: the keyed
-    # run's privacy amplification (the correctness hash is drawn, not applied,
-    # and the two runs at params have l = 0)
+    # six Born-rule calls, one per pair of bases, for each table: each i.i.d.
+    # source built inside the block (two) builds its table once, and the custom
+    # run builds one for its one chunk of pulses; one CHSH measurement for the
+    # whole 4x4 verify-squash grid (one block of rows), and one apply in all:
+    # the keyed run's privacy amplification (the correctness hash is drawn, not
+    # applied, and the two runs at params have l = 0)
     assert {name: metrics[name] for name in EXACT} == {
-        "protocol.joint_outcome_pmf.calls": 3,
+        "protocol.joint_outcome_pmf.calls": 18,
         "protocol.pulses": 2 * pulses + keyed.pulse_pairs,
         "protocol.completed_frac": 1.0,
         "hashing.apply.calls": 1,

@@ -124,6 +124,32 @@ def test_rejects_bad_lengths():
         ToeplitzHash.sample(8, 9, seed=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", True),
+        ("seed", np.True_),
+        ("in_len", True),
+        ("out_len", False),
+    ],
+    ids=["seed=-1", "seed=2^64", "seed=True", "seed=np.True_", "in_len=True", "out_len=False"],
+)
+def test_rejects_seeds_it_cannot_draw_from(field, value):
+    # a record read back through ToeplitzHash(**record) is outside input: a
+    # negative seed would fail only at apply, and True would be seed 1
+    record = {"seed": 3, "in_len": 8, "out_len": 1} | {field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ToeplitzHash(**record)
+
+
+def test_accepts_every_64_bit_seed():
+    for seed in (0, 2**64 - 1):
+        h = ToeplitzHash(seed=seed, in_len=8, out_len=3)
+        assert h(np.ones(8, dtype=np.uint8)).shape == (3,)
+
+
 def test_rejects_wrong_input_length():
     h = ToeplitzHash.sample(8, 3, seed=0)
     with pytest.raises(ValueError):

@@ -51,6 +51,7 @@ from diqkd.protocol import (
 from diqkd.rates import ProtocolParams, syndrome_budget
 from helpers import (
     pack_pulses,
+    pulses,
     random_density,
     reference_outcomes,
     reference_to_json,
@@ -133,7 +134,7 @@ class TestEstimator:
     @pytest.mark.parametrize("ca", range(len(ALICE_BASES)))
     def test_one_round_sign_convention(self, ca, cb, ra, rb):
         t = self.build([ca], [cb], [ra], [rb])
-        assert [t.pulses()[name][0] for name in _PLANE_TOKENS] == [1, cb > 0, ca, cb, ra, rb]
+        assert [pulses(t)[name][0] for name in _PLANE_TOKENS] == [1, cb > 0, ca, cb, ra, rb]
         assert estimate_chsh(t) == ra * rb * (-1) ** t_sign(ALICE_BASES[ca], BOB_BASES[cb])
 
     def test_all_agree_zz(self):
@@ -397,7 +398,7 @@ IID_SOURCES = {
 
 @pytest.mark.parametrize("kind", sorted(IID_SOURCES))
 def test_six_row_table_equals_per_pair_calls(kind):
-    # the stacked Born-rule call runs the same code as its 0-d calls, so every float agrees
+    # the table is one Born-rule call per pair of bases, so every float agrees
     src = IID_SOURCES[kind]()
     table = _pmf_table(src, slice(None))
     assert table.shape == (6, 4)
@@ -602,15 +603,15 @@ def test_chunked_pulse_stage_equals_whole_array_draws(case):
     source = PULSE_SOURCES[kind](big_n)
     t = run_protocol(params, source, seed=7)
     ref = unchunked_pulse_stage(params, source, seed=7)
-    pulses = t.pulses()
-    planes = pack_pulses(**{name: ref[name] for name in pulses})
+    values = pulses(t)
+    planes = pack_pulses(**{name: ref[name] for name in values})
     for name, plane in planes.items():
         # one bit per pulse: N/8 bytes rounded up, the last byte's padding clear
         got = getattr(t, name)
         assert got.dtype == np.uint8 and got.shape == (-(-big_n // 8),), name
         assert np.array_equal(got, plane), name
-        assert pulses[name].dtype == ref[name].dtype, name
-        assert np.array_equal(pulses[name], ref[name]), name
+        assert values[name].dtype == ref[name].dtype, name
+        assert np.array_equal(values[name], ref[name]), name
     # the run's generator continues past all five streams: the whole-array
     # selection and the next draw, the correctness hash seed, agree with it
     rng = ref["rng"]
@@ -619,6 +620,10 @@ def test_chunked_pulse_stage_equals_whole_array_draws(case):
     assert np.array_equal(t.i_smp, np.sort(rng.choice(both_smp, params.l_smp, replace=False)))
     assert np.array_equal(t.i_sif, np.sort(rng.choice(both_sif, params.n, replace=False)))
     assert t.fcor["seed"] == int(rng.integers(2**63))
+    # the pulse stage gathers the sifted strings as it draws each chunk: they
+    # are the reference outcome bits (1 for -1) at i_sif, across every chunk edge
+    for key, name in ((t.sifted_key, "outcomes_a"), (t.bob_raw, "outcomes_b")):
+        assert key.dtype == np.uint8 and np.array_equal(key, ref[name][t.i_sif] < 0), name
 
 
 # numpy's choice without replacement runs Floyd's algorithm for pop <= 10,000
@@ -718,9 +723,10 @@ def test_key_run_memory_is_the_sifted_draw():
 
 def test_custom_source_memory_is_chunk_bounded():
     # The Born-rule table of a pulse-axis source is built one chunk at a
-    # time, and building it costs about 4.8 KB per pulse (4x4 complex
-    # products over the six pairs of bases).  Over 2 C + 7 pulses the whole
-    # table at once peaks near 636 MB; one chunk at a time near 332 MB.
+    # time, one pair of bases per call, and a call costs about 1.2 KB per
+    # pulse (the 4x4 complex products of one pair): 81 MB traced for a chunk's
+    # table, 92 MB for the run over 2 C + 7 pulses.  One call broadcast over
+    # all six pairs cost about 4.8 KB per pulse: 318 MB a chunk, 328 MB the run.
     big_n = 2 * _CHUNK + 7
     params = pulse_params(big_n)
     source = pulse_axis_source(big_n)
@@ -731,7 +737,7 @@ def test_custom_source_memory_is_chunk_bounded():
     finally:
         tracemalloc.stop()
     assert t.abort is None
-    assert peak < 420e6, peak
+    assert peak < 150e6, peak
 
 
 def custom_run() -> Transcript:
