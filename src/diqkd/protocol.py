@@ -57,9 +57,10 @@ A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
 ``labels_a`` and ``labels_b`` (set for a sample candidate), ``bases_a``
 (Alice measured x), ``bases_b`` (Bob measured x; his basis code is his
 label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (bit ``b``
-standing for the outcome ``r = (-1)^b``).  The CHSH estimate reads the
-planes as stored, and the transcript writer spells their bits through
-token tables.
+standing for the outcome ``r = (-1)^b``).  The CHSH estimate and the
+transcript writer read the planes as stored: the writer spells each plane
+byte, eight pulses, through a 256-row token table (for Bob's bases, a
+label nibble and an x nibble pick four pulses), so no plane is unpacked.
 
 The sample and sifted selections are drawn from the candidate planes
 (``_candidates``) before the pulse stage (``_select``), and a run holds each
@@ -95,9 +96,16 @@ ALICE_BASES = ("z", "x")  # sifting uses z
 BOB_BASES = ("zp", "z", "x")  # sifting uses zp
 
 
-def _json_tokens(values) -> np.ndarray:
-    """Fixed-width byte table of each value's JSON followed by the list separator, NUL-padded."""
-    return np.array([json.dumps(v) + ", " for v in values], dtype=bytes)
+def _spelling(values, codes: np.ndarray) -> tuple:
+    """``(tokens, codes, rows, ragged)``: the JSON list spelling of the pulse codes ``codes[i]``.
+
+    ``tokens`` holds each value's JSON followed by the list separator, and row
+    ``i`` of ``rows`` the tokens of ``codes[i]`` joined, both NUL-padded;
+    ``ragged`` when the tokens, and so the rows, differ in width.
+    """
+    tokens = np.array([json.dumps(v) + ", " for v in values], dtype=bytes)
+    rows = np.array([b"".join(row) for row in tokens[codes].tolist()], dtype=bytes)
+    return tokens, codes, rows, len(set(map(len, tokens))) > 1
 
 
 # Pulses per step of the label and pulse stages, and trials per block of the
@@ -113,12 +121,16 @@ _BUCKET_BITS = 12
 _SPLIT = np.uint8(255)
 # The per-pulse bit planes of a transcript, in field order.
 _PLANES = ("labels_a", "labels_b", "bases_a", "bases_b", "outcomes_a", "outcomes_b")
-# Each plane's JSON spelling of a pulse code (``Transcript.to_json``): labels
-# and key bits as 0/1, basis codes as their labels, outcome bits as +-1.
-_BIT_TOKENS, _SIGN_TOKENS = _json_tokens((0, 1)), _json_tokens((1, -1))
-_PLANE_TOKENS = dict(
-    zip(_PLANES, (_BIT_TOKENS, _BIT_TOKENS, _json_tokens(ALICE_BASES), _json_tokens(BOB_BASES)))
-) | dict.fromkeys(_PLANES[4:], _SIGN_TOKENS)
+# The codes of the eight pulses of each byte value of a plane, pulse j its bit j.
+_BYTE_CODES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+# Each plane's spelling (``Transcript.to_json``), eight pulses per byte:
+# labels and key bits as 0/1, Alice's basis codes as their labels, outcome
+# bits as +-1.  Bob's basis rows are indexed by a nibble of his label plane
+# below the same four pulses' nibble of his x plane, each code label plus x.
+_BITS, _SIGNS = _spelling((0, 1), _BYTE_CODES), _spelling((1, -1), _BYTE_CODES)
+_SPELLINGS = dict.fromkeys(_PLANES[:2], _BITS) | dict.fromkeys(_PLANES[4:], _SIGNS)
+_SPELLINGS["bases_a"] = _spelling(ALICE_BASES, _BYTE_CODES)
+_SPELLINGS["bases_b"] = _spelling(BOB_BASES, _BYTE_CODES[:, :4] + _BYTE_CODES[:, 4:])
 # A basis coin picks x when its word is below this bound: ``u < 1/2``.
 _COIN = np.uint64(1 << 63)
 
@@ -315,16 +327,12 @@ def _put(plane: np.ndarray, start: int, bits: np.ndarray) -> None:
     plane[start // 8 : start // 8 + len(packed)] = packed
 
 
-def _unpack(plane: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` bits of a plane, one uint8 0/1 per pulse."""
-    return np.unpackbits(plane, count=count, bitorder="little")
-
-
 def _chunks(plane: np.ndarray, big_n: int):
     """``(start, bits)`` for each chunk of ``_CHUNK`` of a plane's ``big_n`` pulses, unpacked."""
     for start in range(0, big_n, _CHUNK):
         stop = min(start + _CHUNK, big_n)
-        yield start, _unpack(plane[start // 8 : (stop + 7) // 8], stop - start)
+        bits = plane[start // 8 : (stop + 7) // 8]
+        yield start, np.unpackbits(bits, count=stop - start, bitorder="little")
 
 
 def _popcount(plane: np.ndarray) -> int:
@@ -386,37 +394,58 @@ class Transcript:
         the pulse planes as lists of one value per pulse (labels as 0/1,
         basis codes as their labels, outcomes as +-1), other arrays as lists
         of non-negative integers (``TypeError`` if not 1-d bool or integer,
-        ``ValueError`` if negative).  Each plane is unpacked to a uint8 code
-        per pulse (its bit, or Bob's basis label plus bit).  Numpy spells
-        each array value as a token table or ``_digit_rows`` row,
-        ``json.dumps`` the rest; one join copies it all.
+        ``ValueError`` if negative).  No plane is unpacked: each plane byte
+        picks the row of its eight pulses from its 256-row table in
+        ``_SPELLINGS``; for Bob's bases, a nibble of his label plane and one
+        of his x plane pick the row of four.  A 0/1 array (the key strings)
+        is packed and spelled through the bit table, any other through
+        ``_digit_rows``.  The pulses of a last, partial row are spelled
+        through the per-pulse tokens.  The NUL padding is stripped only from
+        the lists whose rows differ in width (Bob's bases, the outcomes and
+        the indices).  ``json.dumps`` spells the rest, each list is decoded
+        on its own, and one join builds the document.
         """
-        codes = {name: _unpack(getattr(self, name), self.params.pulse_pairs) for name in _PLANES}
-        codes["bases_b"] += codes["labels_b"]
+        lab, x = self.labels_b, self.bases_b
+        index = {name: getattr(self, name) for name in _PLANES}
+        index["bases_b"] = np.stack([lab & 0x0F | x << 4, lab >> 4 | x & 0xF0], axis=-1).ravel()
         parts = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in codes:
-                text = _join_rows(_PLANE_TOKENS[f.name].take(codes[f.name]))
+            if f.name in index:
+                pieces = _spell(index[f.name], self.params.pulse_pairs, _SPELLINGS[f.name])
             elif isinstance(value, np.ndarray):
-                text = _json_naturals(value)
+                pieces = _json_naturals(value)
             else:
-                text = json.dumps(value.as_dict() if isinstance(value, ProtocolParams) else value)
-            parts += [", " if parts else "{", json.dumps(f.name), ": ", text]
+                value = value.as_dict() if isinstance(value, ProtocolParams) else value
+                pieces = [json.dumps(value)]
+            parts += [", " if parts else "{", json.dumps(f.name), ": ", *pieces]
         return "".join(parts + ["}"])
 
 
-def _json_naturals(a: np.ndarray) -> str:
-    """``json.dumps(a.tolist())`` of a 1-d bool or non-negative integer array (keys, indices)."""
+def _spell(index: np.ndarray, count: int, spelling: tuple) -> list:
+    """The JSON list of ``count`` pulses whose rows of a ``_spelling`` are ``index``, as pieces."""
+    tokens, codes, rows, ragged = spelling
+    full, rest = divmod(count, codes.shape[1])
+    tail = tokens.take(codes[index[full : full + 1], :rest])
+    return _join_rows([rows.take(index[:full]), tail], ragged)
+
+
+def _json_naturals(a: np.ndarray) -> list:
+    """``json.dumps(a.tolist())`` of a 1-d bool or non-negative integer array, as pieces."""
     if a.ndim != 1 or a.dtype.kind not in "biu":
         raise TypeError(f"expected a 1-d bool or integer array, got {a.dtype} {a.shape}")
     if a.min(initial=0) < 0:
         raise ValueError(f"expected non-negative integers, got {a.min()}")
-    return _join_rows(_BIT_TOKENS.take(a) if a.max(initial=0) <= 1 else _digit_rows(a))
+    if a.max(initial=0) <= 1:
+        return _spell(np.packbits(a, bitorder="little"), len(a), _BITS)
+    return _join_rows([_digit_rows(a)])
 
 
-def _join_rows(rows: np.ndarray) -> str:
-    return "[" + rows.tobytes().translate(None, b"\0")[:-2].decode("ascii") + "]"
+def _join_rows(rows: list, ragged: bool = True) -> list:
+    """``[``, the rows' text joined without their NULs (if ``ragged``) and last separator, ``]``."""
+    text = b"".join(rows)
+    text = text.translate(None, b"\0") if ragged else text
+    return ["[", str(memoryview(text)[:-2], "ascii"), "]"]
 
 
 def _digit_rows(a: np.ndarray) -> np.ndarray:
@@ -568,8 +597,9 @@ def label_stage(params: ProtocolParams, seed: int) -> tuple[np.ndarray, np.ndarr
     Alice's labels are read from stream 0, Bob's from stream 1; no other
     stream is built.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    # a bool is no seed, though numpy would read True as 1
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     big_n = params.pulse_pairs
     labels = _plane(big_n), _plane(big_n)
     streams = [_stream(seed, s, big_n) for s in range(len(labels))]

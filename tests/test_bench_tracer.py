@@ -38,6 +38,7 @@ def test_traced_pass_counts(tmp_path):
 
     from diqkd import cli, protocol
     from diqkd.rates import ProtocolParams
+    from helpers import reference_to_json
 
     tracing = load_tracing()
     params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
@@ -57,6 +58,7 @@ def test_traced_pass_counts(tmp_path):
             assert protocol.run_protocol(params, source, seed=1).abort is None
         keyed_run = protocol.run_protocol(keyed, protocol.DepolarizingSource(0.0), seed=7)
         assert keyed_run.abort is None and keyed_run.key_report["l"] > 0
+        keyed_run.to_json()
         assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
         cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
     metrics = tracing.layer_metrics(tracer)
@@ -65,7 +67,8 @@ def test_traced_pass_counts(tmp_path):
     # run builds one for its one chunk of pulses; one CHSH measurement for the
     # whole 4x4 verify-squash grid (one block of rows), and one apply in all:
     # the keyed run's privacy amplification (the correctness hash is drawn, not
-    # applied, and the two runs at params have l = 0)
+    # applied, and the two runs at params have l = 0); the writer's span and
+    # byte count are the keyed run's one document
     assert {name: metrics[name] for name in EXACT} == {
         "protocol.joint_outcome_pmf.calls": 18,
         "protocol.pulses": 2 * pulses + keyed.pulse_pairs,
@@ -77,7 +80,9 @@ def test_traced_pass_counts(tmp_path):
         "squash.verify_squash_conditions.calls": 1,
         "linalg.min_eigenvalue.calls": 3,
         "linalg.adjoint_apply.calls": 2,
+        "protocol.to_json.bytes": len(reference_to_json(keyed_run)),
     }
+    assert metrics["protocol.to_json.s"] > 0
     assert metrics["protocol.array_bytes"] > 0
     assert sum(metrics[f"squash.nogo_{status}"] for status in NOGO_STATUSES) == 2
     assert metrics["cli.out_bytes"] == sum(
@@ -96,5 +101,6 @@ EXACT = (
     "squash.verify_squash_conditions.calls",
     "linalg.min_eigenvalue.calls",
     "linalg.adjoint_apply.calls",
+    "protocol.to_json.bytes",
 )
 NOGO_STATUSES = ("feasible", "infeasible", "inconclusive")

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,8 @@ from diqkd.protocol import (
     Transcript,
     _BUCKET_BITS,
     _CHUNK,
-    _PLANE_TOKENS,
+    _PLANES,
+    _SPELLINGS,
     _SPLIT,
     _below,
     _bucket_table,
@@ -125,7 +128,7 @@ class TestEstimator:
     )
     def test_plane_of_other_dtype_or_shape_rejected(self, name, plane):
         t = self.build([0], [1], [1], [1])
-        planes = {p: getattr(t, p) for p in _PLANE_TOKENS} | {name: plane}
+        planes = {p: getattr(t, p) for p in _PLANES} | {name: plane}
         with pytest.raises(ValueError, match=f"{name} must be a uint8 plane"):
             Transcript(1, t.params, t.strategy, 0, **planes)
 
@@ -134,7 +137,7 @@ class TestEstimator:
     @pytest.mark.parametrize("ca", range(len(ALICE_BASES)))
     def test_one_round_sign_convention(self, ca, cb, ra, rb):
         t = self.build([ca], [cb], [ra], [rb])
-        assert [pulses(t)[name][0] for name in _PLANE_TOKENS] == [1, cb > 0, ca, cb, ra, rb]
+        assert [pulses(t)[name][0] for name in _PLANES] == [1, cb > 0, ca, cb, ra, rb]
         assert estimate_chsh(t) == ra * rb * (-1) ** t_sign(ALICE_BASES[ca], BOB_BASES[cb])
 
     def test_all_agree_zz(self):
@@ -208,6 +211,21 @@ class TestRunProtocol:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
             run_protocol(small_params(), DepolarizingSource(0.03), seed=-1)
+
+    @pytest.mark.parametrize("seed", [True, np.bool_(False), 2.5, np.float64(3.0), "3"], ids=repr)
+    def test_rejects_bool_or_non_integral_seed(self, seed):
+        # numpy would run True as seed 1 and die on 2.5 naming no argument
+        for stage in (run_protocol, lambda params, source, seed: label_stage(params, seed)):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+                stage(small_params(), DepolarizingSource(0.03), seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(11), np.uint64(11), 2**64 + 11], ids=repr)
+    def test_integer_seeds_of_any_type_or_size_run(self, seed):
+        t = run_protocol(small_params(), DepolarizingSource(0.03), seed=seed)
+        assert t.seed == int(seed) and type(t.seed) is int
+        if seed == 11:
+            same = run_protocol(small_params(), DepolarizingSource(0.03), seed=11)
+            assert t.to_json() == same.to_json()
 
     def test_index_sets_disjoint_and_sized(self):
         params = small_params()
@@ -556,9 +574,12 @@ def test_label_bound_is_exact(case):
             assert bool(w < bound) == (Fraction(m, 2**53) < exact), (m, low)
 
 
-def pulse_params(big_n: int, q: float = 0.2) -> ProtocolParams:
-    """Parameters of exactly ``big_n`` pulses with wide label margins; the run completes."""
-    n = round(0.7 * big_n * (1 - float(q)) ** 2)
+def pulse_params(big_n: int, q: float = 0.2, fill: float = 0.7) -> ProtocolParams:
+    """Parameters of exactly ``big_n`` pulses whose n is ``fill`` of the expected sifted count.
+
+    At the default fill the label margins are wide and the run completes.
+    """
+    n = round(fill * big_n * (1 - float(q)) ** 2)
     delta = 1 - n / ((big_n - 0.5) * (1 - float(q)) ** 2)
     params = ProtocolParams(n=n, q=q, delta=delta, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=n)
     assert params.pulse_pairs == big_n
@@ -820,6 +841,95 @@ def test_to_json_equals_one_json_dumps(case):
         assert text == python_typed_run().to_json()
 
 
+def with_pulse_residue(params: ProtocolParams, r: int) -> ProtocolParams:
+    """``params`` at the first n from its own whose pulse count is ``r`` mod 8."""
+    bigger = (replace(params, n=n) for n in itertools.count(params.n))
+    return next(p for p in bigger if p.pulse_pairs % 8 == r)
+
+
+@pytest.mark.parametrize("r", range(8))
+def test_to_json_at_every_pulse_count_mod_8(r):
+    # 8000 + r pulses: 1000 whole plane bytes (2000 of Bob's nibble rows) and
+    # a tail of r pulses spelled through the per-pulse tokens
+    big_n = 8000 + r
+    params = pulse_params(big_n)
+    runs = [run_protocol(params, source(big_n), seed=r) for source in PULSE_SOURCES.values()]
+    runs.append(run_protocol(replace(params, s0=0.7), DepolarizingSource(0.3), seed=r))
+    short = pulse_params(big_n, fill=0.99)
+    seed = next(s for s in itertools.count() if label_abort(short, s))
+    runs.append(run_protocol(short, DepolarizingSource(0.05), seed=seed))
+    # the first keyed run from seed 7: at POSITIVE_KEY's margins some seeds abort
+    keyed = with_pulse_residue(POSITIVE_KEY, r)
+    keyed_runs = (run_protocol(keyed, DepolarizingSource(0.0), seed=s) for s in itertools.count(7))
+    runs.append(next(t for t in keyed_runs if t.abort is None))
+    assert [t.params.pulse_pairs % 8 for t in runs] == [r] * 6
+    assert [t.abort for t in runs] == [None] * 3 + [ABORT_CHSH, ABORT_INSUFFICIENT, None]
+    # the keyless runs' secret keys are empty lists, the aborted runs' null
+    key_lengths = [None if t.secret_key_a is None else len(t.secret_key_a) for t in runs[:5]]
+    assert key_lengths == [0, 0, 0, None, None]
+    assert len(runs[-1].secret_key_a) == runs[-1].key_report["l"] > 0
+    for t in runs:
+        assert t.to_json() == reference_to_json(t)
+
+
+def test_json_list_spells_basis_labels():
+    # random basis codes, Bob's x only where his label is set, spelled from
+    # the packed planes with and without a partial last byte
+    rng = np.random.default_rng(6)
+    for big_n in (8000, 8003):
+        labels = rng.random((2, big_n)) < 0.5
+        bases_a = rng.integers(0, 2, big_n)
+        bases_b = labels[1].astype(int) + (labels[1] & (rng.random(big_n) < 0.5))
+        signs = np.ones(big_n)
+        planes = pack_pulses(*labels, bases_a, bases_b, signs, signs)
+        doc = json.loads(Transcript(1, pulse_params(big_n), {"kind": "test"}, 0, **planes).to_json())
+        assert doc["bases_a"] == [ALICE_BASES[c] for c in bases_a]
+        assert doc["bases_b"] == [BOB_BASES[c] for c in bases_b]
+
+
+def test_spelling_rows_join_their_pulse_tokens():
+    # row v of a byte table spells the eight pulses of a plane byte v, pulse j its bit j
+    values = dict.fromkeys(_PLANES[:2], (0, 1)) | dict.fromkeys(_PLANES[4:], (1, -1))
+    for name, vals in (values | {"bases_a": ALICE_BASES}).items():
+        rows = _SPELLINGS[name][2]
+        for v in range(256):
+            tokens = [json.dumps(vals[v >> j & 1]) + ", " for j in range(8)]
+            assert rows[v] == "".join(tokens).encode()
+    # Bob's row of a label nibble below an x nibble: four pulses, each code
+    # label plus x, at every valid (label, x) pair of each pulse
+    rows = _SPELLINGS["bases_b"][2]
+    for pulses4 in itertools.product([(0, 0), (1, 0), (1, 1)], repeat=4):
+        v = sum(label << j | x << (j + 4) for j, (label, x) in enumerate(pulses4))
+        assert rows[v] == "".join(json.dumps(BOB_BASES[sum(p)]) + ", " for p in pulses4).encode()
+    # the NUL strip runs for the lists whose rows differ in width
+    ragged = [name for name in _PLANES if _SPELLINGS[name][3]]
+    assert ragged == ["bases_b", "outcomes_a", "outcomes_b"]
+
+
+def test_to_json_peak_is_bounded_by_the_document():
+    # the mc-1e5 benchmark's shape: N = 100,000 pulses and a 3.17 MB document.
+    # The traced peak is the lists' text beside the joined document, 2.01
+    # times the document's length (6.37 MB); a writer that unpacked all six
+    # planes peaked at 2.19 times (6.94 MB).
+    params = ProtocolParams(
+        n=46550, q=0.3, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9, f_ec=1.0, l_syn=100_000
+    )
+    t = run_protocol(params, DepolarizingSource(0.02), seed=1)
+    assert params.pulse_pairs == 100_000 and t.abort is None
+    tracemalloc.start()
+    try:
+        text = t.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.15 * len(text), (peak, len(text))
+
+
+def joined(pieces) -> str:
+    """The text of a JSON list given as pieces."""
+    return "".join(pieces)
+
+
 INT64 = np.iinfo(np.int64)
 POWERS = [10**k for k in range(19)]
 JSON_LISTS = {
@@ -840,7 +950,7 @@ JSON_LISTS = {
 def test_json_list_equals_json_dumps(case):
     a = JSON_LISTS[case]
     expected = json.dumps((a.view(np.int8) if a.dtype == bool else a).tolist())
-    assert _json_naturals(a) == expected
+    assert joined(_json_naturals(a)) == expected
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
@@ -848,7 +958,7 @@ def test_json_list_random_values(dtype):
     # from 0: the arrays a transcript holds beside its planes are key bits and indices
     info = np.iinfo(dtype)
     a = np.random.default_rng(5).integers(0, info.max, 2000, dtype=dtype, endpoint=True)
-    assert _json_naturals(a) == json.dumps(a.tolist())
+    assert joined(_json_naturals(a)) == json.dumps(a.tolist())
 
 
 def int64_examples(test):
@@ -862,15 +972,16 @@ def int64_examples(test):
 @settings(deadline=None)
 @given(hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, INT64.max)))
 def test_digit_rows_equals_json_dumps(a):
-    assert _join_rows(_digit_rows(a)) == json.dumps(a.tolist())
+    assert joined(_join_rows([_digit_rows(a)])) == json.dumps(a.tolist())
 
 
-def test_json_list_spells_basis_labels():
-    codes = np.random.default_rng(6).integers(0, 3, 1000).astype(np.uint8)
-    assert _join_rows(_PLANE_TOKENS["bases_b"].take(codes)) == json.dumps(
-        [BOB_BASES[c] for c in codes]
-    )
-    assert _join_rows(_PLANE_TOKENS["bases_a"].take(codes[:0])) == "[]"
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.uint64])
+def test_json_list_packs_bit_strings_of_every_length(dtype):
+    # a 0/1 array (a key string) is packed and spelled eight bits per row of
+    # the bit table, its last partial byte bit by bit: every length mod 8
+    bits = np.random.default_rng(6).integers(0, 2, 40).astype(dtype)
+    for k in range(len(bits) + 1):
+        assert joined(_json_naturals(bits[:k])) == json.dumps(bits[:k].astype(int).tolist())
 
 
 @pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 2), dtype=np.int8)], ids=["float", "2-d"])
