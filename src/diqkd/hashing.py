@@ -13,7 +13,7 @@ read as eight little-endian bytes.  These are the bits
 range-2 draw takes one byte per value and keeps its top bit), read straight
 from the stream.  A hash holds only its seed and lengths: ``window`` draws
 any stretch of ``d`` from ``PCG64(seed)`` advanced to its first word, and
-the kernel draws each window as it reads it, so no diagonal string is held.
+an apply reads every window from one such generator: no string is held.
 
 One kernel, a tiled, blocked FFT, serves every output length: the
 correctness hash and privacy amplification alike.  The product
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -151,9 +152,14 @@ class ToeplitzHash:
 
     def window(self, start: int, stop: int) -> np.ndarray:
         """Read-only diagonals ``[start, min(stop, in_len + out_len - 1))``, drawn from the seed."""
+        return self._window(np.random.PCG64(self.seed), start, stop)
+
+    def _window(self, bitgen: np.random.PCG64, start: int, stop: int) -> np.ndarray:
+        """``window`` drawn from ``bitgen`` at word 0 of the seed's stream, and moved back there."""
         stop = min(stop, self.in_len + self.out_len - 1)
-        first = start // 8
-        raw = np.random.PCG64(self.seed).advance(first).random_raw(-(-stop // 8) - first)
+        first, last = start // 8, -(-stop // 8)
+        raw = bitgen.advance(first).random_raw(last - first)
+        bitgen.advance(-last % 2**128)  # an advance is modulo the period: back by last words
         stream = raw.astype("<u8", copy=False).view(np.uint8)
         stream >>= 7
         bits = stream[start - 8 * first : stop - 8 * first]
@@ -174,7 +180,8 @@ class ToeplitzHash:
         # a cast from a wider type can wrap a value to a bit (256 -> 0)
         if bits.max() > 1 or (bits is not x and not np.array_equal(bits, x)):
             raise ValueError("input must hold only the bits 0 and 1")
-        return _gf2_toeplitz_apply(self.window, bits, self.out_len)
+        window = partial(self._window, np.random.PCG64(self.seed))
+        return _gf2_toeplitz_apply(window, bits, self.out_len)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)

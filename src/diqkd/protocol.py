@@ -44,13 +44,14 @@ these are the float rules ``u < q``, ``u < 1/2`` and ``#{k : u >=
 cumsum(pmf)[row, k]}`` on ``Generator.random``'s ``u = (w >> 11) 2^-53``,
 bit for bit.  The index selection (``Generator.choice``) and the two hash
 seeds (``Generator.integers``) read the generator from word ``5 N`` on.
-Each stream is read from a copy of the bit generator advanced to its
-start: the label stage (``label_stage``) reads streams 0 and 1, the labels,
-which alone decide the ``insufficient_pulses`` abort and the index
-selection; the pulse stage then reads streams 2-4.  Both walk the pulses in
-chunks of ``_CHUNK``.  A pulse's bits depend only on its own five words and
-its row of the Born-rule table, so the chunked stages write the bits of
-whole-array draws with O(``_CHUNK``) temporaries.
+The streams are read in order, ``_CHUNK`` words at a time: the label stage
+(``label_stage``) streams 0 and 1 from ``PCG64(seed)``, the labels, which
+alone decide the ``insufficient_pulses`` abort and the index selection; the
+pulse stage then streams 2-4 from a ``PCG64(seed)`` advanced past them.
+Labels and basis coins are Bernoulli planes (``_bernoulli``), a bit set where
+a word is below its rule's bound.  A pulse's bits depend only on its own five
+words and its row of the Born-rule table, so the chunked stages write the bits
+of whole-array draws with O(``_CHUNK``) temporaries.
 
 A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
 ``np.packbits`` of one bit per pulse, little-endian within each byte:
@@ -304,9 +305,8 @@ def outcomes_from_uniforms(
         codes = np.empty(len(words), dtype=np.uint8)
         exact = np.arange(len(words))
     else:
-        # row and top bits in one uint16 key; the shift runs on uint64, then narrows
-        key = np.empty(len(words), dtype=np.uint16)
-        np.right_shift(words, np.uint64(64 - _BUCKET_BITS), out=key, casting="unsafe")
+        # row and top bits in one uint16 key: the top bits from each word's top uint16
+        key = words.astype("<u8", copy=False).view("<u2")[3::4] >> (16 - _BUCKET_BITS)
         key |= np.left_shift(rows, _BUCKET_BITS, dtype=np.uint16)
         codes = buckets.take(key)
         exact = np.flatnonzero(codes == _SPLIT)
@@ -586,28 +586,25 @@ def _indices(sel: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _stream(seed: int, s: int, big_n: int) -> np.random.PCG64:
-    """The bit generator of run ``seed`` advanced to the start of stream ``s``, ``s N`` words on."""
-    return np.random.PCG64(seed).advance(s * big_n)
+def _bernoulli(stream: np.random.PCG64, big_n: int, bound: np.uint64) -> np.ndarray:
+    """The bit plane set where each of the next ``big_n`` words of ``stream`` is below ``bound``."""
+    plane = _plane(big_n)
+    for start in range(0, big_n, _CHUNK):
+        _put(plane, start, stream.random_raw(min(_CHUNK, big_n - start)) < bound)
+    return plane
 
 
 def label_stage(params: ProtocolParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Both parties' label planes of run ``seed``, set for a sample candidate.
 
-    Alice's labels are read from stream 0, Bob's from stream 1; no other
-    stream is built.
+    Alice's labels are the Bernoulli plane of stream 0, Bob's of stream 1,
+    read in order from one ``PCG64(seed)``.
     """
     # a bool is no seed, though numpy would read True as 1
     if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    big_n = params.pulse_pairs
-    labels = _plane(big_n), _plane(big_n)
-    streams = [_stream(seed, s, big_n) for s in range(len(labels))]
-    bound = _below(params.q)
-    for start in range(0, big_n, _CHUNK):
-        for stream, plane in zip(streams, labels):
-            _put(plane, start, stream.random_raw(min(_CHUNK, big_n - start)) < bound)
-    return labels
+    stream, bound, big_n = np.random.PCG64(seed), _below(params.q), params.pulse_pairs
+    return _bernoulli(stream, big_n, bound), _bernoulli(stream, big_n, bound)
 
 
 def _candidates(params: ProtocolParams, labels_a: np.ndarray, labels_b: np.ndarray):
@@ -634,43 +631,38 @@ def insufficient_pulses(params: ProtocolParams, labels_a: np.ndarray, labels_b: 
 def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b, sel) -> tuple:
     """The basis and outcome planes of run ``seed`` by field name, and its two sifted strings.
 
-    The planes are read from streams 2-4.  ``sel`` is the sifted selection
-    (``_select``), or None for a run that its labels abort.  As each chunk's
-    outcome codes are drawn, the codes at its offsets ``sel[c]`` give Alice's
-    and Bob's sifted bits in order: the two rows of n bytes of the strings,
-    None without ``sel``.
+    Streams 2-4 are read in order from one ``PCG64(seed)`` advanced past the
+    labels.  A basis plane is the Bernoulli plane of a party's coins and its
+    label plane: a party measures x only on a pulse it labelled.  ``sel`` is
+    the sifted selection (``_select``), or None for a run that its labels
+    abort; as each chunk's outcomes are drawn, the codes at its offsets
+    ``sel[c]`` fill the two n-byte rows of the strings (None without ``sel``).
     """
-    coins_a, coins_b, outcome_words = (_stream(seed, s, big_n) for s in (2, 3, 4))
-    planes = {name: _plane(big_n) for name in _PLANES[2:]}
+    stream = np.random.PCG64(seed).advance(2 * big_n)
+    bases_a = _bernoulli(stream, big_n, _COIN)
+    bases_a &= labels_a
+    bases_b = _bernoulli(stream, big_n, _COIN)
+    bases_b &= labels_b
+    outcomes_a, outcomes_b = _plane(big_n), _plane(big_n)
     keys = None if sel is None else np.empty((2, sum(map(len, sel))), dtype=np.uint8)
     tables = getattr(strategy, "outcome_tables", None)
     done = 0
-    for (start, la), (_, lb) in zip(_chunks(labels_a, big_n), _chunks(labels_b, big_n)):
-        stop = start + len(la)
-        la, lb = la.view(bool), lb.view(bool)
-        # One coin per pulse regardless of label: pulse i's words are word i
-        # of each stream, whatever the chunk boundaries.
-        xa = coins_a.random_raw(stop - start) < _COIN
-        xa &= la
-        xb = coins_b.random_raw(stop - start) < _COIN
-        xb &= lb
-        rows = xa * np.uint8(len(BOB_BASES))
-        rows += lb
-        rows += xb
+    walk = zip(_chunks(bases_a, big_n), _chunks(labels_b, big_n), _chunks(bases_b, big_n))
+    for (start, xa), (_, lb), (_, xb) in walk:
+        rows = xa * np.uint8(len(BOB_BASES)) + lb + xb
         # a source without tables has its Born-rule rows built per chunk
-        chunk = slice(start, stop)
+        chunk = slice(start, start + len(xa))
         thresholds, buckets = tables or (_thresholds(_pmf_table(strategy, chunk)), None)
-        words = outcome_words.random_raw(stop - start)
+        words = stream.random_raw(len(xa))
         codes = outcomes_from_uniforms(thresholds, words, rows=rows, buckets=buckets)
-        # codes follow joint_outcome_pmf's order (+,+), (+,-), (-,+), (-,-):
-        # Alice's -1 is the high bit, Bob's the low one
-        for plane, bits in zip(planes.values(), (xa, xb, codes >= 2, codes & 1)):
-            _put(plane, start, bits)
+        # codes are (+,+), (+,-), (-,+), (-,-): Alice's -1 is the high bit, Bob's the low one
+        _put(outcomes_a, start, codes >= 2)
+        _put(outcomes_b, start, codes & 1)
         if keys is not None:
             here = codes.take(sel[start // _CHUNK])
             keys[:, done : done + len(here)] = here >> 1, here & 1
             done += len(here)
-    return planes, keys
+    return dict(zip(_PLANES[2:], (bases_a, bases_b, outcomes_a, outcomes_b))), keys
 
 
 def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
@@ -691,7 +683,7 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     if candidates is not None:
         # The selection reads only the labels and the generator past the five
         # pulse streams, so it is drawn before them.
-        rng = np.random.Generator(_stream(seed, _STREAMS, big_n))
+        rng = np.random.Generator(np.random.PCG64(seed).advance(_STREAMS * big_n))
         # popped, so that the sample plane is not held beside the sifted draw
         sel_smp = _select(rng, *candidates.pop(0), big_n, params.l_smp)
         sel_sif = _select(rng, *candidates.pop(0), big_n, params.n)

@@ -2,7 +2,8 @@
 
 Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, bit packing and
-unpacking, and a transcript's bit planes unpacked to pulse values.
+unpacking, and a transcript's bit planes unpacked to pulse values.  A
+counter of the bit generators a call builds.
 Reference forms of fast kernels: the hash diagonals through
 ``Generator.integers``, the raw-byte draw's; the protocol's pulse stage
 drawn whole-array from ``Generator.random`` floats, the chunked word
@@ -113,6 +114,18 @@ def pulses(t: Transcript) -> dict:
         "outcomes_a": 1 - 2 * bits["outcomes_a"].view(np.int8),
         "outcomes_b": 1 - 2 * bits["outcomes_b"].view(np.int8),
     }
+
+
+def count_bit_generators(monkeypatch) -> list:
+    """The seed arguments of every ``np.random.PCG64`` built from now on, in order."""
+    built, real = [], np.random.PCG64
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    return built
 
 
 def reference_outcomes(pmfs: np.ndarray, uniforms: np.ndarray, rows: np.ndarray) -> np.ndarray:

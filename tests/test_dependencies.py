@@ -97,10 +97,10 @@ def test_draws_are_raw_words_but_the_documented_generator_calls():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in files}
     found = {name: draw_calls(tree) for name, tree in trees.items()}
     assert {name: dict(calls) for name, calls in found.items() if calls} == {
-        "hashing.py": {("window", "random_raw"): 1},
+        "hashing.py": {("_window", "random_raw"): 1},
         "protocol.py": {
-            ("label_stage", "random_raw"): 1,
-            ("_pulse_stage", "random_raw"): 3,
+            ("_bernoulli", "random_raw"): 1,
+            ("_pulse_stage", "random_raw"): 1,
             ("_select", "choice"): 1,
             ("run_protocol", "integers"): 2,
             ("_noise_gap_core", "multinomial"): 1,

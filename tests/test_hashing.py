@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from diqkd import hashing
 from diqkd.hashing import ToeplitzHash, _gf2_toeplitz_apply, _plan, _smooth_size
-from helpers import pack_bits, reference_diagonals, unpack_bits
+from helpers import count_bit_generators, pack_bits, reference_diagonals, unpack_bits
 
 
 def toeplitz_matrix(diagonals: np.ndarray, in_len: int) -> np.ndarray:
@@ -294,6 +294,20 @@ def test_packed_window_at_offset_zero():
     y = _gf2_toeplitz_apply(lambda start, stop: diagonals[start:stop], x, 1)
     assert np.array_equal(y, toeplitz_matrix(diagonals, 65) @ x % 2)
     assert np.array_equal(y, [0])
+
+
+def test_apply_seeds_one_bit_generator(monkeypatch):
+    # three tiles of five blocks: the apply's 15 windows, the later tiles'
+    # starting before the earlier tiles' ends, are drawn from one generator
+    monkeypatch.setattr(hashing, "_MAX_TILE", 16)
+    in_len, out_len = 50_000, 40
+    h = ToeplitzHash.sample(in_len, out_len, seed=9)
+    x = np.random.default_rng(9).integers(0, 2, in_len, dtype=np.uint8)
+    expected = toeplitz_matrix(h.diagonals, in_len) @ x % 2
+    built = count_bit_generators(monkeypatch)
+    y = h(x)
+    assert built == [(9,)]
+    assert np.array_equal(y, expected)
 
 
 def test_short_output_apply_memory_is_bounded():

@@ -53,6 +53,7 @@ from diqkd.protocol import (
 )
 from diqkd.rates import ProtocolParams, syndrome_budget
 from helpers import (
+    count_bit_generators,
     pack_pulses,
     pulses,
     random_density,
@@ -645,6 +646,21 @@ def test_chunked_pulse_stage_equals_whole_array_draws(case):
     # are the reference outcome bits (1 for -1) at i_sif, across every chunk edge
     for key, name in ((t.sifted_key, "outcomes_a"), (t.bob_raw, "outcomes_b")):
         assert key.dtype == np.uint8 and np.array_equal(key, ref[name][t.i_sif] < 0), name
+
+
+def test_run_reads_its_streams_in_order_from_three_bit_generators(monkeypatch):
+    # one for the labels (streams 0-1), one for the coins and outcomes (2-4)
+    # and one for the selection and the hash seeds; a keyed run's privacy
+    # amplification apply seeds a fourth
+    big_n = 2 * _CHUNK + 7
+    built = count_bit_generators(monkeypatch)
+    t = run_protocol(pulse_params(big_n), DepolarizingSource(0.02), seed=7)
+    assert t.abort is None and t.key_report["l"] == 0
+    assert built == [(7,)] * 3
+    built.clear()
+    t = run_protocol(POSITIVE_KEY, DepolarizingSource(0.0), seed=7)
+    assert t.key_report["l"] > 0
+    assert built == [(7,)] * 3 + [(t.fpa["seed"],)]
 
 
 # numpy's choice without replacement runs Floyd's algorithm for pop <= 10,000
