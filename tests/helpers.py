@@ -2,30 +2,18 @@
 
 Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, bit packing and
-unpacking, and a transcript's bit planes unpacked to pulse values.  A
-counter of the bit generators a call builds.
-Reference forms of fast kernels: the hash diagonals through
-``Generator.integers``, the raw-byte draw's; the protocol's pulse stage
-drawn whole-array from ``Generator.random`` floats, the chunked word
-kernel's reference, and its arrays packed into transcript planes; and the
-transcript document through one ``json.dumps``, the numpy encoder's.
+unpacking, pulse arrays packed into a transcript's bit planes and its
+planes unpacked to pulse values.  A counter of the bit generators a call
+builds.  Reference forms of fast kernels: the ``verify-squash`` document
+from one stacked call per alpha row, and the Dykstra loop through
+``einsum`` projections.  The definition of a protocol run is ``spec.py``.
 """
-
-import json
-from dataclasses import fields
 
 import numpy as np
 
 from diqkd import squash
 from diqkd.linalg import QuantumChannel, identity, require_hermitian
-from diqkd.protocol import (
-    _PLANES,
-    ALICE_BASES,
-    BOB_BASES,
-    Transcript,
-    joint_outcome_pmf,
-)
-from diqkd.rates import ProtocolParams
+from diqkd.protocol import _PLANES, BOB_BASES, Transcript
 from diqkd.squash import (
     ChoiMatrix,
     FeasibilityReport,
@@ -76,11 +64,6 @@ def partial_trace_out(matrix: np.ndarray, in_dim: int, out_dim: int) -> np.ndarr
     return np.trace(t, axis1=1, axis2=3)
 
 
-def reference_diagonals(size: int, seed: int) -> np.ndarray:
-    """``ToeplitzHash`` diagonals drawn through ``Generator.integers``."""
-    return np.random.default_rng(seed).integers(0, 2, size, dtype=np.uint8)
-
-
 def pack_bits(bits: np.ndarray) -> bytes:
     """Pack a 0/1 vector into bytes, little-endian bit order within each byte."""
     return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
@@ -128,51 +111,6 @@ def count_bit_generators(monkeypatch) -> list:
     return built
 
 
-def reference_outcomes(pmfs: np.ndarray, uniforms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Float outcome codes: how many cumulative sums of ``pmfs[rows[i]]`` uniform ``i`` reaches.
-
-    The inverse CDF of the per-pulse distributions that
-    ``diqkd.protocol.outcomes_from_uniforms`` computes on integer words.
-    """
-    cum = np.cumsum(pmfs, axis=1).T.copy()
-    codes = np.zeros(len(uniforms), dtype=np.int8)
-    for col in cum[:3]:
-        codes += uniforms >= col.take(rows)
-    return codes
-
-
-def unchunked_pulse_stage(params, source, seed: int) -> dict:
-    """Pulse arrays of ``run_protocol`` from five whole-array draws, and the generator after them.
-
-    The draws come in stream order (Alice's and Bob's labels, their basis
-    coins, the outcome uniforms), each ``rng.random(N)`` in one piece, and
-    one ``reference_outcomes`` call maps all N pulses.
-    """
-    rng = np.random.default_rng(seed)
-    big_n = params.pulse_pairs
-    labels_a = rng.random(big_n) < params.q
-    labels_b = rng.random(big_n) < params.q
-    bases_a = (labels_a & (rng.random(big_n) < 0.5)).view(np.int8)
-    bases_b = labels_b.view(np.int8) + (labels_b & (rng.random(big_n) < 0.5)).view(np.int8)
-    uniforms = rng.random(big_n)
-    ops_a = np.stack(np.broadcast_arrays(*(source.alice_ops[c] for c in ALICE_BASES)))
-    ops_b = np.stack(np.broadcast_arrays(*(source.bob_ops[c] for c in BOB_BASES)))
-    table = joint_outcome_pmf(source.rho, ops_a[:, None], ops_b[None, :]).reshape(-1, 4)
-    rows = bases_a * len(BOB_BASES) + bases_b
-    if source.rho.ndim == 3:
-        rows = rows * np.int64(big_n) + np.arange(big_n)
-    codes = reference_outcomes(table, uniforms, rows)
-    return {
-        "labels_a": labels_a,
-        "labels_b": labels_b,
-        "bases_a": bases_a,
-        "bases_b": bases_b,
-        "outcomes_a": np.where(codes < 2, np.int8(1), np.int8(-1)),
-        "outcomes_b": np.where(codes & 1, np.int8(-1), np.int8(1)),
-        "rng": rng,
-    }
-
-
 def pack_pulses(labels_a, labels_b, bases_a, bases_b, outcomes_a, outcomes_b) -> dict:
     """The ``Transcript`` bit planes of pulse arrays in ``pulses`` form.
 
@@ -191,26 +129,6 @@ def pack_pulses(labels_a, labels_b, bases_a, bases_b, outcomes_a, outcomes_b) ->
         "outcomes_a": pack(np.asarray(outcomes_a) < 0),
         "outcomes_b": pack(np.asarray(outcomes_b) < 0),
     }
-
-
-def reference_to_json(t: Transcript) -> str:
-    """``Transcript.to_json`` as one ``json.dumps`` of the field document."""
-    labels = {
-        "bases_a": np.array(ALICE_BASES, dtype=object),
-        "bases_b": np.array(BOB_BASES, dtype=object),
-    }
-    values = pulses(t)
-    doc = {}
-    for f in fields(t):
-        value = values.get(f.name, getattr(t, f.name))
-        if f.name in labels:
-            value = labels[f.name][value]
-        elif isinstance(value, ProtocolParams):
-            value = value.as_dict()
-        if isinstance(value, np.ndarray):
-            value = (value.view(np.int8) if value.dtype == bool else value).tolist()
-        doc[f.name] = value
-    return json.dumps(doc)
 
 
 def reference_verify_squash_doc(grid: int, tol: float = 1e-9) -> dict:

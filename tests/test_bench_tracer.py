@@ -34,11 +34,13 @@ def test_every_traced_entry_point_resolves_on_its_owner():
 def test_traced_pass_counts(tmp_path):
     # every wrapper and hook runs on real calls: the outcome hook unpacks the
     # positional (thresholds, words) of outcomes_from_uniforms, and the counts are exact
+    import json
+
     import numpy as np
 
     from diqkd import cli, protocol
     from diqkd.rates import ProtocolParams
-    from helpers import reference_to_json
+    from spec import spec_run
 
     tracing = load_tracing()
     params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
@@ -62,6 +64,7 @@ def test_traced_pass_counts(tmp_path):
         assert cli.main(["verify-squash", "--grid", "4", "--out", str(tmp_path / "sq.json")]) == 0
         cli.main(["nogo", "--grid", "2", "--out", str(tmp_path / "nogo.json")])
     metrics = tracing.layer_metrics(tracer)
+    keyed_doc = spec_run(keyed, protocol.DepolarizingSource(0.0), 7)
     # six Born-rule calls, one per pair of bases, for each table: each i.i.d.
     # source built inside the block (two) builds its table once, and the custom
     # run builds one for its one chunk of pulses; one CHSH measurement for the
@@ -80,7 +83,7 @@ def test_traced_pass_counts(tmp_path):
         "squash.verify_squash_conditions.calls": 1,
         "linalg.min_eigenvalue.calls": 3,
         "linalg.adjoint_apply.calls": 2,
-        "protocol.to_json.bytes": len(reference_to_json(keyed_run)),
+        "protocol.to_json.bytes": len(json.dumps(keyed_doc)),
     }
     assert metrics["protocol.to_json.s"] > 0
     assert metrics["protocol.array_bytes"] > 0

@@ -1,6 +1,7 @@
 """The package imports numpy and the standard library, nothing else, and uses every private name.
 
-It also draws random numbers only as the protocol module documents.
+It also draws random numbers only as the protocol module documents, and the
+definition of a run in ``spec.py`` reads none of the code that it defines.
 """
 
 import ast
@@ -108,3 +109,19 @@ def test_draws_are_raw_words_but_the_documented_generator_calls():
         },
     }
     assert not [path.name for path in files if ".random(" in path.read_text()]
+
+
+
+def test_spec_reads_public_names_and_none_of_the_code_it_defines():
+    # spec.py, the definition of a run, imports numpy, the standard library and
+    # public diqkd names other than the code under test, reads no private name,
+    # and draws five Generator.random arrays and no raw words
+    spec = Path(__file__).resolve().parent / "spec.py"
+    tree = ast.parse(spec.read_text(), filename=str(spec))
+    assert imported_modules(spec) <= ALLOWED | {"diqkd"}
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "joint_outcome_pmf" in names  # the walk sees the imports
+    defined = {"run_protocol", "label_stage", "outcomes_from_uniforms", "Transcript", "ToeplitzHash"}
+    assert {n for n in names | set(references(tree)) if n[0] == "_" or n in defined} == set()
+    draws = draw_calls(tree)
+    assert draws["spec_run", "random"] == 5 and "random_raw" not in {name for _, name in draws}

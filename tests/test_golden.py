@@ -9,11 +9,14 @@ headers and the transcript serializer were rebuilt on
 ``ProtocolParams.as_dict``, the two ``verify-squash --tol 1e-9`` digests
 before the CHSH and squash functions were made to broadcast over stacks, and
 the two abort-exit digests before the Born-rule table became one stacked
-call and ``run_protocol`` one record filled in stage by stage.
+call and ``run_protocol`` one record filled in stage by stage.  The eight
+transcript digests of the README runs and the abort exits also pin
+``spec.spec_run``, the definition of a run, so that they re-pin from it.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from diqkd.protocol import (
 )
 from diqkd.rates import ProtocolParams, syndrome_budget
 from helpers import pack_bits
+from spec import spec_run
 
 
 def sha256(data) -> str:
@@ -67,8 +71,11 @@ TRANSCRIPT_DIGESTS = {
 
 @pytest.mark.parametrize("kind, seed", sorted(TRANSCRIPT_DIGESTS))
 def test_transcript_digest(kind, seed):
-    t = run_protocol(README_SIMULATE, STRATEGIES[kind](), seed=seed)
-    assert sha256(t.to_json()) == TRANSCRIPT_DIGESTS[kind, seed]
+    source = STRATEGIES[kind]()
+    digest = TRANSCRIPT_DIGESTS[kind, seed]
+    t = run_protocol(README_SIMULATE, source, seed=seed)
+    assert sha256(t.to_json()) == digest
+    assert sha256(json.dumps(spec_run(README_SIMULATE, source, seed))) == digest
 
 
 # One run for each early exit of ``run_protocol``: the label counts fall
@@ -91,9 +98,11 @@ ABORT_RUNS = {
 @pytest.mark.parametrize("abort", sorted(ABORT_RUNS))
 def test_abort_transcript_digest(abort):
     params, seed, digest = ABORT_RUNS[abort]
-    t = run_protocol(params, DepolarizingSource(0.05), seed=seed)
+    source = DepolarizingSource(0.05)
+    t = run_protocol(params, source, seed=seed)
     assert t.abort == abort
     assert sha256(t.to_json()) == digest
+    assert sha256(json.dumps(spec_run(params, source, seed))) == digest
 
 
 def test_custom_source_transcript_digest():

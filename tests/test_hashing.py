@@ -4,20 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from diqkd import hashing
 from diqkd.hashing import ToeplitzHash, _gf2_toeplitz_apply, _plan, _smooth_size
-from helpers import count_bit_generators, pack_bits, reference_diagonals, unpack_bits
-
-
-def toeplitz_matrix(diagonals: np.ndarray, in_len: int) -> np.ndarray:
-    """Dense reference T[i, j] = d[i - j + in_len - 1], as a read-only view.
-
-    Row ``i`` is ``d[i + in_len - 1], ..., d[i]``: window ``out_len - 1 - i``
-    of the reversed diagonals.
-    """
-    return sliding_window_view(diagonals[::-1], in_len)[::-1]
+from helpers import count_bit_generators, pack_bits, unpack_bits
+from spec import diagonals, toeplitz_product
 
 
 def around(length: int) -> tuple[int, ...]:
@@ -226,9 +217,9 @@ def test_hash_holds_no_diagonals():
 @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 12345678901234])
 def test_diagonals_are_the_integers_draw(seed):
     for size in [*range(1, 70), 46_579, 3_000_029, 3_124_287]:
-        diagonals = ToeplitzHash.sample(size, 1, seed).diagonals
-        assert diagonals.dtype == np.uint8
-        assert np.array_equal(diagonals, reference_diagonals(size, seed))
+        drawn = ToeplitzHash.sample(size, 1, seed).diagonals
+        assert drawn.dtype == np.uint8
+        assert np.array_equal(drawn, diagonals(size, seed))
 
 
 def test_zero_maps_to_zero():
@@ -237,21 +228,20 @@ def test_zero_maps_to_zero():
 
 
 def test_dense_reference_matches_definition():
-    h = ToeplitzHash.sample(9, 4, seed=7)
-    t = toeplitz_matrix(h.diagonals, 9)
-    for i in range(4):
-        for j in range(9):
-            assert t[i, j] == h.diagonals[i - j + 8]
+    # the product of unit vector j is column j of T[i, j] = d[i - j + in_len - 1]
+    d = diagonals(12, seed=7)
+    for j, unit in enumerate(np.eye(9, dtype=np.uint8)):
+        assert toeplitz_product(d, unit) == [d[i - j + 8] for i in range(4)]
 
 
 def assert_matches_dense_reference(in_len: int, out_len: int, seeds: int = 20) -> None:
+    # the dense GF(2) product of the definition's diagonals
     rng = np.random.default_rng(3)
     for seed in range(seeds):
         h = ToeplitzHash.sample(in_len, out_len, seed=seed)
-        t = toeplitz_matrix(h.diagonals, in_len)
         x = rng.integers(0, 2, in_len, dtype=np.uint8)
-        # uint8 sums wrap modulo 256, which keeps their parity
-        assert np.array_equal(h(x), (t @ x) % 2)
+        d = diagonals(in_len + out_len - 1, seed)
+        assert np.array_equal(h(x), toeplitz_product(d, x))
 
 
 def test_matches_dense_reference():
@@ -287,12 +277,12 @@ def test_packed_window_at_offset_zero():
     # while the one set diagonal, d[0] = 1, meets only x[64] = 0: a kernel
     # that read d[0] in place of d[64] would give 1.  The crafted diagonals
     # reach the kernel through an array-backed window.
-    diagonals = np.zeros(65, dtype=np.uint8)
-    diagonals[0] = 1
+    d = np.zeros(65, dtype=np.uint8)
+    d[0] = 1
     x = np.zeros(65, dtype=np.uint8)
     x[0] = 1
-    y = _gf2_toeplitz_apply(lambda start, stop: diagonals[start:stop], x, 1)
-    assert np.array_equal(y, toeplitz_matrix(diagonals, 65) @ x % 2)
+    y = _gf2_toeplitz_apply(lambda start, stop: d[start:stop], x, 1)
+    assert np.array_equal(y, toeplitz_product(d, x))
     assert np.array_equal(y, [0])
 
 
@@ -303,7 +293,7 @@ def test_apply_seeds_one_bit_generator(monkeypatch):
     in_len, out_len = 50_000, 40
     h = ToeplitzHash.sample(in_len, out_len, seed=9)
     x = np.random.default_rng(9).integers(0, 2, in_len, dtype=np.uint8)
-    expected = toeplitz_matrix(h.diagonals, in_len) @ x % 2
+    expected = toeplitz_product(diagonals(in_len + out_len - 1, 9), x)
     built = count_bit_generators(monkeypatch)
     y = h(x)
     assert built == [(9,)]
@@ -454,6 +444,27 @@ def test_universal2_collision_bound(out_len):
     p = 2.0**-out_len
     sigma = np.sqrt(p * (1 - p) / samples)
     assert rate <= p + 3 * sigma
+
+
+# The parity of every 16-bit integer (np.bitwise_count needs numpy 2).
+PARITY = np.zeros(1, dtype=bool)
+for _ in range(16):
+    PARITY = np.concatenate([PARITY, ~PARITY])
+
+
+# every diagonal string tried on every nonzero input, at most 2^24 pairs
+@pytest.mark.parametrize("in_len, out_len", [(1, 1), (4, 3), (8, 8), (12, 1), (6, 11)])
+def test_universal2_exactly(in_len, out_len):
+    # By linearity x and x' collide when the hash of x ^ x' vanishes, which
+    # must happen on exactly 2^(in_len - 1) of the strings, a 2^-out_len
+    # fraction: the lowest set bit of x ^ x' makes the product triangular.
+    # As in spec.toeplitz_product, y[i] is the parity of (d >> i) & x.
+    d = np.arange(1 << (in_len + out_len - 1), dtype=np.uint16)
+    x = np.arange(1, 1 << in_len, dtype=np.uint16)[:, None]
+    vanishes = np.ones((len(x), len(d)), dtype=bool)
+    for i in range(out_len):
+        vanishes &= ~PARITY[(d >> i) & x]
+    assert np.array_equal(vanishes.sum(axis=1), np.full(len(x), 1 << (in_len - 1)))
 
 
 def test_single_bit_difference_collision_bound():

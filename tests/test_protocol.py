@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from diqkd import protocol
 from diqkd.chsh import chsh_measurement, t_sign
 from diqkd.hashing import ToeplitzHash
 from diqkd.linalg import identity
@@ -52,15 +54,8 @@ from diqkd.protocol import (
     run_protocol,
 )
 from diqkd.rates import ProtocolParams, syndrome_budget
-from helpers import (
-    count_bit_generators,
-    pack_pulses,
-    pulses,
-    random_density,
-    reference_outcomes,
-    reference_to_json,
-    unchunked_pulse_stage,
-)
+from helpers import count_bit_generators, pack_pulses, pulses, random_density
+from spec import outcome_codes, spec_run
 
 SQRT2 = np.sqrt(2.0)
 
@@ -378,7 +373,7 @@ class TestMemorylessness:
         # each pulse's own row gathered into a pulse-axis table of one row per pulse
         gathered = outcomes_from_uniforms(table[r][:, None], words, rows=np.zeros(500, np.uint8))
         assert got.dtype == np.uint8 and np.array_equal(got, gathered)
-        assert np.array_equal(got, reference_outcomes(pmfs, uniforms(words), r))
+        assert np.array_equal(got, outcome_codes(pmfs[r], uniforms(words)))
 
     def test_shuffled_custom_source_same_statistics(self):
         rng = np.random.default_rng(11)
@@ -523,7 +518,7 @@ def test_word_kernel_on_bucket_edges():
     rng = np.random.default_rng(16)
     words = (m.astype(np.uint64) << np.uint64(11)) | rng.integers(0, 2**11, len(m), dtype=np.uint64)
     words, rows = np.repeat(words, 6), np.tile(np.arange(6, dtype=np.uint8), len(m))
-    expected = reference_outcomes(pmfs, uniforms(words), rows)
+    expected = outcome_codes(pmfs[rows], uniforms(words))
     # the exact path runs, on words in every split bucket of the table
     top = (words >> np.uint64(64 - _BUCKET_BITS)).astype(np.intp)
     keys = rows.astype(np.intp) * (1 << _BUCKET_BITS) + top
@@ -543,7 +538,7 @@ def test_bucket_table_exhaustive(kind):
     lo = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) * np.uint64(BUCKET)
     rows = np.repeat(np.arange(6), len(lo))
     first, last = (
-        reference_outcomes(pmfs, uniforms(np.tile(m << np.uint64(11), 6)), rows).reshape(6, -1)
+        outcome_codes(pmfs[rows], uniforms(np.tile(m << np.uint64(11), 6))).reshape(6, -1)
         for m in (lo, lo + np.uint64(BUCKET - 1))
     )
     assert np.array_equal(buckets == _SPLIT, first != last)
@@ -605,47 +600,138 @@ PULSE_SOURCES = {
 }
 
 
+# The cases that hold each run to its definition, spec_run (tests/spec.py), by
+# the test that runs them: a case is the _CHUNK its runs run at and a function
+# that gives them, each (params, source, seed, abort code, whether l > 0).
 OFFSETS = {"C-1": (1, -1), "C": (1, 0), "C+1": (1, 1), "2C+7": (2, 7)}
-# every source at every chunk edge, and labels at q = 3/10 given exactly and as a float32
-PULSE_CASES = {
-    f"{kind}-{edge}": (kind, edge, 0.2) for kind in sorted(PULSE_SOURCES) for edge in OFFSETS
-}
-PULSE_CASES |= {
-    "depolarizing-C+1-q=3/10": ("depolarizing", "C+1", Fraction(3, 10)),
-    "custom-2C+7-q=float32": ("custom", "2C+7", np.float32(0.3)),
+SMALL = 64
+
+
+def edge_case(kind: str, edge: str, q=0.2, fill: float = 0.7, chunk: int = _CHUNK) -> tuple:
+    big_n, source = OFFSETS[edge][0] * chunk + OFFSETS[edge][1], PULSE_SOURCES[kind]
+    return "edges", chunk, lambda: [(pulse_params(big_n, q, fill), source(big_n), 7, None, False)]
+
+
+def exit_case(params, source, seed, abort=None, keyed=False) -> tuple:
+    return "exits", _CHUNK, lambda: [(params, source, seed, abort, keyed)]
+
+
+def with_pulse_residue(params: ProtocolParams, r: int) -> ProtocolParams:
+    """``params`` at the first n from its own whose pulse count is ``r`` mod 8."""
+    bigger = (replace(params, n=n) for n in itertools.count(params.n))
+    return next(p for p in bigger if p.pulse_pairs % 8 == r)
+
+
+def residue_runs(r: int) -> list:
+    """Every exit at 8000 + r pulses (1000 plane bytes, 2000 of Bob's nibble rows,
+    and r pulses spelled through the per-pulse tokens), and a keyed run at r mod 8."""
+    params, short = pulse_params(8000 + r), pulse_params(8000 + r, fill=0.99)
+    keyed = with_pulse_residue(POSITIVE_KEY, r)
+    runs = [(params, source(8000 + r), r, None, False) for source in PULSE_SOURCES.values()]
+    # the first seed whose labels abort, and the first from 7 whose keyed run
+    # completes: at POSITIVE_KEY's margins some seeds abort
+    runs += [
+        (replace(params, s0=0.7), DepolarizingSource(0.3), r, ABORT_CHSH, False),
+        (short, DepolarizingSource(0.05), (5, 0, 7, 8, 0, 4, 0, 1)[r], ABORT_INSUFFICIENT, False),
+        (keyed, DepolarizingSource(0.0), (7, 7, 7, 7, 7, 7, 7, 9)[r], None, True),
+    ]
+    assert [p.pulse_pairs % 8 for p, *_ in runs] == [r] * 6
+    return runs
+
+
+RUN_CASES = {
+    # the i.i.d. sources at the shipped chunk, where a pulse's offset within its
+    # chunk reaches the uint16 edge 2^16, and every source at a chunk of 64 pulses,
+    # where q = 0.3 and a sifted fill of 0.5 let runs of 63-135 pulses complete;
+    # labels at q = 3/10 given exactly and as a float32
+    **{f"{kind}-{edge}": edge_case(kind, edge) for kind in IID_SOURCES for edge in OFFSETS},
+    "custom-C+1": edge_case("custom", "C+1"),
+    "depolarizing-C+1-q=3/10": edge_case("depolarizing", "C+1", Fraction(3, 10)),
+    **{
+        f"{kind}-{edge}-C={SMALL}": edge_case(kind, edge, 0.3, 0.5, SMALL)
+        for kind in PULSE_SOURCES
+        for edge in OFFSETS
+    },
+    f"custom-2C+7-q=float32-C={SMALL}": edge_case("custom", "2C+7", np.float32(0.3), 0.5, SMALL),
+    # every exit of run_protocol, every source kind, and numpy and Fraction inputs
+    "completed-depolarizing": exit_case(small_params(), DepolarizingSource(0.05), 21),
+    "completed-misaligned": exit_case(small_params(), IID_SOURCES["misaligned"](), 22),
+    "positive-key": exit_case(POSITIVE_KEY, DepolarizingSource(0.0), 7, keyed=True),
+    "insufficient-pulses": exit_case(
+        small_params(delta=0.002, l_syn=500), DepolarizingSource(0.05), 1, ABORT_INSUFFICIENT
+    ),
+    "chsh-failed": exit_case(small_params(s0=0.70), DepolarizingSource(0.3), 3, ABORT_CHSH),
+    "custom": exit_case(pulse_params(1000), pulse_axis_source(1000), 4),
+    "numpy-inputs": exit_case(
+        small_params(n=np.int64(2000), q=np.float32(0.25), l_syn=np.int64(2000)),
+        DepolarizingSource(0.05),
+        np.int64(21),
+    ),
+    "fraction-q": exit_case(small_params(q=Fraction(1, 4)), DepolarizingSource(0.05), 21),
+    # every exit at each pulse count mod 8
+    **{str(r): ("residues", _CHUNK, partial(residue_runs, r)) for r in range(8)},
 }
 
 
-@pytest.mark.parametrize("case", PULSE_CASES)
-def test_chunked_pulse_stage_equals_whole_array_draws(case):
-    kind, edge, q = PULSE_CASES[case]
-    offset = OFFSETS[edge]
-    big_n = offset[0] * _CHUNK + offset[1]
-    params = pulse_params(big_n, q)
-    source = PULSE_SOURCES[kind](big_n)
-    t = run_protocol(params, source, seed=7)
-    ref = unchunked_pulse_stage(params, source, seed=7)
-    values = pulses(t)
-    planes = pack_pulses(**{name: ref[name] for name in values})
-    for name, plane in planes.items():
-        # one bit per pulse: N/8 bytes rounded up, the last byte's padding clear
-        got = getattr(t, name)
-        assert got.dtype == np.uint8 and got.shape == (-(-big_n // 8),), name
-        assert np.array_equal(got, plane), name
-        assert values[name].dtype == ref[name].dtype, name
-        assert np.array_equal(values[name], ref[name]), name
-    # the run's generator continues past all five streams: the whole-array
-    # selection and the next draw, the correctness hash seed, agree with it
-    rng = ref["rng"]
-    both_smp = np.flatnonzero(ref["labels_a"] & ref["labels_b"])
-    both_sif = np.flatnonzero(~ref["labels_a"] & ~ref["labels_b"])
-    assert np.array_equal(t.i_smp, np.sort(rng.choice(both_smp, params.l_smp, replace=False)))
-    assert np.array_equal(t.i_sif, np.sort(rng.choice(both_sif, params.n, replace=False)))
-    assert t.fcor["seed"] == int(rng.integers(2**63))
-    # the pulse stage gathers the sifted strings as it draws each chunk: they
-    # are the reference outcome bits (1 for -1) at i_sif, across every chunk edge
-    for key, name in ((t.sifted_key, "outcomes_a"), (t.bob_raw, "outcomes_b")):
-        assert key.dtype == np.uint8 and np.array_equal(key, ref[name][t.i_sif] < 0), name
+def parting(text: str, spec: str, doc: dict) -> str:
+    """The field and the characters where a document parts from its definition's."""
+    at = next(i for i, (a, b) in enumerate(zip(text + "\0", spec + "\1")) if a != b)
+    field = max(doc, key=lambda name: text.rfind(f'"{name}": ', 0, at + 1))
+    return f"{field} at {at}: {text[at - 30 : at + 30]!r}, spec {spec[at - 30 : at + 30]!r}"
+
+
+def check_runs(case: str, monkeypatch) -> list:
+    """The documents of the runs of ``RUN_CASES[case]``, each checked against its definition."""
+    _, chunk, runs = RUN_CASES[case]
+    monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    texts = []
+    for params, source, seed, abort, keyed in runs():
+        t = run_protocol(params, source, seed)
+        text, doc = t.to_json(), spec_run(params, source, seed)
+        # a flag, since pytest would diff documents of megabytes for minutes
+        same = text == (spec := json.dumps(doc))
+        assert same, parting(text, spec, doc)
+        assert t.abort == abort
+        big_n = params.pulse_pairs
+        for name in _PLANES:
+            # one bit per pulse: N/8 bytes rounded up, the last byte's padding clear
+            plane = getattr(t, name)
+            assert plane.dtype == np.uint8 and plane.shape == (-(-big_n // 8),), name
+            assert not np.unpackbits(plane, bitorder="little")[big_n:].any(), name
+        # the records are JSON-native whatever numeric types the inputs had (doc
+        # is what json.loads gives back); an aborted run's secret key is null, a
+        # completed run's a list of l bits
+        assert doc["seed"] == t.seed and doc["params"]["q"] == float(t.params.q)
+        if abort is None:
+            assert (t.key_report["l"] > 0) == keyed == (t.fpa is not None)
+            assert len(doc["secret_key_a"]) == t.key_report["l"]
+            assert t.sifted_key.dtype == t.bob_raw.dtype == np.uint8
+        else:
+            assert doc["secret_key_a"] is None
+        texts.append(text)
+    return texts
+
+
+def cases_of(part: str) -> list:
+    return [case for case, (p, _, _) in RUN_CASES.items() if p == part]
+
+
+@pytest.mark.parametrize("case", cases_of("edges"))
+def test_chunked_pulse_stage_equals_whole_array_draws(case, monkeypatch):
+    check_runs(case, monkeypatch)
+
+
+@pytest.mark.parametrize("case", cases_of("exits"))
+def test_to_json_equals_one_json_dumps(case, monkeypatch):
+    (text,) = check_runs(case, monkeypatch)
+    if case in ("numpy-inputs", "fraction-q"):
+        # the run given as Python ints and floats
+        assert text == run_protocol(small_params(q=0.25), DepolarizingSource(0.05), 21).to_json()
+
+
+@pytest.mark.parametrize("case", cases_of("residues"))
+def test_to_json_at_every_pulse_count_mod_8(case, monkeypatch):
+    check_runs(case, monkeypatch)
 
 
 def test_run_reads_its_streams_in_order_from_three_bit_generators(monkeypatch):
@@ -775,117 +861,6 @@ def test_custom_source_memory_is_chunk_bounded():
         tracemalloc.stop()
     assert t.abort is None
     assert peak < 150e6, peak
-
-
-def custom_run() -> Transcript:
-    rng = np.random.default_rng(21)
-    params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
-    pulses = params.pulse_pairs
-    source = CustomSource(
-        [depolarized_pair_state(p) for p in rng.uniform(0, 0.2, pulses)],
-        np.exp(1j * rng.uniform(0, 2 * np.pi, pulses)),
-        np.exp(1j * rng.uniform(0, 2 * np.pi, pulses)),
-    )
-    return run_protocol(params, source, seed=4)
-
-
-# Transcripts of every exit of run_protocol: (run, abort code, whether l > 0).
-ENCODER_RUNS = {
-    "completed-depolarizing": (
-        lambda: run_protocol(small_params(), DepolarizingSource(0.05), seed=21), None, False
-    ),
-    "completed-misaligned": (
-        lambda: run_protocol(
-            small_params(), MisalignedSource(np.exp(0.3j), np.exp(-1.2j), 0.02), seed=22
-        ),
-        None,
-        False,
-    ),
-    "positive-key": (
-        lambda: run_protocol(POSITIVE_KEY, DepolarizingSource(0.0), seed=7), None, True
-    ),
-    "insufficient-pulses": (
-        lambda: run_protocol(
-            ProtocolParams(n=2000, q=0.3, delta=0.002, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=500),
-            DepolarizingSource(0.05),
-            seed=1,
-        ),
-        ABORT_INSUFFICIENT,
-        False,
-    ),
-    "chsh-failed": (
-        lambda: run_protocol(small_params(s0=0.70), DepolarizingSource(0.3), seed=3),
-        ABORT_CHSH,
-        False,
-    ),
-    "custom": (custom_run, None, False),
-    "numpy-inputs": (
-        lambda: run_protocol(
-            small_params(n=np.int64(2000), q=np.float32(0.25), l_syn=np.int64(2000)),
-            DepolarizingSource(0.05),
-            seed=np.int64(21),
-        ),
-        None,
-        False,
-    ),
-    "fraction-q": (
-        lambda: run_protocol(small_params(q=Fraction(1, 4)), DepolarizingSource(0.05), seed=21),
-        None,
-        False,
-    ),
-}
-
-
-def python_typed_run() -> Transcript:
-    """The run of the numpy-inputs and fraction-q cases, given as Python ints and floats."""
-    return run_protocol(small_params(q=0.25), DepolarizingSource(0.05), seed=21)
-
-
-@pytest.mark.parametrize("case", sorted(ENCODER_RUNS))
-def test_to_json_equals_one_json_dumps(case):
-    run, abort, keyed = ENCODER_RUNS[case]
-    t = run()
-    assert t.abort == abort
-    if abort is None:
-        assert (t.key_report["l"] > 0) == keyed == (t.fpa is not None)
-    text = t.to_json()
-    assert text == reference_to_json(t)
-    # the records are JSON-native whatever numeric types the inputs had
-    doc = json.loads(text)
-    assert doc["seed"] == t.seed and doc["params"]["q"] == float(t.params.q)
-    if case in ("numpy-inputs", "fraction-q"):
-        assert text == python_typed_run().to_json()
-
-
-def with_pulse_residue(params: ProtocolParams, r: int) -> ProtocolParams:
-    """``params`` at the first n from its own whose pulse count is ``r`` mod 8."""
-    bigger = (replace(params, n=n) for n in itertools.count(params.n))
-    return next(p for p in bigger if p.pulse_pairs % 8 == r)
-
-
-@pytest.mark.parametrize("r", range(8))
-def test_to_json_at_every_pulse_count_mod_8(r):
-    # 8000 + r pulses: 1000 whole plane bytes (2000 of Bob's nibble rows) and
-    # a tail of r pulses spelled through the per-pulse tokens
-    big_n = 8000 + r
-    params = pulse_params(big_n)
-    runs = [run_protocol(params, source(big_n), seed=r) for source in PULSE_SOURCES.values()]
-    runs.append(run_protocol(replace(params, s0=0.7), DepolarizingSource(0.3), seed=r))
-    short = pulse_params(big_n, fill=0.99)
-    seed = next(s for s in itertools.count() if label_abort(short, s))
-    runs.append(run_protocol(short, DepolarizingSource(0.05), seed=seed))
-    # the first keyed run from seed 7: at POSITIVE_KEY's margins some seeds abort
-    keyed = with_pulse_residue(POSITIVE_KEY, r)
-    keyed_runs = (run_protocol(keyed, DepolarizingSource(0.0), seed=s) for s in itertools.count(7))
-    runs.append(next(t for t in keyed_runs if t.abort is None))
-    assert [t.params.pulse_pairs % 8 for t in runs] == [r] * 6
-    assert [t.abort for t in runs] == [None] * 3 + [ABORT_CHSH, ABORT_INSUFFICIENT, None]
-    # the keyless runs' secret keys are empty lists, the aborted runs' null
-    key_lengths = [None if t.secret_key_a is None else len(t.secret_key_a) for t in runs[:5]]
-    assert key_lengths == [0, 0, 0, None, None]
-    assert len(runs[-1].secret_key_a) == runs[-1].key_report["l"] > 0
-    for t in runs:
-        assert t.to_json() == reference_to_json(t)
 
 
 def test_json_list_spells_basis_labels():
