@@ -6,13 +6,11 @@ note of its ``wrote PATH (note)`` line and its verdict; ``main`` alone writes
 the file, prints that line and picks the exit code.  CSV cells use 12
 significant digits; JSON floats are Python's shortest round-trip repr.  A
 JSON file is byte for byte ``json.dump(doc, fh, indent=2)`` plus a newline,
-written one top-level item at a time: a list of rows whose keys are exactly
-``str`` and whose values are exactly ``float``, ``int``, ``bool``, ``str``
-or ``None`` (the ``verify-squash`` and ``nogo`` cells, ``simulate`` runs)
-goes by ``json``'s C encoder, one call per block of at most ``_CHUNK`` rows,
-so that a large grid is never held as one string; any other item is written
-by ``json.dumps`` itself.  The resolved configuration
-is echoed into the output header, and re-running with the same
+written one top-level item at a time: a ``Table`` (the ``verify-squash`` and
+``nogo`` cells, ``simulate`` runs) goes by ``json``'s C encoder, one call per
+block of at most ``_CHUNK`` rows, so that a large grid is never held as one
+string; any other item is written by ``json.dumps`` itself.  The resolved
+configuration is echoed into the output header, and re-running with the same
 configuration and seed produces byte-identical files.  Exit codes: 0 on
 success / all checks passed, 1 on a verification failure, 2 on invalid
 configuration, including an ``--out`` that does not name a file in an
@@ -81,47 +79,53 @@ def _write_csv(path: str, config: dict, header: list, rows: list) -> None:
 _CHUNK = 256
 
 
+@dataclasses.dataclass(frozen=True)
+class Table:
+    """A JSON list of objects held as columns: row ``i`` maps ``keys[j]`` to ``columns[j][i]``.
+
+    ``keys`` are ``str`` and the columns are sequences of equal length.  Each
+    cell must be a JSON scalar (``str``, ``int``, ``float``, ``bool`` or
+    ``None``): the writer encodes cells compactly, so a list cell would be
+    written without json's indents and silently differ from ``json.dump``.
+    """
+
+    keys: tuple
+    columns: list
+
+
 def _write_json(path: str, doc: dict) -> None:
     """Write ``doc`` exactly as ``json.dump(doc, fh, indent=2)`` does, plus a newline.
 
     ``indent`` selects ``json``'s pure-Python encoder, which is slow on the
-    cell tables, so each top-level item is written one of two ways.  A list
-    of rows (non-empty dicts whose keys are exactly ``str``, in the first
-    row's order, and whose values are exactly ``float``, ``int``, ``bool``,
-    ``str`` or ``None``) goes in blocks of ``_CHUNK`` rows: one C-encoder call
-    encodes a block's values, split on a raw NUL (inside a string the encoder
-    escapes it), and one ``%s`` template of the keys and indents lays them
-    out, so at most one block is held as text.  Any other item is the text
+    cell tables, so each top-level item is written one of two ways.  A
+    ``Table`` is written as its list of rows, ``[]`` when it has none, in
+    blocks of ``_CHUNK`` rows: one C-encoder call encodes a block's cells,
+    split on a raw NUL (inside a string the encoder escapes it), and one
+    ``%s`` template of the keys and indents lays them out, so at most one
+    block is held as text.  Any other item is the text
     ``json.dumps({key: value}, indent=2)`` gives it, so keys, nested values
     and the TypeError on a value that is not JSON all come from ``json``.
     """
     encode = json.JSONEncoder(separators=(",\0", ": ")).encode
-    scalars = {float, int, bool, str, type(None)}
     with open(path, "w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
             fh.write("," if i else "")
-            rows = isinstance(value, list) and set(map(type, value)) == {dict}
-            keys = list(value[0]) if rows else []
-            if not (
-                keys
-                and set(map(type, chain.from_iterable(value))) == {str}
-                and all(list(row) == keys for row in value)
-                and set(map(type, chain.from_iterable(map(dict.values, value)))) <= scalars
-            ):
+            if not isinstance(value, Table):
                 fh.write(json.dumps({key: value}, indent=2)[1:-2])
                 continue
             # the key as json writes it, then one template row at the indent of a list item
             fh.write(json.dumps({key: []}, indent=2)[1:-3])
             item = "\n    "
-            fields = (f"{item}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+            fields = (f"{item}  {json.dumps(k).replace('%', '%%')}: %s" for k in value.keys)
             row = "{" + ",".join(fields) + item + "}"
-            for start in range(0, len(value), _CHUNK):
-                block = value[start : start + _CHUNK]
-                cells = encode(list(chain.from_iterable(map(dict.values, block))))[1:-1]
-                text = ("," + item).join([row] * len(block)) % tuple(cells.split(",\0"))
+            rows = len(value.columns[0])
+            for start in range(0, rows, _CHUNK):
+                block = [col[start : start + _CHUNK] for col in value.columns]
+                cells = encode(list(chain.from_iterable(zip(*block))))[1:-1]
+                text = ("," + item).join([row] * len(block[0])) % tuple(cells.split(",\0"))
                 fh.write(("," if start else "") + item + text)
-            fh.write("\n  ]")
+            fh.write("\n  ]" if rows else "]")
         fh.write("\n}\n" if doc else "}\n")
 
 
@@ -216,12 +220,11 @@ def cmd_verify_squash(args):
     angles = angles.tolist()
     columns = [[t for t in angles for _ in angles], angles * args.grid]
     columns += [v.ravel().tolist() for v in table.values()]
-    cells = [dict(zip(keys, row)) for row in zip(*columns)]
     doc = {
         "config": {"subcommand": "verify-squash", "grid": args.grid, "tol": args.tol},
         "all_pass": all_pass,
         "worst": worst,
-        "cells": cells,
+        "cells": Table(keys, columns),
     }
     return doc, f"all_pass = {all_pass}", all_pass
 
@@ -230,21 +233,13 @@ def cmd_nogo(args):
     if args.grid < 1:
         raise ValueError("grid must be at least 1")
     z = pauli("z")
-    cells = []
-    inconclusive = 0
-    for k in range(args.grid):
-        theta = 2.0 * np.pi * k / args.grid
-        alpha = complex(np.exp(1j * theta))
-        rep = single_party_squash_feasibility(generalized_x(alpha), z)
-        inconclusive += rep.status == "inconclusive"
-        cells.append(
-            {
-                "alpha_angle": float(theta),
-                "status": rep.status,
-                "residual": rep.residual,
-                "iterations": rep.iterations,
-            }
-        )
+    thetas = [2.0 * np.pi * k / args.grid for k in range(args.grid)]
+    reps = [
+        single_party_squash_feasibility(generalized_x(complex(np.exp(1j * t))), z) for t in thetas
+    ]
+    inconclusive = sum(rep.status == "inconclusive" for rep in reps)
+    keys = ("alpha_angle", "status", "residual", "iterations")
+    cells = Table(keys, [thetas] + [[getattr(rep, k) for rep in reps] for k in keys[1:]])
     doc = {
         "config": {"subcommand": "nogo", "grid": args.grid},
         "inconclusive_cells": inconclusive,
@@ -300,12 +295,13 @@ def cmd_simulate(args):
         config["mean_s_est"] = float(s_vals.mean())
         config["std_s_est"] = float(s_vals.std(ddof=1)) if len(rows) > 1 else 0.0
         config["mean_qber"] = float(q_vals.mean())
-    header = ["seed", "s_est", "sifted_qber", "key_bits", "keys_match"]
+    header = ("seed", "s_est", "sifted_qber", "key_bits", "keys_match")
     if args.format == "csv":
         doc = (config, header, rows)
     else:
-        runs = [dict(zip(header, r), keys_match=bool(r[-1])) for r in rows]
-        doc = {"config": config, "runs": runs}
+        columns = [list(col) for col in zip(*rows)] if rows else [[]] * len(header)
+        columns[-1] = [bool(m) for m in columns[-1]]
+        doc = {"config": config, "runs": Table(header, columns)}
     return doc, f"{len(rows)} completed runs, {sum(aborts.values())} aborted", True
 
 

@@ -148,7 +148,7 @@ class TestVerifySquash:
 
 
 # README verify-squash --grid 64 under tracemalloc: blocks of 256 cells peak
-# near 2.3 MB, one stacked call over all 4096 cells near 11 MB.
+# near 1.2 MB, one stacked call over all 4096 cells near 11 MB.
 SQUASH_PEAK_BOUND = 5e6
 
 
@@ -178,9 +178,8 @@ WRITER_DOCS = {
         "rows": [{"x": np.float64(0.5), "ok": False}] * 3,
     },
     "keys": {7: "i", 2.5: [1], False: "b", None: {"x": 1}, np.nan: [{}], "s": {3: [1], -1.5: 2}},
-    # lists of rows, at the top level where the CLI puts them: a table when every
-    # row has exactly-str keys in one order and exactly-typed scalar values,
-    # json.dumps otherwise
+    # lists of rows, at the top level where the CLI puts its tables: the writer
+    # leaves every list to json.dumps, and only a Table takes the block path
     "rows-int-bool-float-keys": {"cells": [{1: "a"}, {True: "b"}, {1.0: "c"}]},
     "rows-key-order": {"cells": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]},
     "rows-fewer-keys": {"cells": [{"a": 1, "b": 2}, {"a": 3}]},
@@ -218,6 +217,50 @@ def test_writer_matches_json_dump_indent_2(tmp_path, name):
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# Tables, each written as json.dump writes its list of rows: (keys, rows)
+TABLES = {
+    "across-a-block": (("i", "x", "ok", "s"), [(i, i / 7, i % 3 == 0, str(i)) for i in range(300)]),
+    "non-finite-and-neg0": (("nan", "inf", "-inf", "neg0"), [(np.nan, np.inf, -np.inf, -0.0)] * 3),
+    "big-int-and-none": (("big", "none", "mixed"), [(2**70, None, 1), (-(2**70), None, 2.5)]),
+    "strings": (("text",), [("\u00e9\u2713 \U0001d11e\x00,\"%s\\",), ('"',), ("%s %d %%",), ("\x00",)]),
+    "percent-and-non-ascii-keys": (("%s %d", "k\u00e9y", "%"), [(1, "v", None)] * 3),
+    "np-float64": (("a", "x"), [(1.0, np.float64(0.1 * i)) for i in range(3)]),
+    "empty": (("seed", "s_est"), []),
+}
+
+
+def table_doc(keys, rows):
+    """A document of two Tables of ``rows`` between other items, and its json.dump twin."""
+    columns = [list(col) for col in zip(*rows)] if rows else [[] for _ in keys]
+    items = {"n": 1, "z": {"d": [2.5]}}
+    table = cli.Table(keys, columns)
+    rows = [dict(zip(keys, row)) for row in rows]
+    return (
+        {"config": items, "cells": table, **items, "runs": table},
+        {"config": items, "cells": rows, **items, "runs": rows},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_matches_json_dump_of_its_rows(tmp_path, name):
+    doc, rows_doc = table_doc(*TABLES[name])
+    out = tmp_path / "doc.json"
+    cli._write_json(str(out), doc)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(rows_doc, fh, indent=2)
+        fh.write("\n")
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("cell", [np.int64(2), np.bool_(True)], ids=["int64", "bool_"])
+def test_table_cell_that_is_not_json_raises_type_error(tmp_path, cell):
+    doc, rows_doc = table_doc(("a", "b"), [(1, 2.0), (cell, 3.0)])
+    with pytest.raises(TypeError):
+        json.dumps(rows_doc, indent=2)
+    with pytest.raises(TypeError):
+        cli._write_json(str(tmp_path / "doc.json"), doc)
 
 
 NOT_JSON = {

@@ -201,6 +201,14 @@ CLI_RUNS = {
         ),
         "3f047ad2d13d2153a0c74269caee74fd649ee2aea74d50b3e8f50766402996dc",
     ),
+    # every run aborts, so the runs table is empty
+    "simulate-json-aborted": (
+        (
+            "simulate", "--n", "4410", "--q", "0.3", "--delta", "0.1", "--s0", "0.7",
+            "--p", "0.3", "--runs", "4", "--seed", "1", "--format", "json",
+        ),
+        "0414184810ad168b01f0d7882155c7d892ca9714474f0b640e0012f4063ab41d",
+    ),
     # re-pinned at bounds.json schema 2: the file gained "schema_version", and
     # the noise-gap experiment draws per-trial counts instead of per-pulse
     # uniforms, so its draws changed (its report here did not)
@@ -233,6 +241,7 @@ SUMMARY_NOTES = {
     "nogo-16": "0 inconclusive cells",
     "simulate-csv": "3 completed runs, 0 aborted",
     "simulate-json": "3 completed runs, 0 aborted",
+    "simulate-json-aborted": "0 completed runs, 4 aborted",
     "bounds-check": "chernoff ok = True, azuma ok = True",
 }
 

@@ -624,7 +624,8 @@ def with_pulse_residue(params: ProtocolParams, r: int) -> ProtocolParams:
 
 def residue_runs(r: int) -> list:
     """Every exit at 8000 + r pulses (1000 plane bytes, 2000 of Bob's nibble rows,
-    and r pulses spelled through the per-pulse tokens), and a keyed run at r mod 8."""
+    and r pulses spelled through the per-pulse tokens), and a keyed run at r mod 8,
+    except at r = 3, where the keyed run is the "positive-key" case's own."""
     params, short = pulse_params(8000 + r), pulse_params(8000 + r, fill=0.99)
     keyed = with_pulse_residue(POSITIVE_KEY, r)
     runs = [(params, source(8000 + r), r, None, False) for source in PULSE_SOURCES.values()]
@@ -633,9 +634,10 @@ def residue_runs(r: int) -> list:
     runs += [
         (replace(params, s0=0.7), DepolarizingSource(0.3), r, ABORT_CHSH, False),
         (short, DepolarizingSource(0.05), (5, 0, 7, 8, 0, 4, 0, 1)[r], ABORT_INSUFFICIENT, False),
-        (keyed, DepolarizingSource(0.0), (7, 7, 7, 7, 7, 7, 7, 9)[r], None, True),
     ]
-    assert [p.pulse_pairs % 8 for p, *_ in runs] == [r] * 6
+    if keyed != POSITIVE_KEY:
+        runs.append((keyed, DepolarizingSource(0.0), (7, 7, 7, 7, 7, 7, 7, 9)[r], None, True))
+    assert [p.pulse_pairs % 8 for p, *_ in runs] == [r] * (5 + (r != 3))
     return runs
 
 
