@@ -13,19 +13,20 @@ is tracked.  Every source holds ``rho``, a ``(4, 4)`` density matrix, and
 ``alice_ops``/``bob_ops``, mappings from each label of ``ALICE_BASES`` and
 ``BOB_BASES`` to a ``(2, 2)`` +-1-valued observable; a source that changes
 from pulse to pulse (``CustomSource``) gives any of them a leading pulse
-axis of length N.  The Born-rule table is six ``joint_outcome_pmf``
-calls, one per pair of bases: at construction for the two i.i.d. sources,
-which keep its integer form in ``outcome_tables`` and are fixed from then
-on; per chunk of pulses (below), over the chunk's slice of the pulse axis,
-for a source without such tables.  A pulse's outcome depends only on its
-row of that table and its own random word, so the detectors are memoryless
-by construction.  Error correction is an accounting model: Bob's corrected key
-is Alice's key by construction while the syndrome cost is charged against
-the budget, since only the syndrome length enters the security formulas.
-The verification tags cannot differ, so the correctness hash ``fcor`` is
-recorded (its seed and lengths; no diagonal is drawn) but not applied, and
-``fcor_match`` is the model's verdict; privacy amplification hashes the one
-key.  A model of real error correction would bring the verification apply back.
+axis of length N.  Sources are fixed once built; ``CustomSource`` copies
+its inputs.  The Born-rule table is six ``joint_outcome_pmf`` calls, one
+per pair of bases: at construction for the two i.i.d. sources, which keep
+its integer form in ``outcome_tables``; per chunk of pulses (below), over
+the pulses whose outcomes are drawn, for the others.  A pulse's outcome
+depends only on its row of that table and its own random word, so the
+detectors are memoryless by construction.  Error correction is an
+accounting model: Bob's corrected key is Alice's key by construction while
+the syndrome cost is charged against the budget, since only the syndrome
+length enters the security formulas.  The verification tags cannot differ,
+so the correctness hash ``fcor`` is recorded (its seed and lengths; no
+diagonal is drawn) but not applied, and ``fcor_match`` is the model's
+verdict; privacy amplification hashes the one key.  A model of real error
+correction would bring the verification apply back.
 
 Random stream layout: every per-pulse draw is one 64-bit word ``w`` of
 ``PCG64(seed).random_raw``.  Words ``[s N, (s+1) N)`` form per-pulse stream
@@ -53,28 +54,28 @@ a word is below its rule's bound.  A pulse's bits depend only on its own five
 words and its row of the Born-rule table, so the chunked stages write the bits
 of whole-array draws with O(``_CHUNK``) temporaries.
 
-A run keeps its per-pulse state as six bit planes of ``ceil(N / 8)`` bytes,
+A transcript's per-pulse state is six bit planes of ``ceil(N / 8)`` bytes,
 ``np.packbits`` of one bit per pulse, little-endian within each byte:
 ``labels_a`` and ``labels_b`` (set for a sample candidate), ``bases_a``
 (Alice measured x), ``bases_b`` (Bob measured x; his basis code is his
 label plus this bit), and ``outcomes_a`` and ``outcomes_b`` (bit ``b``
-standing for the outcome ``r = (-1)^b``).  The CHSH estimate and the
-transcript writer read the planes as stored: the writer spells each plane
-byte, eight pulses, through a 256-row token table (for Bob's bases, a
-label nibble and an x nibble pick four pulses), so no plane is unpacked.
+standing for the outcome ``r = (-1)^b``).  A run holds the label planes
+and regrows the other four when one is first read (``_pulse_stage``).  The
+writer spells each plane byte, eight pulses, through a 256-row token table
+(for Bob's bases, a label nibble and an x nibble pick four), unpacking none.
 
 The sample and sifted selections are drawn from the candidate planes
 (``_candidates``) before the pulse stage (``_select``), and a run holds each
 one as two bytes per chosen pulse: per chunk of ``_CHUNK`` pulses, their
 uint16 offsets within it.  While ``Generator.choice`` draws, only its own
-arrays grow with the candidate count.  The pulse stage gathers the sifted
-strings through the offsets as it draws each chunk's outcomes, so no
-outcome plane is walked again.  The transcript's int64 index lists are
-built from the offsets last: ``i_smp`` before the CHSH estimate, ``i_sif``
-after the privacy-amplification hash (or at the CHSH abort), so that no 8
-bytes per sifted bit are held beside the hash.  Runs are deterministic
-given (params, strategy, seed) and independent runs are embarrassingly
-parallel.
+arrays grow with the candidate count.  The run then reads streams 2-4
+(``_rounds``) but looks at a coin only on a sample pulse and draws an
+outcome only on a sample or sifted one, all the protocol reads: it counts
+the sample rounds' negative CHSH signs and gathers the sifted strings.  The
+int64 index lists are built from the offsets last, ``i_sif`` after the
+privacy-amplification hash (or at the CHSH abort), so that no 8 bytes per
+sifted bit are held beside the hash.  Runs are deterministic given
+(params, strategy, seed) and independent runs are embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -114,8 +116,6 @@ def _spelling(values, codes: np.ndarray) -> tuple:
 # of 8, so that each chunk of pulses packs into whole bytes of a bit plane, and
 # at most 2^16, so that a pulse's offset within its chunk fits in a uint16.
 _CHUNK = 1 << 16
-# Per-pulse word streams of a run: two labels, two basis coins, the outcome.
-_STREAMS = 5
 # The outcome words are bucketed by their top bits (``outcomes_from_uniforms``).
 _BUCKET_BITS = 12
 # The bucket-table entry of a bucket that a threshold splits.
@@ -165,10 +165,11 @@ def depolarized_pair_state(p: float) -> np.ndarray:
 
 
 class _FixedSource:
-    """An i.i.d. source, fixed once built, since its ``outcome_tables`` derive from its arrays.
+    """A source, fixed once built: its transcripts regrow their planes from it.
 
-    ``_fix`` makes those arrays read-only and the operator dicts read-only
-    views, builds the tables, and from then on no attribute may be rebound.
+    ``_fix`` makes its arrays read-only and the operator dicts read-only
+    views, builds an i.i.d. source's ``outcome_tables`` (None for a source
+    with a pulse axis), and from then on no attribute may be rebound.
     """
 
     def _fix(self) -> None:
@@ -176,8 +177,8 @@ class _FixedSource:
             m.flags.writeable = False
         self.alice_ops = MappingProxyType(self.alice_ops)
         self.bob_ops = MappingProxyType(self.bob_ops)
-        thresholds = _thresholds(_pmf_table(self, slice(None)))
-        self.outcome_tables = thresholds, _bucket_table(thresholds)
+        table = _thresholds(_pmf_table(self, slice(None))) if self.rho.ndim == 2 else None
+        self.outcome_tables = None if table is None else (table, _bucket_table(table))
 
     def __setattr__(self, name: str, value) -> None:
         if "outcome_tables" in vars(self):
@@ -239,8 +240,8 @@ class MisalignedSource(_FixedSource):
         }
 
 
-class CustomSource:
-    """Fully general per-pulse states and detector parameters.
+class CustomSource(_FixedSource):
+    """Fully general per-pulse states and detector parameters, copied at construction.
 
     ``rho`` and the x operators carry the pulse axis; the z operators are
     shared by every pulse.
@@ -249,10 +250,11 @@ class CustomSource:
     def __init__(self, states: list, alphas: list, betas: list):
         if not len(states) == len(alphas) == len(betas):
             raise ValueError("states, alphas, betas must have equal length")
-        self.rho = validate_density(np.asarray(states, dtype=complex).reshape(len(states), 4, 4))
+        self.rho = validate_density(np.array(states, dtype=complex).reshape(len(states), 4, 4))
         z = pauli("z")
         self.alice_ops = {"z": z, "x": generalized_x(alphas)}
         self.bob_ops = {"zp": z, "z": z, "x": generalized_x(betas)}
+        self._fix()
 
     def describe(self) -> dict:
         return {"kind": "custom", "pulses": len(self.rho)}
@@ -341,12 +343,30 @@ def _popcount(plane: np.ndarray) -> int:
     return sum(np.count_nonzero(np.unpackbits(chunk)) for chunk in chunks)
 
 
+class _Regrown:
+    """A basis or outcome plane: held as given, or regrown from the run's source on first read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, t, owner=None):
+        if t is not None and self.name not in vars(t):
+            vars(t).update(t._regrow())
+        return None if t is None else vars(t)[self.name]  # None: the field's default
+
+    def __set__(self, t, plane) -> None:
+        if plane is not None:
+            vars(t)[self.name] = plane
+
+
 @dataclass
 class Transcript:
     """Complete record of one protocol run; immutable once returned.
 
     The six per-pulse fields are the bit planes of the module docstring,
     each a uint8 array of ``ceil(N / 8)`` bytes (``ValueError`` otherwise).
+    Given a ``source``, as ``run_protocol`` builds it, it holds the label planes
+    and regrows the other four from (source, seed, labels) when one is first read.
     ``abort`` is None for a completed run, otherwise one of the abort reason
     codes.  Key bits are 0/1; the read-only ``corrected_key`` and
     ``secret_key_b`` are ``sifted_key`` and ``secret_key_a``.
@@ -358,10 +378,10 @@ class Transcript:
     seed: int
     labels_a: np.ndarray  # set = sample candidate
     labels_b: np.ndarray
-    bases_a: np.ndarray  # set = x
-    bases_b: np.ndarray  # set = x
-    outcomes_a: np.ndarray  # set = -1
-    outcomes_b: np.ndarray
+    bases_a: np.ndarray = _Regrown()  # set = x
+    bases_b: np.ndarray = _Regrown()  # set = x
+    outcomes_a: np.ndarray = _Regrown()  # set = -1
+    outcomes_b: np.ndarray = _Regrown()
     i_smp: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     i_sif: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     s_est: float | None = None
@@ -378,14 +398,20 @@ class Transcript:
     secret_key_a: np.ndarray | None = None
     secret_key_b: np.ndarray | None = None
     key_report: dict = field(default_factory=dict)
+    source: InitVar[object] = None
 
-    def __post_init__(self):
-        size = -(-self.params.pulse_pairs // 8)
-        for name in _PLANES:
-            plane = getattr(self, name)
+    def __post_init__(self, source):
+        big_n, size = self.params.pulse_pairs, -(-self.params.pulse_pairs // 8)
+        self._regrow = partial(_pulse_stage, source, self.seed, big_n, self.labels_a, self.labels_b)
+        for name in (name for name in _PLANES if name in vars(self) or source is None):
+            plane = vars(self).get(name)
             if getattr(plane, "dtype", None) != np.uint8 or np.shape(plane) != (size,):
                 got = f"{getattr(plane, 'dtype', type(plane).__name__)} {np.shape(plane)}"
                 raise ValueError(f"{name} must be a uint8 plane of {size} bytes, got {got}")
+
+    def __getstate__(self) -> dict:
+        # a pickle or deep copy holds the planes, not the source they regrow from
+        return vars(self) | {name: getattr(self, name) for name in _PLANES} | {"_regrow": None}
 
     def to_json(self) -> str:
         """``json.dumps`` of the field document, byte for byte.
@@ -394,16 +420,15 @@ class Transcript:
         the pulse planes as lists of one value per pulse (labels as 0/1,
         basis codes as their labels, outcomes as +-1), other arrays as lists
         of non-negative integers (``TypeError`` if not 1-d bool or integer,
-        ``ValueError`` if negative).  No plane is unpacked: each plane byte
-        picks the row of its eight pulses from its 256-row table in
-        ``_SPELLINGS``; for Bob's bases, a nibble of his label plane and one
-        of his x plane pick the row of four.  A 0/1 array (the key strings)
-        is packed and spelled through the bit table, any other through
-        ``_digit_rows``.  The pulses of a last, partial row are spelled
-        through the per-pulse tokens.  The NUL padding is stripped only from
-        the lists whose rows differ in width (Bob's bases, the outcomes and
-        the indices).  ``json.dumps`` spells the rest, each list is decoded
-        on its own, and one join builds the document.
+        ``ValueError`` if negative).  A run's transcript regrows its basis
+        and outcome planes here unless one was read before.  Each plane is
+        spelled through its table in ``_SPELLINGS`` (module docstring), a
+        0/1 array (the key strings) packed and through the bit table, any
+        other through ``_digit_rows``.  The pulses of a last, partial row are
+        spelled through the per-pulse tokens.  The NUL padding is stripped
+        only from the lists whose rows differ in width (Bob's bases, the
+        outcomes and the indices).  ``json.dumps`` spells the rest, each list
+        is decoded on its own, and one join builds the document.
         """
         lab, x = self.labels_b, self.bases_b
         index = {name: getattr(self, name) for name in _PLANES}
@@ -500,8 +525,8 @@ def _pmf_table(source, pulses: slice) -> np.ndarray:
 
     Row ``bases_a * len(BOB_BASES) + bases_b`` of the ``(6, 4)`` table holds
     a pair's distribution.  A source with a pulse axis gives a C-contiguous
-    ``(P, 6, 4)`` table for its ``pulses`` (P of them), that block of six
-    rows once per pulse; an i.i.d. source ignores ``pulses``.  Each call
+    ``(P, 6, 4)`` table for its ``pulses`` (P of them, a slice or indices),
+    that block of six rows once per pulse; an i.i.d. source ignores ``pulses``.  Each call
     holds the 4x4 products of its own pair of bases only, so the table's
     peak is about 1.2 KB per pulse.
     """
@@ -628,15 +653,18 @@ def insufficient_pulses(params: ProtocolParams, labels_a: np.ndarray, labels_b: 
     return _candidates(params, labels_a, labels_b) is None
 
 
-def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b, sel) -> tuple:
-    """The basis and outcome planes of run ``seed`` by field name, and its two sifted strings.
+def _outcomes(source, words: np.ndarray, rows: np.ndarray, pulses) -> np.ndarray:
+    """Outcome codes of ``words`` at ``rows`` of ``outcome_tables``, or of ``pulses``' own rows."""
+    thresholds, buckets = source.outcome_tables or (_thresholds(_pmf_table(source, pulses)), None)
+    return outcomes_from_uniforms(thresholds, words, rows=rows, buckets=buckets)
+
+
+def _pulse_stage(source, seed: int, big_n: int, labels_a, labels_b) -> dict:
+    """The basis and outcome planes of run ``seed`` by field name.
 
     Streams 2-4 are read in order from one ``PCG64(seed)`` advanced past the
     labels.  A basis plane is the Bernoulli plane of a party's coins and its
-    label plane: a party measures x only on a pulse it labelled.  ``sel`` is
-    the sifted selection (``_select``), or None for a run that its labels
-    abort; as each chunk's outcomes are drawn, the codes at its offsets
-    ``sel[c]`` fill the two n-byte rows of the strings (None without ``sel``).
+    label plane: a party measures x only on a pulse it labelled.
     """
     stream = np.random.PCG64(seed).advance(2 * big_n)
     bases_a = _bernoulli(stream, big_n, _COIN)
@@ -644,25 +672,39 @@ def _pulse_stage(strategy, seed: int, big_n: int, labels_a, labels_b, sel) -> tu
     bases_b = _bernoulli(stream, big_n, _COIN)
     bases_b &= labels_b
     outcomes_a, outcomes_b = _plane(big_n), _plane(big_n)
-    keys = None if sel is None else np.empty((2, sum(map(len, sel))), dtype=np.uint8)
-    tables = getattr(strategy, "outcome_tables", None)
-    done = 0
     walk = zip(_chunks(bases_a, big_n), _chunks(labels_b, big_n), _chunks(bases_b, big_n))
     for (start, xa), (_, lb), (_, xb) in walk:
         rows = xa * np.uint8(len(BOB_BASES)) + lb + xb
-        # a source without tables has its Born-rule rows built per chunk
-        chunk = slice(start, start + len(xa))
-        thresholds, buckets = tables or (_thresholds(_pmf_table(strategy, chunk)), None)
         words = stream.random_raw(len(xa))
-        codes = outcomes_from_uniforms(thresholds, words, rows=rows, buckets=buckets)
+        codes = _outcomes(source, words, rows, slice(start, start + len(xa)))
         # codes are (+,+), (+,-), (-,+), (-,-): Alice's -1 is the high bit, Bob's the low one
         _put(outcomes_a, start, codes >= 2)
         _put(outcomes_b, start, codes & 1)
-        if keys is not None:
-            here = codes.take(sel[start // _CHUNK])
-            keys[:, done : done + len(here)] = here >> 1, here & 1
-            done += len(here)
-    return dict(zip(_PLANES[2:], (bases_a, bases_b, outcomes_a, outcomes_b))), keys
+    return dict(zip(_PLANES[2:], (bases_a, bases_b, outcomes_a, outcomes_b)))
+
+
+def _rounds(source, seed: int, big_n: int, sel_smp: list, sel_sif: list) -> tuple:
+    """``neg``, the sample rounds' negative CHSH signs, and the two n-byte sifted strings.
+
+    Streams 2-4 are read as ``_pulse_stage`` reads them, but looked at only at the
+    ``_select`` offsets.  A sample pulse is row ``3 coin_a + 1 + coin_b``, a sifted one row 0.
+    """
+    stream, starts = np.random.PCG64(seed).advance(2 * big_n), range(0, big_n, _CHUNK)
+    smp_rows = [np.ones(len(offsets), dtype=np.uint8) for offsets in sel_smp]
+    for weight in (np.uint8(len(BOB_BASES)), np.uint8(1)):  # streams 2 and 3
+        for start, offsets, rows in zip(starts, sel_smp, smp_rows):
+            rows += (stream.random_raw(min(_CHUNK, big_n - start)).take(offsets) < _COIN) * weight
+    neg, keys, done = 0, np.empty((2, sum(map(len, sel_sif))), dtype=np.uint8), 0
+    for start, smp, sif, rows in zip(starts, sel_smp, sel_sif, smp_rows):
+        words = stream.random_raw(min(_CHUNK, big_n - start))
+        here = np.concatenate([smp, sif])
+        rows = np.concatenate([rows, np.zeros(len(sif), np.uint8)])
+        codes = _outcomes(source, words.take(here), rows, np.add(here, start, dtype=np.int64))
+        # a round is -1 where r_A r_B is, flipped where both measured x (row 5)
+        neg += int(np.count_nonzero((codes >> 1 ^ codes ^ (rows == 5))[: len(smp)] & 1))
+        keys[:, done : done + len(sif)] = codes[len(smp) :] >> 1, codes[len(smp) :] & 1
+        done += len(sif)
+    return neg, keys
 
 
 def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
@@ -678,33 +720,21 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     if strategy.rho.shape[:-2] not in ((), (big_n,)):
         raise ValueError(f"custom strategy must supply exactly {big_n} pulses")
     labels_a, labels_b = label_stage(params, seed)
+    t = Transcript(1, params, strategy.describe(), int(seed), labels_a, labels_b, source=strategy)
     candidates = _candidates(params, labels_a, labels_b)
-    sel_sif = None
-    if candidates is not None:
-        # The selection reads only the labels and the generator past the five
-        # pulse streams, so it is drawn before them.
-        rng = np.random.Generator(np.random.PCG64(seed).advance(_STREAMS * big_n))
-        # popped, so that the sample plane is not held beside the sifted draw
-        sel_smp = _select(rng, *candidates.pop(0), big_n, params.l_smp)
-        sel_sif = _select(rng, *candidates.pop(0), big_n, params.n)
-
-    planes, keys = _pulse_stage(strategy, seed, big_n, labels_a, labels_b, sel_sif)
-    t = Transcript(
-        schema_version=1,
-        params=params,
-        strategy=strategy.describe(),
-        seed=int(seed),
-        labels_a=labels_a,
-        labels_b=labels_b,
-        **planes,
-    )
     if candidates is None:
         t.abort = ABORT_INSUFFICIENT
         return t
 
+    # the selection reads only the labels and the generator past the five pulse streams
+    rng = np.random.Generator(np.random.PCG64(seed).advance(5 * big_n))
+    # popped, so that the sample plane is not held beside the sifted draw
+    sel_smp = _select(rng, *candidates.pop(0), big_n, params.l_smp)
+    sel_sif = _select(rng, *candidates.pop(0), big_n, params.n)
+    neg, keys = _rounds(strategy, seed, big_n, sel_smp, sel_sif)
     # the int64 index lists are built last, and i_sif (8 bytes per sifted bit) after the hash
     t.i_smp = _indices(sel_smp)
-    t.s_est = estimate_chsh(t)
+    t.s_est = (len(t.i_smp) - 2 * neg) / len(t.i_smp)  # estimate_chsh's integers
     if t.s_est < params.s0:
         t.abort = ABORT_CHSH
         t.i_sif = _indices(sel_sif)

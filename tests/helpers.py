@@ -4,9 +4,10 @@ Random and trivial quantum objects to feed the library, and the inverse
 maps that check its outputs: Choi matrix, partial trace, bit packing and
 unpacking, pulse arrays packed into a transcript's bit planes and its
 planes unpacked to pulse values.  A counter of the bit generators a call
-builds.  Reference forms of fast kernels: the ``verify-squash`` document
-from one stacked call per alpha row, and the Dykstra loop through
-``einsum`` projections.  The definition of a protocol run is ``spec.py``.
+builds, and where a document parts from the one expected.  Reference forms
+of fast kernels: the ``verify-squash`` document from one stacked call per
+alpha row, and the Dykstra loop through ``einsum`` projections.  The
+definition of a protocol run is ``spec.py``.
 """
 
 import numpy as np
@@ -129,6 +130,17 @@ def pack_pulses(labels_a, labels_b, bases_a, bases_b, outcomes_a, outcomes_b) ->
         "outcomes_a": pack(np.asarray(outcomes_a) < 0),
         "outcomes_b": pack(np.asarray(outcomes_b) < 0),
     }
+
+
+def parting(text: str, expected: str, doc: dict) -> str:
+    """The key of ``doc`` and the characters where a document ``text`` parts from ``expected``.
+
+    The tests compare megabyte documents through a flag and report this, since
+    pytest's diff of two such strings ran for minutes.
+    """
+    at = next(i for i, (a, b) in enumerate(zip(text + "\0", expected + "\1")) if a != b)
+    key = max(doc, key=lambda name: text.rfind(f'"{name}": ', 0, at + 1))
+    return f"{key} at {at}: {text[at - 30 : at + 30]!r}, expected {expected[at - 30 : at + 30]!r}"
 
 
 def reference_verify_squash_doc(grid: int, tol: float = 1e-9) -> dict:

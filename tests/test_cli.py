@@ -10,7 +10,7 @@ import pytest
 
 from diqkd import cli
 from diqkd.cli import main
-from helpers import reference_verify_squash_doc
+from helpers import parting, reference_verify_squash_doc
 
 
 def run_cli(*argv):
@@ -137,7 +137,10 @@ class TestVerifySquash:
         out = tmp_path / "squash.json"
         run_cli("verify-squash", "--grid", str(grid), "--tol", tol, "--out", str(out))
         doc = reference_verify_squash_doc(grid, float(tol))
-        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+        text, expected = out.read_text(), json.dumps(doc, indent=2) + "\n"
+        # a flag, since pytest would diff documents of megabytes for minutes
+        same = text == expected
+        assert same, parting(text, expected, doc)
 
     def test_readme_grid_memory_is_block_bounded(self, tmp_path):
         assert verify_squash_peak(tmp_path) < SQUASH_PEAK_BOUND
@@ -312,7 +315,9 @@ def test_readme_json_file_is_json_dump_of_its_content(tmp_path, name):
     out = tmp_path / "out.json"
     assert run_cli(*README_JSON_JOBS[name], "--out", str(out)) == 0
     text = out.read_text()
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    doc = json.loads(text)
+    same = text == (expected := json.dumps(doc, indent=2) + "\n")  # a flag, as above
+    assert same, parting(text, expected, doc)
 
 
 @pytest.mark.parametrize("name, table", [("verify-squash", "cells"), ("nogo", "cells"),

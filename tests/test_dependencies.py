@@ -102,6 +102,7 @@ def test_draws_are_raw_words_but_the_documented_generator_calls():
         "protocol.py": {
             ("_bernoulli", "random_raw"): 1,
             ("_pulse_stage", "random_raw"): 1,
+            ("_rounds", "random_raw"): 2,
             ("_select", "choice"): 1,
             ("run_protocol", "integers"): 2,
             ("_noise_gap_core", "multinomial"): 1,

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -54,7 +56,7 @@ from diqkd.protocol import (
     run_protocol,
 )
 from diqkd.rates import ProtocolParams, syndrome_budget
-from helpers import count_bit_generators, pack_pulses, pulses, random_density
+from helpers import count_bit_generators, pack_pulses, parting, pulses, random_density
 from spec import outcome_codes, spec_run
 
 SQRT2 = np.sqrt(2.0)
@@ -203,6 +205,13 @@ class TestRunProtocol:
         assert a.to_json() == b.to_json()
         c = run_protocol(params, DepolarizingSource(0.03), seed=12)
         assert c.to_json() != a.to_json()
+
+    def test_pickle_and_deep_copy_hold_the_planes(self):
+        # they carry the regrown planes, not the source (whose operator views
+        # would not pickle)
+        t = run_protocol(small_params(), DepolarizingSource(0.03), seed=11)
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert set(_PLANES) <= set(vars(copied)) and copied.to_json() == t.to_json()
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
@@ -466,6 +475,30 @@ def test_custom_table_equals_per_pulse_calls():
             assert np.array_equal(table[i - start, rows[i]], pmf), (start, i)
 
 
+def test_custom_source_is_fixed_once_built():
+    # a run's transcript regrows its planes from its source when read, so the
+    # source copies its inputs: changing the caller's arrays after the run
+    # (a complex array of states that np.asarray would alias) changes nothing
+    rng = np.random.default_rng(16)
+    params = ProtocolParams(n=200, q=0.4, delta=0.4, s0=-1.0, eps=1e-9, eps_cor=1e-9, l_syn=500)
+    big_n = params.pulse_pairs
+    states = np.array([depolarized_pair_state(p) for p in rng.uniform(0, 0.2, big_n)])
+    alphas, betas = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, big_n)))
+    src = CustomSource(states, alphas, betas)
+    t = run_protocol(params, src, seed=3)
+    expected = run_protocol(params, CustomSource(states, alphas, betas), seed=3).to_json()
+    states[:], alphas[:], betas[:] = identity(4) / 4, 1, 1j
+    assert t.to_json() == expected
+    assert src.outcome_tables is None  # its Born-rule rows are built per chunk
+    for m in (src.rho, *src.alice_ops.values(), *src.bob_ops.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.5
+    with pytest.raises(TypeError):
+        src.bob_ops["x"] = src.bob_ops["z"]
+    with pytest.raises(AttributeError, match="fixed once built"):
+        src.rho = states
+
+
 def uniforms(words: np.ndarray) -> np.ndarray:
     """``Generator.random``'s doubles of raw words, ``(w >> 11) 2^-53``."""
     return (words >> np.uint64(11)) * 2.0**-53
@@ -675,13 +708,6 @@ RUN_CASES = {
 }
 
 
-def parting(text: str, spec: str, doc: dict) -> str:
-    """The field and the characters where a document parts from its definition's."""
-    at = next(i for i, (a, b) in enumerate(zip(text + "\0", spec + "\1")) if a != b)
-    field = max(doc, key=lambda name: text.rfind(f'"{name}": ', 0, at + 1))
-    return f"{field} at {at}: {text[at - 30 : at + 30]!r}, spec {spec[at - 30 : at + 30]!r}"
-
-
 def check_runs(case: str, monkeypatch) -> list:
     """The documents of the runs of ``RUN_CASES[case]``, each checked against its definition."""
     _, chunk, runs = RUN_CASES[case]
@@ -689,6 +715,15 @@ def check_runs(case: str, monkeypatch) -> list:
     texts = []
     for params, source, seed, abort, keyed in runs():
         t = run_protocol(params, source, seed)
+        # the run holds no basis or outcome plane, and its CHSH estimate is
+        # the one estimate_chsh reads from the planes regrown on first read
+        assert not set(_PLANES[2:]) & set(vars(t))
+        if abort != ABORT_INSUFFICIENT:
+            assert estimate_chsh(t) == t.s_est and type(t.s_est) is float
+        held = {name: getattr(t, name) for name in _PLANES}
+        assert all(getattr(t, name) is plane for name, plane in held.items())
+        again = Transcript(1, params, t.strategy, t.seed, t.labels_a, t.labels_b, source=source)
+        assert all(getattr(again, name).tobytes() == held[name].tobytes() for name in _PLANES)
         text, doc = t.to_json(), spec_run(params, source, seed)
         # a flag, since pytest would diff documents of megabytes for minutes
         same = text == (spec := json.dumps(doc))
@@ -803,22 +838,31 @@ def test_pulse_stage_memory_is_chunk_bounded():
     # peak is Generator.choice's own while it draws the sifted pulses (20.0 MB
     # for 1.28e6 candidates), beside the label and candidate planes (0.25 MB
     # each; 20.9 MB traced in all).  An unpacked candidate mask and int64
-    # candidate indices beside the draw gave 24.4 MB.  The pulse stage runs
-    # after it, and the run keeps six one-bit planes (1.5 MB).  The six one-byte
-    # pulse arrays that a run held before (12 MB) would not fit under the bound,
-    # nor would whole-array float64 draws or per-pulse thresholds (16 MB each).
+    # candidate indices beside the draw gave 24.4 MB.  The walk over the coin
+    # and outcome streams runs after it, and the run keeps only its two
+    # one-bit label planes (0.5 MB).
+    # The six one-byte pulse arrays that a run held before (12 MB) would not
+    # fit under the bound, nor would whole-array float64 draws or per-pulse
+    # thresholds (16 MB each).
     params = ProtocolParams(
         n=1_216_000, q=0.2, delta=0.05, s0=0.0, eps=1e-9, eps_cor=1e-9, l_syn=10**6
     )
     assert params.pulse_pairs == 2_000_000
+    run_protocol(small_params(), DepolarizingSource(0.02), seed=0)  # first-call allocations
     tracemalloc.start()
     try:
         t = run_protocol(params, DepolarizingSource(0.02), seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert t.abort is None and t.key_report["l"] == 0
     assert peak < 23e6, peak
+    # What the returned run holds is its label planes, index lists and keys
+    # (13.27 MB), and O(_CHUNK) beside them (32 KB, the source's tables among
+    # them): the four basis and outcome planes (1 MB) are regrown when read.
+    arrays = (t.labels_a, t.labels_b, t.i_smp, t.i_sif, t.sifted_key.base, t.secret_key_a)
+    assert t.sifted_key.base is t.bob_raw.base
+    assert held < sum(a.nbytes for a in arrays) + 2 * _CHUNK, held
 
 
 def test_key_run_memory_is_the_sifted_draw():
@@ -848,10 +892,12 @@ def test_key_run_memory_is_the_sifted_draw():
 
 def test_custom_source_memory_is_chunk_bounded():
     # The Born-rule table of a pulse-axis source is built one chunk at a
-    # time, one pair of bases per call, and a call costs about 1.2 KB per
-    # pulse (the 4x4 complex products of one pair): 81 MB traced for a chunk's
-    # table, 92 MB for the run over 2 C + 7 pulses.  One call broadcast over
-    # all six pairs cost about 4.8 KB per pulse: 318 MB a chunk, 328 MB the run.
+    # time, one pair of bases per call, over the chunk's pulses whose outcomes
+    # the run draws, and a call costs about 1.2 KB per pulse (the 4x4 complex
+    # products of one pair): 52 MB traced for the run over 2 C + 7 pulses, and
+    # 81 MB for a whole chunk's table, as regrowing the transcript's planes
+    # builds it.  One call broadcast over all six pairs cost about 4.8 KB per
+    # pulse: 318 MB a chunk, 328 MB the run.
     big_n = 2 * _CHUNK + 7
     params = pulse_params(big_n)
     source = pulse_axis_source(big_n)
