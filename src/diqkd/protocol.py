@@ -45,14 +45,14 @@ these are the float rules ``u < q``, ``u < 1/2`` and ``#{k : u >=
 cumsum(pmf)[row, k]}`` on ``Generator.random``'s ``u = (w >> 11) 2^-53``,
 bit for bit.  The index selection (``Generator.choice``) and the two hash
 seeds (``Generator.integers``) read the generator from word ``5 N`` on.
-The streams are read in order, ``_CHUNK`` words at a time: the label stage
-(``label_stage``) streams 0 and 1 from ``PCG64(seed)``, the labels, which
-alone decide the ``insufficient_pulses`` abort and the index selection; the
-pulse stage then streams 2-4 from a ``PCG64(seed)`` advanced past them.
-Labels and basis coins are Bernoulli planes (``_bernoulli``), a bit set where
-a word is below its rule's bound.  A pulse's bits depend only on its own five
-words and its row of the Born-rule table, so the chunked stages write the bits
-of whole-array draws with O(``_CHUNK``) temporaries.
+The label stage (``label_stage``) reads streams 0 and 1 from ``PCG64(seed)``,
+``_CHUNK`` words at a time, into Bernoulli planes (``_bernoulli``): the labels,
+which alone decide the ``insufficient_pulses`` abort and the index selection.
+Streams 2-4 are read in lockstep from a ``PCG64(seed)`` advanced past them, in
+one pass over the chunks: each stream's chunk of words is reduced (to coins, or
+at chosen offsets) before the next, ``N`` words on, is drawn.  A pulse's bits
+depend only on its own five words and its row of the Born-rule table, so the
+chunked stages write the bits of whole-array draws with O(``_CHUNK``) temporaries.
 
 A transcript's per-pulse state is six bit planes of ``ceil(N / 8)`` bytes,
 ``np.packbits`` of one bit per pulse, little-endian within each byte:
@@ -359,17 +359,17 @@ class _Regrown:
             vars(t)[self.name] = plane
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
-    """Complete record of one protocol run; immutable once returned.
+    """Complete record of one protocol run; ``==`` is identity, compare ``to_json()`` for content.
 
     The six per-pulse fields are the bit planes of the module docstring,
     each a uint8 array of ``ceil(N / 8)`` bytes (``ValueError`` otherwise).
     Given a ``source``, as ``run_protocol`` builds it, it holds the label planes
     and regrows the other four from (source, seed, labels) when one is first read.
     ``abort`` is None for a completed run, otherwise one of the abort reason
-    codes.  Key bits are 0/1; the read-only ``corrected_key`` and
-    ``secret_key_b`` are ``sifted_key`` and ``secret_key_a``.
+    codes.  Key bits are 0/1; ``corrected_key`` and ``secret_key_b`` are
+    ``sifted_key`` and ``secret_key_a``, and a run's arrays are read-only.
     """
 
     schema_version: int
@@ -603,24 +603,26 @@ def _select(rng: np.random.Generator, cand, count: int, big_n: int, k: int) -> l
 
 
 def _indices(sel: list[np.ndarray]) -> np.ndarray:
-    """The int64 pulse indices of a ``_select`` selection, ascending."""
+    """The read-only int64 pulse indices of a ``_select`` selection, ascending."""
     out, done = np.empty(sum(map(len, sel)), dtype=np.int64), 0
     for c, offsets in enumerate(sel):
         np.add(offsets, c * _CHUNK, out=out[done : done + len(offsets)], dtype=np.int64)
         done += len(offsets)
+    out.flags.writeable = False
     return out
 
 
 def _bernoulli(stream: np.random.PCG64, big_n: int, bound: np.uint64) -> np.ndarray:
-    """The bit plane set where each of the next ``big_n`` words of ``stream`` is below ``bound``."""
+    """The read-only bit plane of ``stream``'s next ``big_n`` words, set where below ``bound``."""
     plane = _plane(big_n)
     for start in range(0, big_n, _CHUNK):
         _put(plane, start, stream.random_raw(min(_CHUNK, big_n - start)) < bound)
+    plane.flags.writeable = False
     return plane
 
 
 def label_stage(params: ProtocolParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both parties' label planes of run ``seed``, set for a sample candidate.
+    """Both parties' read-only label planes of run ``seed``, set for a sample candidate.
 
     Alice's labels are the Bernoulli plane of stream 0, Bob's of stream 1,
     read in order from one ``PCG64(seed)``.
@@ -660,50 +662,49 @@ def _outcomes(source, words: np.ndarray, rows: np.ndarray, pulses) -> np.ndarray
 
 
 def _pulse_stage(source, seed: int, big_n: int, labels_a, labels_b) -> dict:
-    """The basis and outcome planes of run ``seed`` by field name.
+    """The read-only basis and outcome planes of run ``seed`` by field name.
 
-    Streams 2-4 are read in order from one ``PCG64(seed)`` advanced past the
-    labels.  A basis plane is the Bernoulli plane of a party's coins and its
-    label plane: a party measures x only on a pulse it labelled.
+    Streams 2-4 are read in lockstep as ``_rounds`` reads them.  A basis bit is a
+    party's coin and label bit: a party measures x only on a pulse it labelled.
     """
-    stream = np.random.PCG64(seed).advance(2 * big_n)
-    bases_a = _bernoulli(stream, big_n, _COIN)
-    bases_a &= labels_a
-    bases_b = _bernoulli(stream, big_n, _COIN)
-    bases_b &= labels_b
-    outcomes_a, outcomes_b = _plane(big_n), _plane(big_n)
-    walk = zip(_chunks(bases_a, big_n), _chunks(labels_b, big_n), _chunks(bases_b, big_n))
-    for (start, xa), (_, lb), (_, xb) in walk:
+    stream, planes = np.random.PCG64(seed).advance(2 * big_n), [_plane(big_n) for _ in range(4)]
+    for (start, la), (_, lb) in zip(_chunks(labels_a, big_n), _chunks(labels_b, big_n)):
+        hop, pulses = big_n - len(la), slice(start, start + len(la))
+        xa = (stream.random_raw(len(la)) < _COIN) & la
+        xb = (stream.advance(hop).random_raw(len(la)) < _COIN) & lb
         rows = xa * np.uint8(len(BOB_BASES)) + lb + xb
-        words = stream.random_raw(len(xa))
-        codes = _outcomes(source, words, rows, slice(start, start + len(xa)))
+        codes = _outcomes(source, stream.advance(hop).random_raw(len(la)), rows, pulses)
+        stream.advance(-2 * big_n % 2**128)  # modulo the period: to stream 2's next chunk
         # codes are (+,+), (+,-), (-,+), (-,-): Alice's -1 is the high bit, Bob's the low one
-        _put(outcomes_a, start, codes >= 2)
-        _put(outcomes_b, start, codes & 1)
-    return dict(zip(_PLANES[2:], (bases_a, bases_b, outcomes_a, outcomes_b)))
+        for plane, bits in zip(planes, (xa, xb, codes >= 2, codes & 1)):
+            _put(plane, start, bits)
+    for plane in planes:
+        plane.flags.writeable = False
+    return dict(zip(_PLANES[2:], planes))
 
 
 def _rounds(source, seed: int, big_n: int, sel_smp: list, sel_sif: list) -> tuple:
-    """``neg``, the sample rounds' negative CHSH signs, and the two n-byte sifted strings.
+    """``neg``, the sample rounds' negative CHSH signs, and the two read-only n-byte sifted strings.
 
-    Streams 2-4 are read as ``_pulse_stage`` reads them, but looked at only at the
+    One pass reads a chunk of stream 2, hops ``N - size`` words to that chunk of stream 3,
+    then of stream 4, and ``2 N`` back to stream 2's next, looking at each only at the
     ``_select`` offsets.  A sample pulse is row ``3 coin_a + 1 + coin_b``, a sifted one row 0.
     """
-    stream, starts = np.random.PCG64(seed).advance(2 * big_n), range(0, big_n, _CHUNK)
-    smp_rows = [np.ones(len(offsets), dtype=np.uint8) for offsets in sel_smp]
-    for weight in (np.uint8(len(BOB_BASES)), np.uint8(1)):  # streams 2 and 3
-        for start, offsets, rows in zip(starts, sel_smp, smp_rows):
-            rows += (stream.random_raw(min(_CHUNK, big_n - start)).take(offsets) < _COIN) * weight
+    stream = np.random.PCG64(seed).advance(2 * big_n)
     neg, keys, done = 0, np.empty((2, sum(map(len, sel_sif))), dtype=np.uint8), 0
-    for start, smp, sif, rows in zip(starts, sel_smp, sel_sif, smp_rows):
-        words = stream.random_raw(min(_CHUNK, big_n - start))
+    for start, smp, sif in zip(range(0, big_n, _CHUNK), sel_smp, sel_sif):
+        size, rows = min(_CHUNK, big_n - start), np.zeros(len(smp) + len(sif), dtype=np.uint8)
+        rows[: len(smp)] = 1 + (stream.random_raw(size).take(smp) < _COIN) * np.uint8(3)
+        rows[: len(smp)] += stream.advance(big_n - size).random_raw(size).take(smp) < _COIN
         here = np.concatenate([smp, sif])
-        rows = np.concatenate([rows, np.zeros(len(sif), np.uint8)])
-        codes = _outcomes(source, words.take(here), rows, np.add(here, start, dtype=np.int64))
+        words = stream.advance(big_n - size).random_raw(size).take(here)
+        stream.advance(-2 * big_n % 2**128)  # modulo the period, as hashing._window hops back
+        codes = _outcomes(source, words, rows, np.add(here, start, dtype=np.int64))
         # a round is -1 where r_A r_B is, flipped where both measured x (row 5)
         neg += int(np.count_nonzero((codes >> 1 ^ codes ^ (rows == 5))[: len(smp)] & 1))
         keys[:, done : done + len(sif)] = codes[len(smp) :] >> 1, codes[len(smp) :] & 1
         done += len(sif)
+    keys.flags.writeable = False
     return neg, keys
 
 
@@ -743,7 +744,6 @@ def run_protocol(params: ProtocolParams, strategy, seed: int) -> Transcript:
     # Oracle error correction: Bob adopts Alice's string, the syndrome cost
     # is charged; the budget is what the security formulas consume.
     t.sifted_key = t.corrected_key = keys[0]
-    t.sifted_key.flags.writeable = False
     t.bob_raw = keys[1]
 
     t.p_est = float(np.clip((1.0 - SQRT2 * t.s_est) / 2.0, 0.0, 0.5))

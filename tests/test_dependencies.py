@@ -101,8 +101,8 @@ def test_draws_are_raw_words_but_the_documented_generator_calls():
         "hashing.py": {("_window", "random_raw"): 1},
         "protocol.py": {
             ("_bernoulli", "random_raw"): 1,
-            ("_pulse_stage", "random_raw"): 1,
-            ("_rounds", "random_raw"): 2,
+            ("_pulse_stage", "random_raw"): 3,
+            ("_rounds", "random_raw"): 3,
             ("_select", "choice"): 1,
             ("run_protocol", "integers"): 2,
             ("_noise_gap_core", "multinomial"): 1,

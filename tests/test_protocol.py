@@ -213,6 +213,27 @@ class TestRunProtocol:
         for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
             assert set(_PLANES) <= set(vars(copied)) and copied.to_json() == t.to_json()
 
+    def test_transcripts_compare_by_identity(self):
+        # to_json is what compares content; == does not compare arrays
+        t = run_protocol(small_params(), DepolarizingSource(0.03), seed=11)
+        assert t == t
+        assert (t == copy.deepcopy(t)) is False
+
+    @pytest.mark.parametrize("s0", [0.0, 0.7], ids=["completed", "chsh-abort"])
+    def test_stored_arrays_and_regrown_planes_are_read_only(self, s0):
+        # the bases and outcomes are regrown from the run's own label planes,
+        # so a write into those before the first read would change them
+        t = run_protocol(small_params(s0=s0), DepolarizingSource(0.03), seed=11)
+        assert t.abort == (None if s0 == 0.0 else ABORT_CHSH)
+        stored = [*_PLANES, "i_smp", "i_sif"] + ["sifted_key", "bob_raw"] * (t.abort is None)
+        for name in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[:1] = 0xFF
+        # planes a caller passes are theirs, and left as they are
+        planes = {name: getattr(t, name).copy() for name in _PLANES}
+        given = Transcript(1, t.params, t.strategy, t.seed, **planes)
+        assert all(getattr(given, name).flags.writeable for name in _PLANES)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
             run_protocol(small_params(), DepolarizingSource(0.03), seed=-1)
@@ -722,6 +743,7 @@ def check_runs(case: str, monkeypatch) -> list:
             assert estimate_chsh(t) == t.s_est and type(t.s_est) is float
         held = {name: getattr(t, name) for name in _PLANES}
         assert all(getattr(t, name) is plane for name, plane in held.items())
+        assert not any(plane.flags.writeable for plane in held.values())
         again = Transcript(1, params, t.strategy, t.seed, t.labels_a, t.labels_b, source=source)
         assert all(getattr(again, name).tobytes() == held[name].tobytes() for name in _PLANES)
         text, doc = t.to_json(), spec_run(params, source, seed)
@@ -772,8 +794,9 @@ def test_to_json_at_every_pulse_count_mod_8(case, monkeypatch):
 
 
 def test_run_reads_its_streams_in_order_from_three_bit_generators(monkeypatch):
-    # one for the labels (streams 0-1), one for the coins and outcomes (2-4)
-    # and one for the selection and the hash seeds; a keyed run's privacy
+    # one for the labels (streams 0-1), one that reads the coins and outcomes
+    # (streams 2-4) in lockstep, hopping between them chunk by chunk, and one
+    # for the selection and the hash seeds; a keyed run's privacy
     # amplification apply seeds a fourth
     big_n = 2 * _CHUNK + 7
     built = count_bit_generators(monkeypatch)
@@ -838,9 +861,9 @@ def test_pulse_stage_memory_is_chunk_bounded():
     # peak is Generator.choice's own while it draws the sifted pulses (20.0 MB
     # for 1.28e6 candidates), beside the label and candidate planes (0.25 MB
     # each; 20.9 MB traced in all).  An unpacked candidate mask and int64
-    # candidate indices beside the draw gave 24.4 MB.  The walk over the coin
-    # and outcome streams runs after it, and the run keeps only its two
-    # one-bit label planes (0.5 MB).
+    # candidate indices beside the draw gave 24.4 MB.  The one-pass walk over
+    # streams 2-4, which holds one chunk of words at a time, runs after it,
+    # and the run keeps only its two one-bit label planes (0.5 MB).
     # The six one-byte pulse arrays that a run held before (12 MB) would not
     # fit under the bound, nor would whole-array float64 draws or per-pulse
     # thresholds (16 MB each).
@@ -863,6 +886,34 @@ def test_pulse_stage_memory_is_chunk_bounded():
     arrays = (t.labels_a, t.labels_b, t.i_smp, t.i_sif, t.sifted_key.base, t.secret_key_a)
     assert t.sifted_key.base is t.bob_raw.base
     assert held < sum(a.nbytes for a in arrays) + 2 * _CHUNK, held
+
+
+def test_lockstep_walks_hold_one_chunk_of_words():
+    # Each walk over streams 2-4 reduces a chunk of one stream's words (to
+    # coins, or at the chosen offsets) before it draws the next stream's, so
+    # beside what it returns it peaks under four chunks of words (2.7 and 3.3
+    # at N = 4 C + 7).  Drawing a chunk of all three streams before reducing
+    # any holds three chunks of words at once, and peaked at 4.9 and 5.3.
+    big_n, source = 4 * _CHUNK + 7, DepolarizingSource(0.02)
+    params = pulse_params(big_n)
+    labels = label_stage(params, seed=3)
+    rng = np.random.Generator(np.random.PCG64(3).advance(5 * big_n))
+    sizes = (params.l_smp, params.n)
+    sel = [_select(rng, *cand, big_n, k) for cand, k in zip(_candidates(params, *labels), sizes)]
+    walks = {
+        "_rounds": partial(protocol._rounds, source, 3, big_n, *sel),
+        "_pulse_stage": partial(protocol._pulse_stage, source, 3, big_n, *labels),
+    }
+    for name, walk in walks.items():
+        walk()  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (out[1:] if name == "_rounds" else out.values()))
+        assert peak < returned + 4 * 8 * _CHUNK, (name, (peak - returned) / (8 * _CHUNK))
 
 
 def test_key_run_memory_is_the_sifted_draw():
